@@ -134,7 +134,8 @@ def _emit_record(cfg, results, t0, out_path):
         "results": _as_jsonable(results),
         "meta": {"wall_time_s": time.perf_counter() - t0, "version": __version__},
     }
-    text = json.dumps(record, sort_keys=True, indent=2)
+    # strict JSON: a non-finite value raises ValueError, which main maps to exit 4
+    text = json.dumps(record, sort_keys=True, indent=2, allow_nan=False)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -323,7 +324,11 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return 2
-    _emit_record(cfg, results, t0, cfg.get("out"))
+    try:
+        _emit_record(cfg, results, t0, cfg.get("out"))
+    except ValueError as exc:
+        print(f"error: numerical failure: non-finite result ({exc})", file=sys.stderr)
+        return 4
     if args.subcommand == "validate" and any(not r.passed for r in results):
         print("error: numerical failure: validation suite reported failures",
               file=sys.stderr)

@@ -122,6 +122,16 @@ class TestCli:
         assert rec["config"]["epsilon"] == 0.1
         assert rec["results"]["value"] > 0
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_result_is_a_numerical_failure(self, capsys):
+        # p = 12 at t = 12 overflows the Feynman-Kac weights
+        assert main(["moment", "--flavor", "strat", "--p", "12", "--t", "12",
+                     "--grid-steps", "64", "--n-samples", "4"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "numerical failure" in err
+
     def test_mollifier_needs_both_flags(self, capsys):
         assert main(["moment", "--flavor", "strat", "--n-samples", "5",
                      "--epsilon", "0.1"]) == 2

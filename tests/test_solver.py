@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sfheat.errors import BudgetError
+from sfheat import solver
 from sfheat.params import InitialCondition, ModelParams
 from sfheat.paths import RngStream
 from sfheat.solver import (FieldState, NoiseSlabSampler, TorusGrid, ensemble_moment,
@@ -12,6 +12,36 @@ from sfheat.solver import (FieldState, NoiseSlabSampler, TorusGrid, ensemble_mom
 PM_CONST = ModelParams(alpha=2.0, d=1, t_horizon=0.5)
 PM_BUMP = ModelParams(alpha=2.0, d=1, t_horizon=0.5,
                       u0=InitialCondition.gaussian_bump(1.0, 0.5))
+
+
+def dense_periodized_covariance(grid, epsilon):
+    """Oracle: the (n_time n_space)^2 noise covariance assembled entry by entry.
+
+    p_{|t_i - t_k| + 2 eps} summed over wrap-around images, with enough images
+    that the dropped tail is below 8 sigma of the widest kernel.
+    """
+    ts = grid.slab_times
+    xs = grid.xs
+    dt = np.abs(ts[:, None] - ts[None, :]) + 2.0 * epsilon
+    diff = xs[:, None] - xs[None, :]
+    dtt = np.repeat(np.repeat(dt, grid.n_space, axis=0), grid.n_space, axis=1)
+    dxx = np.tile(diff, (grid.n_time, grid.n_time))
+    n_img = 1 + math.ceil(8.0 * math.sqrt(grid.t_horizon + 2.0 * epsilon)
+                          / (2.0 * grid.half_length))
+    cov = np.zeros_like(dtt)
+    for m in range(-n_img, n_img + 1):
+        shift = dxx + 2.0 * grid.half_length * m
+        cov += (2.0 * np.pi * dtt) ** -0.5 * np.exp(-shift ** 2 / (2.0 * dtt))
+    return cov
+
+
+def spectral_covariance(sampler):
+    """Exact covariance of the sampler's linear map from standard normals to slabs."""
+    g = sampler.grid
+    m = g.n_time * sampler.n_terms
+    basis = np.eye(m).reshape(m, g.n_time, sampler.n_terms)
+    rows = sampler._from_normals(basis).reshape(m, g.n_time * g.n_space)
+    return rows.T @ rows
 
 
 class TestTorusGrid:
@@ -28,10 +58,50 @@ class TestTorusGrid:
 
 
 class TestNoiseSlab:
-    def test_budget(self):
+    @pytest.mark.parametrize("grid, eps", [
+        (TorusGrid.default(0.5, n_space=64, n_time=32), 0.1),
+        # kernel narrower than the grid step: several aliases per mode, and
+        # the two Nyquist images carry equal weight
+        (TorusGrid(half_length=4.0, n_space=32, n_time=8, t_horizon=0.5), 0.005),
+        (TorusGrid(half_length=8.0 * math.sqrt(0.5 + 50.0), n_space=16, n_time=2,
+                   t_horizon=0.5), 25.0),
+    ], ids=["64x32", "small-eps", "wide-kernel"])
+    def test_covariance_matches_dense_oracle(self, grid, eps):
+        sampler = NoiseSlabSampler(grid, eps)
+        oracle = dense_periodized_covariance(grid, eps)
+        err = np.abs(spectral_covariance(sampler) - oracle).max() / np.abs(oracle).max()
+        assert err <= 1e-12
+        if eps < 0.01:
+            assert sampler.n_terms >= 2 * grid.n_space
+
+    def test_grid_beyond_former_node_budget(self):
+        # 128 x 64 = 8192 nodes once exceeded the dense factor's 4096-node
+        # limit; it builds now, and its spatial covariance row meets the
+        # target of test_spatial_covariance_row at the same distances
         g = TorusGrid(half_length=4.0, n_space=128, n_time=64, t_horizon=0.5)
-        with pytest.raises(BudgetError):
-            NoiseSlabSampler(g, 0.1)
+        eps = 0.1
+        sampler = NoiseSlabSampler(g, eps)
+        n = 4000
+        rows = np.concatenate([
+            sampler.sample([RngStream(60, i) for i in range(start, start + 500)])[:, 0]
+            for start in range(0, n, 500)])
+        emp = rows.T @ rows / n
+        var0 = (4 * math.pi * eps) ** -0.5
+        for j in (0, 12, 32):
+            dist = abs(g.xs[j] - g.xs[0])
+            dist = min(dist, 2 * g.half_length - dist)
+            target = (2 * math.pi * 2 * eps) ** -0.5 * math.exp(-dist ** 2 / (4 * eps))
+            se = math.sqrt((var0 ** 2 + target ** 2) / n)
+            assert emp[0, j] == pytest.approx(target, abs=3 * se)
+
+    def test_block_rows_match_single_draws(self):
+        g = TorusGrid.default(0.5, n_space=32, n_time=16)
+        sampler = NoiseSlabSampler(g, 0.1)
+        rng = RngStream(59)
+        block = sampler.sample([rng.substream(r) for r in range(7)])
+        assert block.shape == (7, g.n_time, g.n_space)
+        for r in range(7):
+            assert np.array_equal(block[r], sampler.sample(rng.substream(r)))
 
     def test_spatial_covariance_row(self):
         g = TorusGrid(half_length=4.0, n_space=32, n_time=1, t_horizon=0.5)
@@ -165,3 +235,12 @@ class TestEnsembleMoment:
         a = ensemble_moment(g, PM_CONST, 0.1, 1, 20, rng=69)
         b = ensemble_moment(g, PM_CONST, 0.1, 1, 20, rng=69)
         assert a.value == b.value
+
+    def test_block_size_does_not_change_values(self, monkeypatch):
+        g = TorusGrid.default(0.25, n_space=16, n_time=16)
+        ests = []
+        for per_block in (1, 7, 64):
+            monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", per_block * g.n_time * g.n_space)
+            ests.append(ensemble_moment(g, PM_BUMP, 0.1, 2, 50, rng=58))
+        assert all(e.value == ests[0].value and e.std_error == ests[0].std_error
+                   for e in ests)
