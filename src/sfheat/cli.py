@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,24 +27,63 @@ from .paths import RngStream, TimeGrid
 
 SEED_ENV_VAR = "SFHEAT_SEED"
 
-_DEFAULTS = {
-    "moment": {
-        "flavor": "sko", "p": 1, "alpha": 2.0, "d": 1, "t": 1.0, "x": "0",
-        "u0": "const:1", "n_samples": 10000, "grid_steps": None,
-        "epsilon": None, "delta": None, "seed": None, "out": None,
-        "samples_csv": None, "workers": 1,
-    },
-    "chaos": {
-        "alpha": 2.0, "d": 1, "t": 1.0, "nmax": 3, "seed": None, "out": None,
-    },
-    "check": {"alpha": 2.0, "d": 1, "out": None},
-    "solve": {
-        "alpha": 2.0, "t": 0.5, "u0": "const:1", "epsilon": 0.1, "p": 1,
-        "n_space": 64, "n_time": 64, "half_length": None,
-        "n_realizations": 200, "seed": None, "out": None,
-        "snapshot_csv": None, "snapshot_times": None, "workers": 1,
-    },
-    "validate": {"quick": False, "out": None},
+
+class _Option(NamedTuple):
+    """One option: flag ``--dashed-name``, config-file key and record field ``name``."""
+
+    name: str
+    type: type
+    default: object = None
+    help: str | None = None
+    choices: tuple | None = None
+
+
+_COMMON = (
+    _Option("seed", int, help=f"master seed (default ${SEED_ENV_VAR} or 0)"),
+    _Option("out", str, help="write the JSON run record here instead of stdout"),
+)
+
+_OPTIONS = {
+    "moment": (
+        _Option("flavor", str, "sko", choices=("strat", "stratonovich", "sko", "skorohod")),
+        _Option("p", int, 1, "moment order"),
+        _Option("alpha", float, 2.0),
+        _Option("d", int, 1),
+        _Option("t", float, 1.0, "time horizon"),
+        _Option("x", str, "0", "evaluation point (comma separated for d > 1)"),
+        _Option("u0", str, "const:1", "initial data: const:<c> | gauss:<amp>,<width> | cos:<k>"),
+        _Option("n_samples", int, 10000),
+        _Option("grid_steps", int),
+        _Option("epsilon", float, help="spatial mollifier (with --delta)"),
+        _Option("delta", float, help="time mollifier (with --epsilon)"),
+        _Option("samples_csv", str, help="per-sample values CSV"),
+    ),
+    "chaos": (
+        _Option("alpha", float, 2.0),
+        _Option("d", int, 1),
+        _Option("t", float, 1.0),
+        _Option("nmax", int, 3),
+    ),
+    "check": (
+        _Option("alpha", float, 2.0),
+        _Option("d", int, 1),
+    ),
+    "solve": (
+        _Option("alpha", float, 2.0),
+        _Option("t", float, 0.5),
+        _Option("u0", str, "const:1"),
+        _Option("epsilon", float, 0.1),
+        _Option("p", int, 1),
+        _Option("n_space", int, 64),
+        _Option("n_time", int, 64),
+        _Option("half_length", float),
+        _Option("n_realizations", int, 200),
+        _Option("snapshot_csv", str),
+        _Option("snapshot_times", str),
+    ),
+    "validate": (
+        _Option("quick", bool, False),
+    ),
 }
 
 
@@ -68,40 +108,30 @@ def _load_config_file(path):
     return values
 
 
-def _coerce(key, raw, default):
-    if raw is None:
-        return default
-    if isinstance(raw, str):
-        if isinstance(default, bool) or key == "quick":
-            return raw.lower() in ("1", "true", "yes", "on")
-        if isinstance(default, int) and not isinstance(default, bool):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        if default is None and key in ("epsilon", "delta", "grid_steps", "seed",
-                                       "half_length", "snapshot_times"):
-            if key in ("grid_steps", "seed"):
-                return int(raw)
-            if key == "snapshot_times":
-                return raw
-            return float(raw)
-    return raw
+def _parse(option, raw):
+    """Value of ``option`` from its config-file string."""
+    if option.type is bool:
+        return raw.lower() in ("1", "true", "yes", "on")
+    return option.type(raw)
 
 
 def _resolve(subcommand, args):
-    defaults = _DEFAULTS[subcommand]
-    file_vals = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    unknown = set(file_vals) - set(defaults)
+    """Each option from its flag, else the config file, else its default."""
+    options = _OPTIONS[subcommand] + _COMMON
+    file_vals = _load_config_file(args.config) if args.config else {}
+    unknown = set(file_vals) - {o.name for o in options}
     if unknown:
         raise ConfigError(f"unknown config keys for {subcommand}: {sorted(unknown)}")
     cfg = {}
-    for key, default in defaults.items():
-        flag_val = getattr(args, key, None)
+    for option in options:
+        flag_val = getattr(args, option.name)
         if flag_val is not None:
-            cfg[key] = flag_val
+            cfg[option.name] = flag_val
+        elif option.name in file_vals:
+            cfg[option.name] = _parse(option, file_vals[option.name])
         else:
-            cfg[key] = _coerce(key, file_vals.get(key), default)
-    if cfg.get("seed") is None:
+            cfg[option.name] = option.default
+    if cfg["seed"] is None:
         cfg["seed"] = int(os.environ.get(SEED_ENV_VAR, "0"))
     cfg["subcommand"] = subcommand
     return cfg
@@ -144,26 +174,25 @@ def _emit_record(cfg, results, t0, out_path):
     return record
 
 
-_IO_KEYS = ("out", "samples_csv", "snapshot_csv", "config", "workers")
+_IO_KEYS = ("out", "samples_csv", "snapshot_csv", "config")
 
 
 def record_fingerprint(record):
     """Deterministic serialization of the reproducible part of a record.
 
-    Output destinations and the worker count are stripped: they never
-    influence computed values, only where results land and how fast.
+    Output destinations are stripped: they never influence computed values,
+    only where results land.
     """
     cfg = {k: v for k, v in record["config"].items() if k not in _IO_KEYS}
     return json.dumps({"config": cfg, "results": record["results"]}, sort_keys=True)
 
 
 def _model_params(cfg):
-    d = int(cfg["d"])
-    x = np.array([float(v) for v in str(cfg["x"]).split(",")]) if "x" in cfg else None
+    d = cfg["d"]
+    x = np.array([float(v) for v in cfg["x"].split(",")]) if "x" in cfg else None
     if x is not None and x.size == 1 and d > 1:
         x = np.full(d, x[0])  # scalar x applies to every coordinate
-    return ModelParams(alpha=float(cfg["alpha"]), d=d,
-                       t_horizon=float(cfg["t"]), x_point=x,
+    return ModelParams(alpha=cfg["alpha"], d=d, t_horizon=cfg["t"], x_point=x,
                        u0=parse_u0(cfg["u0"]))
 
 
@@ -173,22 +202,22 @@ def _mollifier(cfg):
         raise ConfigError("mollified runs need both --epsilon and --delta")
     if eps is None:
         return None
-    return MollifierParams(float(eps), float(delta))
+    return MollifierParams(eps, delta)
 
 
 def cmd_moment(cfg):
     params = _model_params(cfg)
     steps = cfg["grid_steps"] or max(1, int(np.ceil(256 * params.t_horizon)))
-    grid = TimeGrid.uniform(params.t_horizon, int(steps))
-    rng = RngStream(int(cfg["seed"]))
+    grid = TimeGrid.uniform(params.t_horizon, steps)
+    rng = RngStream(cfg["seed"])
     moll = _mollifier(cfg)
     keep = cfg["samples_csv"] is not None
-    flavor = str(cfg["flavor"]).lower()
+    flavor = cfg["flavor"].lower()
     if flavor in ("strat", "stratonovich"):
-        est = fk.strat_moment(int(cfg["p"]), params, int(cfg["n_samples"]), grid=grid,
+        est = fk.strat_moment(cfg["p"], params, cfg["n_samples"], grid=grid,
                               rng=rng, moll=moll, keep_samples=keep)
     elif flavor in ("sko", "skorohod"):
-        est = fk.sko_moment(int(cfg["p"]), params, int(cfg["n_samples"]), grid=grid,
+        est = fk.sko_moment(cfg["p"], params, cfg["n_samples"], grid=grid,
                             rng=rng, moll=moll, keep_samples=keep)
     else:
         raise ConfigError(f"unknown flavor {cfg['flavor']!r} (use strat or sko)")
@@ -201,27 +230,26 @@ def cmd_moment(cfg):
 
 
 def cmd_chaos(cfg):
-    series = chaos.chaos_second_moment(float(cfg["alpha"]), int(cfg["d"]), float(cfg["t"]),
-                                       int(cfg["nmax"]), seed=int(cfg["seed"]))
-    return series
+    return chaos.chaos_second_moment(cfg["alpha"], cfg["d"], cfg["t"], cfg["nmax"],
+                                     seed=cfg["seed"])
 
 
 def cmd_check(cfg):
-    return chaos.existence_check(float(cfg["alpha"]), int(cfg["d"]))
+    return chaos.existence_check(cfg["alpha"], cfg["d"])
 
 
 def cmd_solve(cfg):
     params = _model_params({**cfg, "x": "0", "d": 1})
     half_length = cfg["half_length"] or 8.0 * float(np.sqrt(params.t_horizon))
-    grid = solver.TorusGrid(half_length=float(half_length), n_space=int(cfg["n_space"]),
-                            n_time=int(cfg["n_time"]), t_horizon=params.t_horizon)
-    rng = RngStream(int(cfg["seed"]))
-    est = solver.ensemble_moment(grid, params, float(cfg["epsilon"]), int(cfg["p"]),
-                                 int(cfg["n_realizations"]), rng=rng)
+    grid = solver.TorusGrid(half_length=half_length, n_space=cfg["n_space"],
+                            n_time=cfg["n_time"], t_horizon=params.t_horizon)
+    rng = RngStream(cfg["seed"])
+    est = solver.ensemble_moment(grid, params, cfg["epsilon"], cfg["p"],
+                                 cfg["n_realizations"], rng=rng)
     if cfg["snapshot_csv"]:
-        times = ([float(v) for v in str(cfg["snapshot_times"]).split(",")]
+        times = ([float(v) for v in cfg["snapshot_times"].split(",")]
                  if cfg["snapshot_times"] else [params.t_horizon])
-        sampler = solver.NoiseSlabSampler(grid, float(cfg["epsilon"]))
+        sampler = solver.NoiseSlabSampler(grid, cfg["epsilon"])
         noise = sampler.sample(rng.substream(0))
         _, shots = solver.evolve(grid, params, noise, snapshot_times=times)
         with open(cfg["snapshot_csv"], "w") as fh:
@@ -230,7 +258,7 @@ def cmd_solve(cfg):
 
 
 def cmd_validate(cfg):
-    results = validation.run_suite(quick=bool(cfg["quick"]))
+    results = validation.run_suite(quick=cfg["quick"])
     print(validation.format_table(results), file=sys.stderr)
     return results
 
@@ -239,68 +267,26 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="sfheat", description=__doc__)
     parser.add_argument("--version", action="version", version=f"sfheat {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p):
+    for name, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, help=f"master seed (default ${SEED_ENV_VAR} or 0)")
-        p.add_argument("--out", help="write the JSON run record here instead of stdout")
-
-    p = sub.add_parser("moment", help="Feynman-Kac moment estimation")
-    add_common(p)
-    p.add_argument("--flavor", choices=["strat", "stratonovich", "sko", "skorohod"])
-    p.add_argument("--p", type=int, help="moment order")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--d", type=int)
-    p.add_argument("--t", type=float, help="time horizon")
-    p.add_argument("--x", help="evaluation point (comma separated for d > 1)")
-    p.add_argument("--u0", help="initial data: const:<c> | gauss:<amp>,<width> | cos:<k>")
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-    p.add_argument("--grid-steps", dest="grid_steps", type=int)
-    p.add_argument("--epsilon", type=float, help="spatial mollifier (with --delta)")
-    p.add_argument("--delta", type=float, help="time mollifier (with --epsilon)")
-    p.add_argument("--samples-csv", dest="samples_csv", help="per-sample values CSV")
-    p.add_argument("--workers", type=int, help="worker count (wall time only, never values)")
-
-    p = sub.add_parser("chaos", help="Wiener chaos series terms and partial sum")
-    add_common(p)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--d", type=int)
-    p.add_argument("--t", type=float)
-    p.add_argument("--nmax", type=int)
-
-    p = sub.add_parser("check", help="existence-region classification")
-    add_common(p)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--d", type=int)
-
-    p = sub.add_parser("solve", help="direct mollified-noise solve on the torus")
-    add_common(p)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--t", type=float)
-    p.add_argument("--u0")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--p", type=int)
-    p.add_argument("--n-space", dest="n_space", type=int)
-    p.add_argument("--n-time", dest="n_time", type=int)
-    p.add_argument("--half-length", dest="half_length", type=float)
-    p.add_argument("--n-realizations", dest="n_realizations", type=int)
-    p.add_argument("--snapshot-csv", dest="snapshot_csv")
-    p.add_argument("--snapshot-times", dest="snapshot_times")
-    p.add_argument("--workers", type=int)
-
-    p = sub.add_parser("validate", help="run the invariant suite")
-    add_common(p)
-    p.add_argument("--quick", action="store_const", const=True)
-
+        for option in _OPTIONS[name] + _COMMON:
+            flag = "--" + option.name.replace("_", "-")
+            if option.type is bool:
+                p.add_argument(flag, dest=option.name, action="store_const", const=True,
+                               help=option.help)
+            else:
+                p.add_argument(flag, dest=option.name, type=option.type,
+                               choices=option.choices, help=option.help)
     return parser
 
 
 _COMMANDS = {
-    "moment": cmd_moment,
-    "chaos": cmd_chaos,
-    "check": cmd_check,
-    "solve": cmd_solve,
-    "validate": cmd_validate,
+    "moment": (cmd_moment, "Feynman-Kac moment estimation"),
+    "chaos": (cmd_chaos, "Wiener chaos series terms and partial sum"),
+    "check": (cmd_check, "existence-region classification"),
+    "solve": (cmd_solve, "direct mollified-noise solve on the torus"),
+    "validate": (cmd_validate, "run the invariant suite"),
 }
 
 
@@ -310,7 +296,7 @@ def main(argv=None):
     t0 = time.perf_counter()
     try:
         cfg = _resolve(args.subcommand, args)
-        results = _COMMANDS[args.subcommand](cfg)
+        results = _COMMANDS[args.subcommand][0](cfg)
     except RegimeError as exc:
         print(f"error: regime violation: {exc}"
               + (f" [condition: {exc.condition}]" if exc.condition else ""), file=sys.stderr)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .kernels import _interval_correlation_pieces
 from .paths import Path
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -278,11 +279,7 @@ def _window_kernel_integral(i0, i1, j0, j1, a, eps):
     """int_{u in [i0,i1]} int_{v in [j0,j1]} p_{|u-v| + 2 eps}(dx) du dv with the
     spatial factor carried through a = |dx|^2 / 2 (all arguments arrays)."""
     eps2 = 2.0 * eps
-    lmin = np.minimum(i1 - i0, j1 - j0)
-    b1 = j0 - i1
-    b4 = j1 - i0
-    b2 = b1 + lmin
-    b3 = b4 - lmin
+    b1, b2, b3, b4, lmin = _interval_correlation_pieces(i0, i1, j0, j1)
     up = _window_piece(b1, b2, -b1, 1.0, a, eps2)
     flat = _window_piece(b2, b3, lmin, 0.0, a, eps2)
     down = _window_piece(b3, b4, b4, -1.0, a, eps2)

@@ -196,7 +196,7 @@ def _overlap_cell_integral(a, b, c, e):
 
 def _interval_correlation_pieces(i0, i1, j0, j1):
     """Breakpoints of c(tau) = |{(u, v) in I x J : v - u = tau}| (a trapezoid)."""
-    lmin = min(i1 - i0, j1 - j0)
+    lmin = np.minimum(i1 - i0, j1 - j0)
     b1 = j0 - i1
     b4 = j1 - i0
     return b1, b1 + lmin, b4 - lmin, b4, lmin

@@ -121,6 +121,17 @@ def constant_path(grid, x0=0.0, d=1):
     return Path(grid, np.tile(x0, (len(grid.times), 1)))
 
 
+def _unit_subordinator(alpha, gen, shape):
+    """Positive (alpha/2)-stable variates with unit Laplace exponent (Kanter's transform)."""
+    beta = 0.5 * alpha
+    u = gen.uniform(0.0, np.pi, shape)
+    e = gen.standard_exponential(shape)
+    a = (np.sin(beta * u) ** (beta / (1.0 - beta))
+         * np.sin((1.0 - beta) * u)
+         / np.sin(u) ** (1.0 / (1.0 - beta)))
+    return (a / e) ** ((1.0 - beta) / beta)
+
+
 def sample_subordinator_increment(alpha, dt, rng, size=None):
     """Positive (alpha/2)-stable variates S with E exp(-lam S) = exp(-(dt/2) lam^{alpha/2}).
 
@@ -134,15 +145,8 @@ def sample_subordinator_increment(alpha, dt, rng, size=None):
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    beta = 0.5 * alpha
     shape = () if size is None else size
-    u = gen.uniform(0.0, np.pi, shape)
-    e = gen.standard_exponential(shape)
-    a = (np.sin(beta * u) ** (beta / (1.0 - beta))
-         * np.sin((1.0 - beta) * u)
-         / np.sin(u) ** (1.0 / (1.0 - beta)))
-    s_std = (a / e) ** ((1.0 - beta) / beta)
-    return (0.5 * dt) ** (2.0 / alpha) * s_std
+    return (0.5 * dt) ** (2.0 / alpha) * _unit_subordinator(alpha, gen, shape)
 
 
 def sample_increment(alpha, d, dt, rng, size=None):
@@ -163,23 +167,7 @@ def sample_increment(alpha, d, dt, rng, size=None):
 
 def sample_path(alpha, d, grid: TimeGrid, x0, rng) -> Path:
     """Cumulative sums of independent per-step increments, shifted by x0."""
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    x0 = np.broadcast_to(np.atleast_1d(np.asarray(x0, float)), (d,))
-    dts = np.diff(grid.times)
-    n = len(dts)
-    if alpha == 2.0:
-        incr = np.sqrt(dts)[:, None] * gen.standard_normal((n, d))
-    else:
-        beta = 0.5 * alpha
-        u = gen.uniform(0.0, np.pi, n)
-        e = gen.standard_exponential(n)
-        a = (np.sin(beta * u) ** (beta / (1.0 - beta))
-             * np.sin((1.0 - beta) * u)
-             / np.sin(u) ** (1.0 / (1.0 - beta)))
-        s = (0.5 * dts) ** (2.0 / alpha) * (a / e) ** ((1.0 - beta) / beta)
-        incr = np.sqrt(2.0 * s)[:, None] * gen.standard_normal((n, d))
-    pos = np.vstack([np.zeros((1, d)), np.cumsum(incr, axis=0)]) + x0
-    return Path(grid, pos)
+    return Path(grid, sample_path_batch(alpha, d, grid, x0, rng, 1)[0])
 
 
 def sample_path_batch(alpha, d, grid: TimeGrid, x0, rng, n_paths):
@@ -195,13 +183,7 @@ def sample_path_batch(alpha, d, grid: TimeGrid, x0, rng, n_paths):
     if alpha == 2.0:
         incr = np.sqrt(dts)[None, :, None] * gen.standard_normal((n_paths, n, d))
     else:
-        beta = 0.5 * alpha
-        u = gen.uniform(0.0, np.pi, (n_paths, n))
-        e = gen.standard_exponential((n_paths, n))
-        a = (np.sin(beta * u) ** (beta / (1.0 - beta))
-             * np.sin((1.0 - beta) * u)
-             / np.sin(u) ** (1.0 / (1.0 - beta)))
-        s = (0.5 * dts)[None, :] ** (2.0 / alpha) * (a / e) ** ((1.0 - beta) / beta)
+        s = (0.5 * dts)[None, :] ** (2.0 / alpha) * _unit_subordinator(alpha, gen, (n_paths, n))
         incr = np.sqrt(2.0 * s)[:, :, None] * gen.standard_normal((n_paths, n, d))
     pos = np.concatenate([np.zeros((n_paths, 1, d)), np.cumsum(incr, axis=1)], axis=1)
     return pos + x0

@@ -237,15 +237,10 @@ def ensemble_moment(grid: TorusGrid, params: ModelParams, epsilon, p,
     run in blocks of about _BLOCK_ELEMENTS noise values, and the estimate is
     the same for any block size.
 
-    ``epsilon`` may be a bare spatial scale or a full mollifier pair; the
-    time width is pinned to the solver step (the piecewise-constant slabs
-    realize the time window with delta = dt by construction), so only the
-    spatial scale is taken from a pair.
+    ``epsilon`` is the spatial mollifier scale; the time width is pinned to
+    the solver step (the piecewise-constant slabs realize the time window
+    with delta = dt by construction).
     """
-    from .exponents import MollifierParams
-
-    if isinstance(epsilon, MollifierParams):
-        epsilon = epsilon.epsilon
     if params.d != 1:
         raise ValueError("the direct solver is one-dimensional")
     if p < 1 or int(p) != p:

@@ -4,8 +4,14 @@ import os
 import numpy as np
 import pytest
 
+from sfheat import validation
 from sfheat.cli import main, record_fingerprint
 from sfheat.params import InitialCondition, ModelParams, parse_u0
+
+_MOMENT = ["moment", "--flavor", "sko", "--p", "2", "--t", "0.25", "--n-samples", "20"]
+_MOMENT_STRAT = ["moment", "--flavor", "strat", "--p", "1", "--t", "0.25",
+                 "--grid-steps", "16", "--n-samples", "20"]
+_SOLVE = ["solve", "--t", "0.25", "--n-space", "16", "--n-time", "8", "--n-realizations", "4"]
 
 
 class TestInitialConditions:
@@ -103,15 +109,35 @@ class TestCli:
             outs.append(json.loads(out.read_text()))
         assert record_fingerprint(outs[0]) == record_fingerprint(outs[1])
 
-    def test_worker_flag_does_not_change_values(self, tmp_path):
-        base = ["moment", "--flavor", "sko", "--p", "2", "--t", "0.5",
-                "--grid-steps", "32", "--n-samples", "40", "--seed", "9"]
-        recs = []
-        for w, name in (("1", "w1.json"), ("8", "w8.json")):
-            out = tmp_path / name
-            assert main(base + ["--workers", w, "--out", str(out)]) == 0
+    def test_config_rejects_workers_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("workers=4\n")
+        assert main(["moment", "--config", str(cfg), "--n-samples", "5"]) == 2
+        assert "workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("base, file_text, flags", [
+        (_MOMENT, "grid_steps=16\n", ["--grid-steps", "16"]),
+        (_MOMENT, "seed=9\n", ["--seed", "9"]),
+        (_MOMENT_STRAT, "epsilon=0.1\ndelta=0.05\n", ["--epsilon", "0.1", "--delta", "0.05"]),
+        (_SOLVE, "half_length=3\n", ["--half-length", "3"]),
+        (_SOLVE, "snapshot_times=0.125,0.25\n", ["--snapshot-times", "0.125,0.25"]),
+        (["validate"], "quick=true\n", ["--quick"]),
+    ], ids=["grid_steps", "seed", "epsilon_delta", "half_length", "snapshot_times", "quick"])
+    def test_config_key_matches_flag(self, base, file_text, flags, tmp_path, monkeypatch):
+        # validate records wall times, so a stub suite that reports its budget stands in
+        monkeypatch.setattr(validation, "run_suite", lambda quick: [
+            validation.ValidationResult(f"quick={quick}", True, 0.0, 1.0, 0.0)])
+        cfg = tmp_path / "cfg"
+        cfg.write_text(file_text)
+        recs, snaps = [], []
+        for name, extra in (("file", ["--config", str(cfg)]), ("flags", flags)):
+            out, snap = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            csv_args = ["--snapshot-csv", str(snap)] if base[0] == "solve" else []
+            assert main(base + extra + csv_args + ["--out", str(out)]) == 0
             recs.append(json.loads(out.read_text()))
+            snaps.append(snap.read_text() if csv_args else None)
         assert record_fingerprint(recs[0]) == record_fingerprint(recs[1])
+        assert snaps[0] == snaps[1]
 
     def test_mollified_moment_flags(self, tmp_path):
         out = tmp_path / "rec.json"

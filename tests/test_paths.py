@@ -171,3 +171,63 @@ class TestPaths:
             Path(grid, np.zeros((3, 1)))
         with pytest.raises(ValueError):
             Path(grid, np.full((5, 1), np.nan))
+
+
+# Recorded draws on the non-uniform grid below with x0 = 0.3: a path from
+# RngStream(41, 7), a batch of two from RngStream(41, 8) and two increments of
+# dt = 0.25 from RngStream(41, 9).  They pin the stream layout: any change to
+# the draw order or to the arithmetic of the samplers fails bit-for-bit.
+_PINNED_GRID = np.array([0.0, 0.1, 0.35, 1.0])
+_PINNED = {
+    (2.0, 1): dict(
+        path=[[0.3], [0.11053279109294159], [0.1235764817295836], [0.690297497002069]],
+        batch=[[[0.3], [0.2162151383235142], [0.11137118199014437], [1.3338281163828776]],
+               [[0.3], [0.8473469461792604], [1.2087581581316122], [1.6927353879849132]]],
+        increment=[[0.5495125454212298], [-0.16778842741367547]],
+    ),
+    (2.0, 2): dict(
+        path=[[0.3, 0.3], [0.11053279109294159, 0.3082495543012801],
+              [0.4619982446701889, 0.19926204553255678],
+              [-0.2170220522448853, -1.510590963139403]],
+        batch=[[[0.3, 0.3], [0.2162151383235142, 0.2336908598166631],
+                [0.9743507453442144, 1.0991223699486927],
+                [1.5571088141211782, 1.5830995998019939]],
+               [[0.3, 0.3], [0.2776631543945335, 0.19145043432280012],
+                [0.2662643156188108, -0.2790184198517364],
+                [0.9365925255838583, -1.8895924987483281]]],
+        increment=[[0.5495125454212298, -0.16778842741367547],
+                   [-0.06506984075076801, -0.3202261552741527]],
+    ),
+    (1.5, 1): dict(
+        path=[[0.3], [0.33804037851286406], [0.11468130909507693], [-1.964363348313306]],
+        batch=[[[0.3], [0.13592620057320912], [-0.09050934571835717], [-2.925364305754389]],
+               [[0.3], [0.3499909872721949], [1.1779817023278958], [0.712250552180696]]],
+        increment=[[-0.06455346754923587], [-0.4436659160794461]],
+    ),
+    (1.5, 2): dict(
+        path=[[0.3, 0.3], [0.33804037851286406, 0.13288887825979998],
+              [0.030130956726598768, -0.0071054831541468855],
+              [-2.109363899995892, 2.2264444248438187]],
+        batch=[[[0.3, 0.3], [0.13592620057320912, 0.26958804586769153],
+                [-3.0588350552486543, 0.5564049810146203],
+                [-2.3599712912573265, -0.4563790343419832]],
+               [[0.3, 0.3], [0.5720511909867222, 0.39276692204280317],
+                [1.4226407388469038, 0.09713376123800699],
+                [2.0085165870289705, 0.5841084852561813]]],
+        increment=[[-0.06455346754923587, -0.3668905210395637],
+                   [-0.4077874317807143, 0.038148785682980586]],
+    ),
+}
+
+
+class TestStreamLayout:
+    @pytest.mark.parametrize("alpha, d", sorted(_PINNED))
+    def test_draws_match_recorded_values(self, alpha, d):
+        grid = TimeGrid(_PINNED_GRID)
+        pinned = _PINNED[(alpha, d)]
+        path = sample_path(alpha, d, grid, 0.3, RngStream(41, 7))
+        batch = sample_path_batch(alpha, d, grid, 0.3, RngStream(41, 8), 2)
+        incr = sample_increment(alpha, d, 0.25, RngStream(41, 9), size=2)
+        assert np.array_equal(path.positions, pinned["path"])
+        assert np.array_equal(batch, pinned["batch"])
+        assert np.array_equal(incr, pinned["increment"])
