@@ -143,7 +143,7 @@ def _as_jsonable(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         out = {}
         for f in dataclasses.fields(obj):
-            if f.name == "samples":
+            if f.name in ("samples", "seconds"):  # samples go to CSV, check timings to meta
                 continue
             out[f.name] = _as_jsonable(getattr(obj, f.name))
         return out
@@ -164,6 +164,8 @@ def _emit_record(cfg, results, t0, out_path):
         "results": _as_jsonable(results),
         "meta": {"wall_time_s": time.perf_counter() - t0, "version": __version__},
     }
+    if cfg["subcommand"] == "validate":
+        record["meta"]["check_seconds"] = {r.name: r.seconds for r in results}
     # strict JSON: a non-finite value raises ValueError, which main maps to exit 4
     text = json.dumps(record, sort_keys=True, indent=2, allow_nan=False)
     if out_path:
@@ -207,8 +209,8 @@ def _mollifier(cfg):
 
 def cmd_moment(cfg):
     params = _model_params(cfg)
-    steps = cfg["grid_steps"] or max(1, int(np.ceil(256 * params.t_horizon)))
-    grid = TimeGrid.uniform(params.t_horizon, steps)
+    grid = (TimeGrid.uniform(params.t_horizon, cfg["grid_steps"]) if cfg["grid_steps"]
+            else TimeGrid.default(params.t_horizon))
     rng = RngStream(cfg["seed"])
     moll = _mollifier(cfg)
     keep = cfg["samples_csv"] is not None

@@ -8,10 +8,17 @@ Scheme ("midpoint_exact_diagonal"): paths are frozen on grid cells at their
 left node.  Cells overlapping the singular band |s - r| <= max step are
 integrated exactly in time -- the spatial increment is frozen at the cell
 corner on the diagonal (where it vanishes for the self exponent), and the
-remaining integral of |s-r|^{-1/2} exp(-a/|s-r|) has a closed form in erfc.
-All other cells use the time midpoint.  Midpoint under-estimates the convex
-kernel, so the quadrature never exceeds the exact deterministic bound; the
-accepted bias is O(step^{1/2}) and is measured by the refinement estimate.
+remaining integral of |s-r|^{-1/2} exp(-a/|s-r|) is exact.  All other cells
+use the time midpoint.  Midpoint under-estimates the convex kernel, so the
+quadrature never exceeds the exact deterministic bound; the accepted bias is
+O(step^{1/2}) and is measured by the refinement estimate.
+
+Every exact time integral here -- band cells and mollifier windows alike --
+is int_I int_J k(|u - v|) du dv, which ``kernels._rect`` evaluates as a second
+difference of K2(x) = int_0^|x| (|x| - tau) k(tau) dtau over the corners of
+I x J.  For the d = 1 heat kernel k(tau) = p_{tau + shift}(dx), K2 is closed
+form in one exp and one erfc per corner (``_heat_K2``); the band uses shift 0
+and the mollifier shift 2 eps.
 
 In d >= 2 the limiting integrals are infinite; the quadrature then reports a
 grid-dependent finite value (the band uses the cell-mean time separation
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .kernels import _interval_correlation_pieces
+from .kernels import _rect
 from .paths import Path
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -60,57 +67,37 @@ class ExponentValue:
 
 
 # ---------------------------------------------------------------------------
-# closed-form antiderivatives
+# closed-form second antiderivative of the d = 1 time kernel
 # ---------------------------------------------------------------------------
 
 
-def _f0(x, a):
-    """int_0^X tau^{-1/2} exp(-a/tau) dtau = 2 sqrt(X) e^{-a/X} - 2 sqrt(pi a) erfc(sqrt(a/X))."""
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
-    x, a = np.broadcast_arrays(x, a)
+def _moments(x, a):
+    """Zeroth and first moments int_0^X sigma^k g(sigma) dsigma, k = 0, 1, of
+    g(sigma) = (2 pi sigma)^{-1/2} exp(-a / sigma), sharing one exp and one erfc:
+    sqrt(2 pi) m0 = 2 sqrt(X) e^{-a/X} - 2 sqrt(pi a) erfc(sqrt(a/X)) and
+    sqrt(2 pi) m1 = (2/3) X^{3/2} e^{-a/X} - (2a/3) sqrt(2 pi) m0."""
+    x, a = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(a, dtype=float))
     pos = x > 0
     xs = np.where(pos, x, 1.0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        e = np.where(pos, np.exp(-a / xs), 0.0)
-        corr = np.where(a > 0, 2.0 * np.sqrt(np.pi * np.abs(a))
-                        * special.erfc(np.sqrt(np.abs(a) / xs)), 0.0)
-    return np.where(pos, 2.0 * np.sqrt(xs) * e - corr, 0.0)
+    e = np.where(pos, np.exp(-a / xs), 0.0)
+    c = np.where(pos, np.sqrt(np.pi * a) * special.erfc(np.sqrt(a / xs)), 0.0)
+    f0 = 2.0 * np.sqrt(xs) * e - 2.0 * c
+    f1 = (2.0 / 3.0) * xs * np.sqrt(xs) * e - (2.0 * a / 3.0) * f0
+    return f0 / SQRT_2PI, f1 / SQRT_2PI
 
 
-def _f1(x, a):
-    """int_0^X tau^{1/2} exp(-a/tau) dtau."""
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
-    x, a = np.broadcast_arrays(x, a)
-    pos = x > 0
-    xs = np.where(pos, x, 1.0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        e = np.where(pos, np.exp(-a / xs), 0.0)
-        corr = np.where(a > 0, (4.0 * a / 3.0) * np.sqrt(np.pi * np.abs(a))
-                        * special.erfc(np.sqrt(np.abs(a) / xs)), 0.0)
-    return np.where(pos, (2.0 / 3.0) * xs ** 1.5 * e - (4.0 * a / 3.0) * np.sqrt(xs) * e + corr, 0.0)
+def _heat_K2(a, shift):
+    """K2(x) = int_0^|x| (|x| - tau) p_{tau + shift}(dx) dtau in d = 1, with
+    a = |dx|^2 / 2 so that p_sigma(dx) is the g of ``_moments``, less the
+    constant m1(shift) that ``kernels._rect`` cancels."""
+    m0_s = _moments(shift, a)[0] if shift > 0 else 0.0  # m0 vanishes at 0
 
+    def K2(x):
+        end = np.abs(x) + shift
+        m0, m1 = _moments(end, a)
+        return end * (m0 - m0_s) - m1
 
-def _diag_cell_d1(h, a):
-    """Exact int over [0,h]^2 of (2 pi |s-r|)^{-1/2} e^{-a/|s-r|} (weight 2(h - tau))."""
-    return 2.0 * (h * _f0(h, a) - _f1(h, a)) / SQRT_2PI
-
-
-def _adjacent_cell_d1(h_lo, h_hi, a):
-    """Exact integral over two edge-sharing cells of sizes h_lo, h_hi.
-
-    tau = |s - r| has trapezoid weight: slope 1 up to lmin, plateau to lmax,
-    slope -1 down to H = h_lo + h_hi.
-    """
-    lmin = np.minimum(h_lo, h_hi)
-    lmax = np.maximum(h_lo, h_hi)
-    big = h_lo + h_hi
-    val = (_f1(lmin, a)
-           + lmin * (_f0(lmax, a) - _f0(lmin, a))
-           + big * (_f0(big, a) - _f0(lmax, a))
-           - (_f1(big, a) - _f1(lmax, a)))
-    return val / SQRT_2PI
+    return K2
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +173,12 @@ def cross_exponent_values(times, pos_a, pos_b, d):
     np.exp(d2, out=d2)
     off = np.einsum("bij,ij->b", d2, p0)
     if d == 1:
-        band = _diag_cell_d1(h[None, :], a_diag).sum(axis=1)
+        # _rect corners of the diagonal and the two adjacent cells, K2(0) = 0 dropped
+        band = 2.0 * _heat_K2(a_diag, 0.0)(h[None, :]).sum(axis=1)
         if n > 1:
-            band = band + 2.0 * _adjacent_cell_d1(h[None, :-1], h[None, 1:], a_shared).sum(axis=1)
+            K2 = _heat_K2(a_shared, 0.0)
+            adjacent = K2(h[None, :-1] + h[None, 1:]) - K2(h[None, :-1]) - K2(h[None, 1:])
+            band = band + 2.0 * adjacent.sum(axis=1)
     else:
         tau_diag = h / 3.0
         band = ((2.0 * np.pi * tau_diag[None, :]) ** (-d / 2.0) * h[None, :] ** 2
@@ -256,42 +246,13 @@ def deterministic_bound(t, d):
 # ---------------------------------------------------------------------------
 
 
-def _window_piece(p0, p1, c0, c1, a, eps2):
-    """int over [p0,p1] of (c0 + c1 tau) g(|tau|) dtau with
-    g(x) = (2 pi (x + eps2))^{-1/2} exp(-a / (x + eps2)); the range may
-    straddle 0.  Negative part maps to the positive branch by tau -> -tau."""
-
-    def positive(lo, hi, d0, d1):
-        lo = np.maximum(lo, 0.0)
-        hi = np.maximum(hi, lo)
-        s0 = lo + eps2
-        s1 = hi + eps2
-        df0 = _f0(s1, a) - _f0(s0, a)
-        df1 = _f1(s1, a) - _f1(s0, a)
-        return ((d0 - eps2 * d1) * df0 + d1 * df1) / SQRT_2PI
-
-    pos = positive(p0, p1, c0, c1)
-    neg = positive(np.maximum(-p1, 0.0), np.maximum(-p0, 0.0), c0, -c1)
-    return pos + neg
-
-
-def _window_kernel_integral(i0, i1, j0, j1, a, eps):
-    """int_{u in [i0,i1]} int_{v in [j0,j1]} p_{|u-v| + 2 eps}(dx) du dv with the
-    spatial factor carried through a = |dx|^2 / 2 (all arguments arrays)."""
-    eps2 = 2.0 * eps
-    b1, b2, b3, b4, lmin = _interval_correlation_pieces(i0, i1, j0, j1)
-    up = _window_piece(b1, b2, -b1, 1.0, a, eps2)
-    flat = _window_piece(b2, b3, lmin, 0.0, a, eps2)
-    down = _window_piece(b3, b4, b4, -1.0, a, eps2)
-    return up + flat + down
-
-
 def mollified_inner_values(times, pos_a, pos_b, moll: MollifierParams, d):
     """Batched <A^{(a)}, A^{(b)}> for paths given as (B, n+1, d) position arrays.
 
     The (s, r) integral is midpoint quadrature over grid cells with the path
-    frozen at left nodes; the psi-window (u, v) integral is exact (closed form
-    via erfc antiderivatives), honoring the [0, t]^4 clipping of the window.
+    frozen at left nodes; the psi-window (u, v) integral of p_{|u-v| + 2 eps}
+    is exact -- the rectangle identity with ``_heat_K2`` at shift 2 eps --
+    honoring the [0, t]^4 clipping of the window.
     Only d = 1 is supported; the mollified machinery feeds the Wick-weight
     sampler, which the solution formulas restrict to d = 1 anyway.
     """
@@ -313,7 +274,7 @@ def mollified_inner_values(times, pos_a, pos_b, moll: MollifierParams, d):
     i1 = np.minimum(i0 + moll.delta, t)
     j1 = np.minimum(j0 + moll.delta, t)
     a = 0.5 * (pos_a[:, :n, None] - pos_b[:, None, :n]) ** 2
-    g = _window_kernel_integral(i0[None], i1[None], j0[None], j1[None], a, moll.epsilon)
+    g = _rect(_heat_K2(a, 2.0 * moll.epsilon), i0[None], i1[None], j0[None], j1[None])
     area = np.outer(h, h) / moll.delta ** 2
     return (g * area[None]).sum(axis=(1, 2))
 

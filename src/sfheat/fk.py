@@ -89,7 +89,8 @@ def _moment_samples(p, params: ModelParams, n_samples, grid, rng, flavor, moll):
     n_cells = grid.n_steps ** 2
     batch = max(1, int(4_000_000 // max(n_cells, 1)))
     if moll is not None:
-        batch = max(1, batch // 8)  # window integrals cost ~8 kernel evaluations per cell
+        # bounds the (B, n, n) window temporaries held per batch; values do not depend on it
+        batch = max(1, batch // 8)
     out = np.empty(n_samples)
     x = params.x_point
     include_diag = flavor == "stratonovich"

@@ -177,6 +177,16 @@ class GridFunction:
         return self.values @ cell_ft
 
 
+def _rect(K2, i0, i1, j0, j1):
+    """int_{u in [i0,i1]} int_{v in [j0,j1]} k(v - u) dv du for an even kernel k.
+
+    ``K2`` is any second antiderivative of k, e.g. K2(x) = int_0^|x| (|x| - tau)
+    k(tau) dtau; the double integral is its second difference over the corners
+    of the rectangle, which cancels any affine part of K2.
+    """
+    return K2(j0 - i1) - K2(j0 - i0) - K2(j1 - i1) + K2(j1 - i0)
+
+
 def _gauss_cell_integral(tau, a, b, c, e):
     """int_a^b int_c^e p_tau(x - y) dy dx via the double antiderivative of the
     Gaussian: I2(z) = z Phi(z/sqrt tau) + tau p_tau(z)."""
@@ -186,20 +196,12 @@ def _gauss_cell_integral(tau, a, b, c, e):
         s = math.sqrt(tau)
         return z * special.ndtr(z / s) + tau * np.exp(-z ** 2 / (2 * tau)) / math.sqrt(TWO_PI * tau)
 
-    return I2(b - c) - I2(b - e) - I2(a - c) + I2(a - e)
+    return _rect(I2, a, b, c, e)
 
 
 def _overlap_cell_integral(a, b, c, e):
     """tau -> 0 limit of the Gaussian cell integral: overlap length of [a,b] and [c,e]."""
     return max(0.0, min(b, e) - max(a, c))
-
-
-def _interval_correlation_pieces(i0, i1, j0, j1):
-    """Breakpoints of c(tau) = |{(u, v) in I x J : v - u = tau}| (a trapezoid)."""
-    lmin = np.minimum(i1 - i0, j1 - j0)
-    b1 = j0 - i1
-    b4 = j1 - i0
-    return b1, b1 + lmin, b4 - lmin, b4, lmin
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -208,27 +210,19 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 def _time_pair_integral(i0, i1, j0, j1, fn):
     """int_{t in I} int_{s in J} fn(|t - s|) dt ds for smooth-enough fn.
 
-    Reduces to a 1-d integral against the interval-correlation trapezoid and
-    applies Gauss-Legendre on each linear piece (split at tau = 0 where the
-    integrand may have a kink).
+    Each corner value K2(x) = int_0^|x| (|x| - tau) fn(tau) dtau is a
+    Gauss-Legendre sum after tau = |x| w^2, which makes the sqrt(tau) onset of
+    the space coupling at tau = 0 smooth in w.
     """
-    b1, b2, b3, b4, lmin = _interval_correlation_pieces(i0, i1, j0, j1)
-    pieces = []
-    for lo, hi, c0, c1 in ((b1, b2, -b1, 1.0), (b2, b3, lmin, 0.0), (b3, b4, b4, -1.0)):
-        if hi - lo <= 0:
-            continue
-        if lo < 0 < hi:
-            pieces.extend([(lo, 0.0, c0, c1), (0.0, hi, c0, c1)])
-        else:
-            pieces.append((lo, hi, c0, c1))
-    total = 0.0
-    for lo, hi, c0, c1 in pieces:
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        taus = mid + half * _GL_NODES
-        weights = half * _GL_WEIGHTS * (c0 + c1 * taus)
-        total += float(np.sum(weights * fn(np.abs(taus))))
-    return total
+
+    def K2(x):
+        x = abs(x)
+        if x == 0.0:
+            return 0.0
+        w = 0.5 * (1.0 + _GL_NODES)
+        return x * x * float(np.sum(_GL_WEIGHTS * (1.0 - w * w) * w * fn(x * w * w)))
+
+    return _rect(K2, i0, i1, j0, j1)
 
 
 def h_inner_product(f: GridFunction, g: GridFunction, method="physical"):
@@ -258,7 +252,7 @@ def _h_inner_physical(f, g):
     ga, gb = g.space_edges[:-1], g.space_edges[1:]
 
     # for each time-cell pair, integrate the tau-dependent space coupling
-    # against the interval correlation of the two time cells
+    # over the pair of time cells
     total = 0.0
     fv, gv = f.values, g.values
     for i in range(len(f.time_edges) - 1):
@@ -289,31 +283,15 @@ def _h_inner_physical(f, g):
 def _exp_time_pair_integral(i0, i1, j0, j1, a):
     """int_{t in I} int_{s in J} exp(-a |t - s|) dt ds in closed form (array in a)."""
     a = np.asarray(a, dtype=float)
-    b1, b2, b3, b4, lmin = _interval_correlation_pieces(i0, i1, j0, j1)
 
-    def seg(lo, hi, c0, c1):
-        if hi - lo <= 0:
-            return 0.0
-        parts = []
-        if lo < 0:
-            parts.append((max(-hi, 0.0), -lo, c0, -c1))
-        if hi > 0:
-            parts.append((max(lo, 0.0), hi, c0, c1))
-        out = 0.0
-        for p0, p1, d0, d1 in parts:
-            # int_{p0}^{p1} (d0 + d1 tau) e^{-a tau} dtau, stable as a -> 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                e0, e1 = np.exp(-a * p0), np.exp(-a * p1)
-                i_const = np.where(a > 1e-12, (e0 - e1) / np.where(a > 0, a, 1.0), p1 - p0)
-                i_lin = np.where(
-                    a > 1e-12,
-                    (e0 * (a * p0 + 1) - e1 * (a * p1 + 1)) / np.where(a > 0, a ** 2, 1.0),
-                    0.5 * (p1 ** 2 - p0 ** 2),
-                )
-            out = out + d0 * i_const + d1 * i_lin
-        return out
+    def K2(x):
+        # (e^{-y} - 1 + y) / a^2 with y = a|x|; below y = 1e-8 its limit x^2/2
+        # is closer than the rounded formula
+        y = a * abs(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(y > 1e-8, (np.expm1(-y) + y) / a ** 2, 0.5 * x * x)
 
-    return seg(b1, b2, -b1, 1.0) + seg(b2, b3, lmin, 0.0) + seg(b3, b4, b4, -1.0)
+    return _rect(K2, i0, i1, j0, j1)
 
 
 def _h_inner_fourier(f, g):

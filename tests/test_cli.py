@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -124,9 +125,10 @@ class TestCli:
         (["validate"], "quick=true\n", ["--quick"]),
     ], ids=["grid_steps", "seed", "epsilon_delta", "half_length", "snapshot_times", "quick"])
     def test_config_key_matches_flag(self, base, file_text, flags, tmp_path, monkeypatch):
-        # validate records wall times, so a stub suite that reports its budget stands in
+        # a fast stub suite that reports its budget stands in for the real one;
+        # its wall time varies run to run and must stay out of the fingerprint
         monkeypatch.setattr(validation, "run_suite", lambda quick: [
-            validation.ValidationResult(f"quick={quick}", True, 0.0, 1.0, 0.0)])
+            validation.ValidationResult(f"quick={quick}", True, 0.0, 1.0, time.perf_counter())])
         cfg = tmp_path / "cfg"
         cfg.write_text(file_text)
         recs, snaps = [], []
@@ -138,6 +140,19 @@ class TestCli:
             snaps.append(snap.read_text() if csv_args else None)
         assert record_fingerprint(recs[0]) == record_fingerprint(recs[1])
         assert snaps[0] == snaps[1]
+
+    def test_validate_records_reproduce(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(validation, "_CHECKS", [
+            ("kernel.mass", validation.check_kernel_mass, False),
+            ("paths.reproducibility", validation.check_path_reproducibility, False)])
+        recs = []
+        for name in ("a", "b"):
+            out = tmp_path / f"{name}.json"
+            assert main(["validate", "--quick", "--out", str(out)]) == 0
+            recs.append(json.loads(out.read_text()))
+        assert record_fingerprint(recs[0]) == record_fingerprint(recs[1])
+        assert set(recs[0]["meta"]["check_seconds"]) == {"kernel.mass", "paths.reproducibility"}
+        assert "secs" in capsys.readouterr().err
 
     def test_mollified_moment_flags(self, tmp_path):
         out = tmp_path / "rec.json"

@@ -3,12 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from sfheat.exponents import (DivergentExponentWarning, MollifierParams,
-                              cross_exponent, deterministic_bound, mollified_inner,
-                              self_exponent)
-from sfheat.paths import Path, RngStream, TimeGrid, constant_path, sample_path
+                              cross_exponent, cross_exponent_values, deterministic_bound,
+                              mollified_inner, mollified_inner_values, self_exponent)
+from sfheat.paths import (Path, RngStream, TimeGrid, constant_path, sample_path,
+                          sample_path_batch)
 
 EXACT_T1 = (8.0 / 3.0) / math.sqrt(2.0 * math.pi)
 
@@ -204,3 +205,124 @@ class TestMollifiedInner:
         cp = constant_path(grid, d=2)
         with pytest.raises(NotImplementedError):
             mollified_inner(cp, cp, MollifierParams(0.1, 0.1), 2)
+
+
+# ---------------------------------------------------------------------------
+# Test-only oracle: the piecewise route the package used before the rectangle
+# identity.  The double integral over I x J becomes a 1-d integral of k(|tau|)
+# against the trapezoid c(tau) = |{(u, v) in I x J : v - u = tau}|, taken piece
+# by piece with erfc/exp antiderivatives of the time kernel.
+# ---------------------------------------------------------------------------
+
+SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _f0(x, a):
+    """int_0^X tau^{-1/2} exp(-a/tau) dtau."""
+    x, a = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(a, dtype=float))
+    pos = x > 0
+    xs = np.where(pos, x, 1.0)
+    e = np.where(pos, np.exp(-a / xs), 0.0)
+    corr = np.where(a > 0, 2.0 * np.sqrt(np.pi * a) * special.erfc(np.sqrt(a / xs)), 0.0)
+    return np.where(pos, 2.0 * np.sqrt(xs) * e - corr, 0.0)
+
+
+def _f1(x, a):
+    """int_0^X tau^{1/2} exp(-a/tau) dtau."""
+    x, a = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(a, dtype=float))
+    pos = x > 0
+    xs = np.where(pos, x, 1.0)
+    e = np.where(pos, np.exp(-a / xs), 0.0)
+    corr = np.where(a > 0, (4.0 * a / 3.0) * np.sqrt(np.pi * a)
+                    * special.erfc(np.sqrt(a / xs)), 0.0)
+    return np.where(pos, (2.0 / 3.0) * xs ** 1.5 * e - (4.0 * a / 3.0) * np.sqrt(xs) * e
+                    + corr, 0.0)
+
+
+def _window_piece(p0, p1, c0, c1, a, eps2):
+    """int over [p0, p1] of (c0 + c1 tau) g(|tau| + eps2); the negative part of
+    the range maps to the positive branch by tau -> -tau."""
+
+    def positive(lo, hi, d0, d1):
+        lo = np.maximum(lo, 0.0)
+        hi = np.maximum(hi, lo)
+        df0 = _f0(hi + eps2, a) - _f0(lo + eps2, a)
+        df1 = _f1(hi + eps2, a) - _f1(lo + eps2, a)
+        return ((d0 - eps2 * d1) * df0 + d1 * df1) / SQRT_2PI
+
+    return (positive(p0, p1, c0, c1)
+            + positive(np.maximum(-p1, 0.0), np.maximum(-p0, 0.0), c0, -c1))
+
+
+def _window_kernel_integral(i0, i1, j0, j1, a, eps):
+    eps2 = 2.0 * eps
+    lmin = np.minimum(i1 - i0, j1 - j0)
+    b1, b4 = j0 - i1, j1 - i0
+    b2, b3 = b1 + lmin, b4 - lmin
+    return (_window_piece(b1, b2, -b1, 1.0, a, eps2) + _window_piece(b2, b3, lmin, 0.0, a, eps2)
+            + _window_piece(b3, b4, b4, -1.0, a, eps2))
+
+
+def _oracle_mollified(times, pa, pb, moll):
+    t = times[-1]
+    h = np.diff(times)
+    n = len(h)
+    mids = times[:-1] + 0.5 * h
+    i0, j0 = mids[:, None], mids[None, :]
+    i1, j1 = np.minimum(i0 + moll.delta, t), np.minimum(j0 + moll.delta, t)
+    a = 0.5 * (pa[:, :n, None] - pb[:, None, :n]) ** 2
+    g = _window_kernel_integral(i0, i1, j0, j1, a, moll.epsilon)
+    return (g * np.outer(h, h) / moll.delta ** 2).sum(axis=(1, 2))
+
+
+def _oracle_cross_d1(times, pa, pb):
+    """Off-band midpoint cells plus the band's diagonal and adjacent cells."""
+    h = np.diff(times)
+    n = len(h)
+    mids = times[:-1] + 0.5 * h
+    i, j = np.nonzero(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) >= 2)
+    tau = np.abs(mids[i] - mids[j])
+    off = ((2 * np.pi * tau) ** -0.5 * np.exp(-(pa[:, i] - pb[:, j]) ** 2 / (2 * tau))
+           * h[i] * h[j]).sum(axis=1)
+    a_diag = 0.5 * (pa[:, :n] - pb[:, :n]) ** 2
+    diag = 2.0 * (h * _f0(h, a_diag) - _f1(h, a_diag)) / SQRT_2PI
+    a = 0.5 * (pa[:, 1:n] - pb[:, 1:n]) ** 2
+    lmin, lmax, big = np.minimum(h[:-1], h[1:]), np.maximum(h[:-1], h[1:]), h[:-1] + h[1:]
+    adjacent = (_f1(lmin, a) + lmin * (_f0(lmax, a) - _f0(lmin, a))
+                + big * (_f0(big, a) - _f0(lmax, a)) - (_f1(big, a) - _f1(lmax, a))) / SQRT_2PI
+    return off + diag.sum(axis=1) + 2.0 * adjacent.sum(axis=1)
+
+
+_UNIFORM = TimeGrid.uniform(1.0, 32)
+_NONUNIFORM = TimeGrid(np.concatenate([[0.0], np.sort(
+    np.random.default_rng(8).uniform(0.0, 1.0, 31)), [1.0]]))
+
+
+def _path_pairs(kind, grid):
+    if kind == "constant":
+        zero = np.zeros((1, len(grid.times)))
+        return zero, zero
+    alpha = {"alpha2": 2.0, "alpha1.5": 1.5}[kind]
+    pos = sample_path_batch(alpha, 1, grid, 0.0, RngStream(31, 0), 8)[..., 0]
+    return pos[:4], pos[4:]
+
+
+@pytest.mark.parametrize("kind", ["constant", "alpha2", "alpha1.5"])
+class TestRectangleRouteOracle:
+    @pytest.mark.parametrize("grid", [_UNIFORM, _NONUNIFORM], ids=["uniform", "nonuniform"])
+    def test_band_matches_oracle(self, kind, grid):
+        pa, pb = _path_pairs(kind, grid)
+        for b in (pb, pa):  # cross and self pairs
+            np.testing.assert_allclose(cross_exponent_values(grid.times, pa, b, 1),
+                                       _oracle_cross_d1(grid.times, pa, b), rtol=1e-12, atol=0)
+
+    # the grid step is 1/32: windows below it, above it, and clipped at t
+    @pytest.mark.parametrize("moll", [MollifierParams(0.1, 0.02), MollifierParams(0.05, 0.1),
+                                      MollifierParams(0.05, 0.6)],
+                             ids=["delta_below_step", "delta_above_step", "delta_clipped"])
+    def test_mollified_matches_oracle(self, kind, moll):
+        pa, pb = _path_pairs(kind, _UNIFORM)
+        for b in (pb, pa):
+            np.testing.assert_allclose(mollified_inner_values(_UNIFORM.times, pa, b, moll, 1),
+                                       _oracle_mollified(_UNIFORM.times, pa, b, moll),
+                                       rtol=1e-12, atol=0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from sfheat import kernels
+from sfheat import exponents, kernels
 from sfheat.kernels import (GridFunction, h_inner_product, heat_kernel,
                             heat_kernel_ft, stable_kernel, stable_kernel_ft)
 
@@ -153,3 +153,57 @@ class TestHInnerProduct:
             GridFunction(np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([[1.0]]))
         with pytest.raises(ValueError):
             GridFunction(np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.array([[np.inf]]))
+
+
+def _dblquad_rect(k, i0, i1, j0, j1):
+    """int_{u in [i0,i1]} int_{v in [j0,j1]} k(|u - v|) by dblquad.  The outer
+    range is split at j0 and j1 and the inner one at v = u, and the inner
+    variable is tau = |u - v|, so every kink or singularity lies on an edge."""
+    split = lambda u: min(max(u, j0), j1)
+    edges = sorted({i0, i1} | {x for x in (j0, j1) if i0 < x < i1})
+    inner = ((lambda u: u - split(u), lambda u: u - j0),   # v below u
+             (lambda u: split(u) - u, lambda u: j1 - u))   # v above u
+    total = 0.0
+    for u0, u1 in zip(edges[:-1], edges[1:]):
+        for lo, hi in inner:
+            total += integrate.dblquad(lambda tau, u: k(tau), u0, u1, lo, hi,
+                                       epsabs=1e-14, epsrel=1e-12)[0]
+    return total
+
+
+def _band_kernel(a, shift):
+    return lambda tau: (2 * math.pi * (tau + shift)) ** -0.5 * math.exp(-a / (tau + shift))
+
+
+_K2_CASES = {
+    "gaussian": (lambda tau: heat_kernel(0.3, tau, 1),
+                 lambda *iv: kernels._gauss_cell_integral(0.3, *iv)),
+    "exponential": (lambda tau: math.exp(-1.7 * tau),
+                    lambda *iv: kernels._exp_time_pair_integral(*iv, 1.7)),
+    "exponential_a_to_0": (lambda tau: math.exp(-1e-10 * tau),
+                           lambda *iv: kernels._exp_time_pair_integral(*iv, 1e-10)),
+    "mollified": (_band_kernel(0.3, 0.2),
+                  lambda *iv: kernels._rect(exponents._heat_K2(0.3, 0.2), *iv)),
+    "eps0": (_band_kernel(0.3, 0.0),
+             lambda *iv: kernels._rect(exponents._heat_K2(0.3, 0.0), *iv)),
+    "eps0_a0": (_band_kernel(0.0, 0.0),
+                lambda *iv: kernels._rect(exponents._heat_K2(0.0, 0.0), *iv)),
+}
+
+
+class TestRectangleIdentity:
+    @pytest.mark.parametrize("kernel", list(_K2_CASES))
+    @pytest.mark.parametrize("intervals", [(0.0, 0.3, 0.5, 0.9), (0.0, 0.3, 0.3, 0.7),
+                                           (0.0, 0.5, 0.2, 0.9), (0.4, 0.6, 0.1, 1.0)],
+                             ids=["disjoint", "adjacent", "overlapping", "nested"])
+    def test_rect_matches_dblquad(self, kernel, intervals):
+        k, rect = _K2_CASES[kernel]
+        assert float(rect(*intervals)) == pytest.approx(_dblquad_rect(k, *intervals), rel=1e-10)
+
+    def test_far_time_cells_converge(self):
+        # on time cells far apart the Fourier route's xi quadrature must still
+        # converge: an IntegrationWarning fails the suite
+        f = bump(0.0, 0.1, -0.5, 0.5)
+        g = bump(2.0, 2.1, 0.0, 1.0)
+        phys = h_inner_product(f, g, method="physical")
+        assert phys == pytest.approx(h_inner_product(f, g, method="fourier"), abs=1e-4)
