@@ -29,6 +29,7 @@ from scipy.stats import qmc
 
 from .errors import BudgetError, RegimeError
 from .params import C_ALPHA, InitialCondition
+from .paths import RngStream
 
 MAX_CHAOS_ORDER = 6
 
@@ -169,7 +170,7 @@ def _stable_char(svals, xi, alpha, t):
 
 
 def _term_fourier_mc(n, alpha, t, seed, n_samples):
-    gen = np.random.Generator(np.random.Philox(key=seed, counter=(2000 + n * 16) << 128))
+    gen = RngStream(seed, 2000 + 16 * n).generator()
     shape = (n_samples, n)
     s, r, u = _sample_time_pairs(gen, t, shape)
     xi = gen.standard_normal(shape) / np.sqrt(u)

@@ -3,8 +3,9 @@
 Configuration can come from a flat key=value file (--config) with explicit
 flags taking precedence; every run emits a JSON RunRecord embedding the fully
 resolved configuration, so re-running a record's config reproduces its
-results bit-for-bit.  Exit codes: 0 success, 2 configuration problem,
-3 regime violation (a validity condition was broken), 4 numerical failure.
+results bit-for-bit.  Exit codes: 0 success, 2 configuration problem or
+unsupported route, 3 regime violation (a validity condition was broken),
+4 numerical failure.
 """
 
 from __future__ import annotations
@@ -138,8 +139,6 @@ def _resolve(subcommand, args):
 
 
 def _as_jsonable(obj):
-    if isinstance(obj, MollifierParams):
-        return {"epsilon": obj.epsilon, "delta": obj.delta}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         out = {}
         for f in dataclasses.fields(obj):
@@ -242,9 +241,9 @@ def cmd_check(cfg):
 
 def cmd_solve(cfg):
     params = _model_params({**cfg, "x": "0", "d": 1})
-    half_length = cfg["half_length"] or 8.0 * float(np.sqrt(params.t_horizon))
-    grid = solver.TorusGrid(half_length=half_length, n_space=cfg["n_space"],
-                            n_time=cfg["n_time"], t_horizon=params.t_horizon)
+    grid = solver.TorusGrid.default(params.t_horizon)
+    grid = dataclasses.replace(grid, n_space=cfg["n_space"], n_time=cfg["n_time"],
+                               half_length=cfg["half_length"] or grid.half_length)
     rng = RngStream(cfg["seed"])
     est = solver.ensemble_moment(grid, params, cfg["epsilon"], cfg["p"],
                                  cfg["n_realizations"], rng=rng)
@@ -305,6 +304,9 @@ def main(argv=None):
         return 3
     except (ConfigError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except NotImplementedError as exc:
+        print(f"error: unsupported configuration: {exc}", file=sys.stderr)
         return 2
     except FactorizationError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)

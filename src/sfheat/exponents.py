@@ -157,18 +157,17 @@ def cross_exponent_values(times, pos_a, pos_b, d):
     h, mids, p0, inv2tau = _grid_tables(times, d)
     n = len(h)
 
-    # off-band cells: midpoint in time, increments frozen at left corners
-    if pos_a.shape[-1] == 1:
-        pa = pos_a[..., 0]
-        pb = pos_b[..., 0]
-        d2 = pa[:, :n, None] - pb[:, None, :n]
-        np.multiply(d2, d2, out=d2)
-        a_diag = 0.5 * (pa[:, :n] - pb[:, :n]) ** 2
-        a_shared = 0.5 * (pa[:, 1:n] - pb[:, 1:n]) ** 2
-    else:
-        d2 = ((pos_a[:, :n, None, :] - pos_b[:, None, :n, :]) ** 2).sum(axis=-1)
-        a_diag = 0.5 * ((pos_a[:, :n, :] - pos_b[:, :n, :]) ** 2).sum(axis=-1)
-        a_shared = 0.5 * ((pos_a[:, 1:n, :] - pos_b[:, 1:n, :]) ** 2).sum(axis=-1)
+    # off-band cells: midpoint in time, increments frozen at left corners;
+    # squared distances summed one component at a time in place, so any d
+    # holds one (B, n, n) array
+    d2 = pos_a[:, :n, None, 0] - pos_b[:, None, :n, 0]
+    np.multiply(d2, d2, out=d2)
+    for c in range(1, pos_a.shape[-1]):
+        diff = pos_a[:, :n, None, c] - pos_b[:, None, :n, c]
+        np.multiply(diff, diff, out=diff)
+        d2 += diff
+    a_diag = 0.5 * ((pos_a[:, :n] - pos_b[:, :n]) ** 2).sum(axis=-1)
+    a_shared = 0.5 * ((pos_a[:, 1:n] - pos_b[:, 1:n]) ** 2).sum(axis=-1)
     np.multiply(d2, -inv2tau[None], out=d2)
     np.exp(d2, out=d2)
     off = np.einsum("bij,ij->b", d2, p0)

@@ -107,13 +107,36 @@ def _moment_samples(p, params: ModelParams, n_samples, grid, rng, flavor, moll):
     return out
 
 
-def _finalize(values, p, flavor, rng, grid, keep_samples):
+def _require_order(p):
+    if p < 1 or int(p) != p:
+        raise ValueError("p must be a positive integer")
+    return int(p)
+
+
+def _finalize(values, p, flavor, seed, grid_steps, keep_samples):
+    """Monte Carlo mean and standard error of per-sample values."""
     n = len(values)
     value = float(np.sum(values) / n)
     se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return MomentEstimate(value=value, std_error=se, n_samples=n, p_order=p,
-                          flavor=flavor, seed=rng.master_seed, grid_steps=grid.n_steps,
+                          flavor=flavor, seed=seed, grid_steps=grid_steps,
                           samples=values if keep_samples else None)
+
+
+def _moment(p, params, n_samples, grid, rng, flavor, moll, keep_samples):
+    """Feynman-Kac moment estimate shared by strat_moment and sko_moment,
+    which gate the regime first."""
+    p = _require_order(p)
+    rng = _require_stream(rng)
+    grid = grid or TimeGrid.default(params.t_horizon)
+    if flavor == "skorohod" and p == 1 and params.u0.tag == "constant":
+        c = params.u0.params[0]
+        values = np.full(n_samples, c) if keep_samples else None
+        return MomentEstimate(value=float(c), std_error=0.0, n_samples=n_samples,
+                              p_order=1, flavor="skorohod", seed=rng.master_seed,
+                              grid_steps=grid.n_steps, samples=values)
+    values = _moment_samples(p, params, n_samples, grid, rng, flavor, moll)
+    return _finalize(values, p, flavor, rng.master_seed, grid.n_steps, keep_samples)
 
 
 def strat_moment(p, params: ModelParams, n_samples, grid: TimeGrid = None, rng=0,
@@ -129,12 +152,7 @@ def strat_moment(p, params: ModelParams, n_samples, grid: TimeGrid = None, rng=0
         raise RegimeError(
             "Stratonovich moments require d = 1: the exponential moment of the "
             "self exponent is finite iff d = 1", condition="d = 1")
-    if p < 1 or int(p) != p:
-        raise ValueError("p must be a positive integer")
-    rng = _require_stream(rng)
-    grid = grid or TimeGrid.default(params.t_horizon)
-    values = _moment_samples(int(p), params, n_samples, grid, rng, "stratonovich", moll)
-    return _finalize(values, int(p), "stratonovich", rng, grid, keep_samples)
+    return _moment(p, params, n_samples, grid, rng, "stratonovich", moll, keep_samples)
 
 
 def sko_moment(p, params: ModelParams, n_samples, grid: TimeGrid = None, rng=0,
@@ -150,18 +168,7 @@ def sko_moment(p, params: ModelParams, n_samples, grid: TimeGrid = None, rng=0,
         raise RegimeError(
             f"no Skorohod solution for alpha = {params.alpha}, d = {params.d}: "
             "existence requires d < 2 + alpha", condition="d < 2 + alpha")
-    if p < 1 or int(p) != p:
-        raise ValueError("p must be a positive integer")
-    rng = _require_stream(rng)
-    grid = grid or TimeGrid.default(params.t_horizon)
-    if p == 1 and params.u0.tag == "constant":
-        c = params.u0.params[0]
-        values = np.full(n_samples, c) if keep_samples else None
-        return MomentEstimate(value=float(c), std_error=0.0, n_samples=n_samples,
-                              p_order=1, flavor="skorohod", seed=rng.master_seed,
-                              grid_steps=grid.n_steps, samples=values)
-    values = _moment_samples(int(p), params, n_samples, grid, rng, "skorohod", moll)
-    return _finalize(values, int(p), "skorohod", rng, grid, keep_samples)
+    return _moment(p, params, n_samples, grid, rng, "skorohod", moll, keep_samples)
 
 
 def sko_mean_exact(params: ModelParams):

@@ -189,19 +189,14 @@ def _rect(K2, i0, i1, j0, j1):
 
 def _gauss_cell_integral(tau, a, b, c, e):
     """int_a^b int_c^e p_tau(x - y) dy dx via the double antiderivative of the
-    Gaussian: I2(z) = z Phi(z/sqrt tau) + tau p_tau(z)."""
+    Gaussian: I2(z) = z Phi(z/sqrt tau) + tau p_tau(z).  Broadcasts over tau
+    and the edges."""
 
     def I2(z):
-        z = np.asarray(z, dtype=float)
-        s = math.sqrt(tau)
-        return z * special.ndtr(z / s) + tau * np.exp(-z ** 2 / (2 * tau)) / math.sqrt(TWO_PI * tau)
+        return (z * special.ndtr(z / np.sqrt(tau))
+                + tau * np.exp(-z ** 2 / (2 * tau)) / np.sqrt(TWO_PI * tau))
 
     return _rect(I2, a, b, c, e)
-
-
-def _overlap_cell_integral(a, b, c, e):
-    """tau -> 0 limit of the Gaussian cell integral: overlap length of [a,b] and [c,e]."""
-    return max(0.0, min(b, e) - max(a, c))
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -248,32 +243,19 @@ def h_inner_product(f: GridFunction, g: GridFunction, method="physical"):
 
 
 def _h_inner_physical(f, g):
-    fa, fb = f.space_edges[:-1], f.space_edges[1:]
-    ga, gb = g.space_edges[:-1], g.space_edges[1:]
-
-    # for each time-cell pair, integrate the tau-dependent space coupling
-    # over the pair of time cells
+    # space cell pairs broadcast (n_fx, 1) x (1, n_gx) against the tau nodes;
+    # one time-cell pair at a time bounds memory to 24 n_fx n_gx per corner
+    fa, fb = f.space_edges[:-1, None], f.space_edges[1:, None]
+    ga, gb = g.space_edges[None, :-1], g.space_edges[None, 1:]
     total = 0.0
-    fv, gv = f.values, g.values
-    for i in range(len(f.time_edges) - 1):
-        for j in range(len(g.time_edges) - 1):
-            fi = fv[i]
-            gj = gv[j]
+    for i, fi in enumerate(f.values):
+        for j, gj in enumerate(g.values):
             if not fi.any() or not gj.any():
                 continue
 
             def coupled(tau):
-                tau = np.atleast_1d(tau)
-                vals = np.empty(len(tau))
-                for m, tv in enumerate(tau):
-                    if tv <= 1e-300:
-                        S = np.array([[_overlap_cell_integral(a, b, c, e)
-                                       for c, e in zip(ga, gb)] for a, b in zip(fa, fb)])
-                    else:
-                        S = _gauss_cell_integral(tv, fa[:, None], fb[:, None],
-                                                 ga[None, :], gb[None, :])
-                    vals[m] = float(fi @ S @ gj)
-                return vals
+                S = _gauss_cell_integral(tau[:, None, None], fa, fb, ga, gb)
+                return np.einsum("k,mkl,l->m", fi, S, gj)
 
             total += _time_pair_integral(f.time_edges[i], f.time_edges[i + 1],
                                          g.time_edges[j], g.time_edges[j + 1], coupled)
@@ -281,7 +263,8 @@ def _h_inner_physical(f, g):
 
 
 def _exp_time_pair_integral(i0, i1, j0, j1, a):
-    """int_{t in I} int_{s in J} exp(-a |t - s|) dt ds in closed form (array in a)."""
+    """int_{t in I} int_{s in J} exp(-a |t - s|) dt ds in closed form; broadcasts
+    over a and the edges."""
     a = np.asarray(a, dtype=float)
 
     def K2(x):
@@ -295,27 +278,22 @@ def _exp_time_pair_integral(i0, i1, j0, j1, a):
 
 
 def _h_inner_fourier(f, g):
-    ft_edges, gt_edges = f.time_edges, g.time_edges
+    # every (i, j) time-cell pair at once: f cells down, g cells across
+    fi0, fi1 = f.time_edges[:-1, None], f.time_edges[1:, None]
+    gj0, gj1 = g.time_edges[None, :-1], g.time_edges[None, 1:]
 
     def integrand(xi):
-        xi = np.atleast_1d(xi)
-        Ff = f.space_transform(xi)          # (nf_t, nxi)
-        Fg = g.space_transform(xi)          # (ng_t, nxi)
-        a = 0.5 * xi ** 2
-        acc = np.zeros(len(xi))
-        for i in range(Ff.shape[0]):
-            for j in range(Fg.shape[0]):
-                T = _exp_time_pair_integral(ft_edges[i], ft_edges[i + 1],
-                                            gt_edges[j], gt_edges[j + 1], a)
-                acc += np.real(Ff[i] * np.conj(Fg[j])) * T
-        return acc
+        Ff = f.space_transform(xi)[:, 0]
+        Fg = g.space_transform(xi)[:, 0]
+        T = _exp_time_pair_integral(fi0, fi1, gj0, gj1, 0.5 * xi ** 2)
+        return float(np.sum(np.real(np.outer(Ff, np.conj(Fg))) * T))
 
     # |F f(xi)| <= 2 sum|f| / |xi| and the time factor is <= 4/xi^2 for large
     # xi, so the tail beyond the cutoff is below 16 S_f S_g / (3 cut^3)
     s_f = float(np.abs(f.values).sum())
     s_g = float(np.abs(g.values).sum())
     cut = max(50.0, (16.0 * max(s_f * s_g, 1.0) / (3.0 * 1e-9)) ** (1.0 / 3.0))
-    val, _ = integrate.quad(lambda x: float(integrand(x)[0]), 0.0, cut,
+    val, _ = integrate.quad(integrand, 0.0, cut,
                             epsabs=1e-10, epsrel=1e-8, limit=400)
     # even integrand: double the half-line integral, then Plancherel factor
     return 2.0 * val / TWO_PI

@@ -18,6 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import C_ALPHA
+
+DEFAULT_STEPS_PER_UNIT = 256
+
 
 @dataclass(frozen=True)
 class RngStream:
@@ -68,9 +72,9 @@ class TimeGrid:
         return cls(np.linspace(0.0, t_horizon, n_steps + 1))
 
     @classmethod
-    def default(cls, t_horizon, steps_per_unit=256):
-        """Uniform grid at the default resolution of 256 steps per unit time."""
-        return cls.uniform(t_horizon, max(1, int(np.ceil(steps_per_unit * t_horizon))))
+    def default(cls, t_horizon):
+        """Uniform grid at DEFAULT_STEPS_PER_UNIT steps per unit time."""
+        return cls.uniform(t_horizon, max(1, int(np.ceil(DEFAULT_STEPS_PER_UNIT * t_horizon))))
 
     @property
     def n_steps(self):
@@ -146,7 +150,7 @@ def sample_subordinator_increment(alpha, dt, rng, size=None):
         raise ValueError(f"dt must be positive, got {dt}")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     shape = () if size is None else size
-    return (0.5 * dt) ** (2.0 / alpha) * _unit_subordinator(alpha, gen, shape)
+    return (C_ALPHA * dt) ** (2.0 / alpha) * _unit_subordinator(alpha, gen, shape)
 
 
 def sample_increment(alpha, d, dt, rng, size=None):
@@ -183,7 +187,7 @@ def sample_path_batch(alpha, d, grid: TimeGrid, x0, rng, n_paths):
     if alpha == 2.0:
         incr = np.sqrt(dts)[None, :, None] * gen.standard_normal((n_paths, n, d))
     else:
-        s = (0.5 * dts)[None, :] ** (2.0 / alpha) * _unit_subordinator(alpha, gen, (n_paths, n))
+        s = (C_ALPHA * dts)[None, :] ** (2.0 / alpha) * _unit_subordinator(alpha, gen, (n_paths, n))
         incr = np.sqrt(2.0 * s)[:, :, None] * gen.standard_normal((n_paths, n, d))
     pos = np.concatenate([np.zeros((n_paths, 1, d)), np.cumsum(incr, axis=1)], axis=1)
     return pos + x0

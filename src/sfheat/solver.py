@@ -36,8 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import _factorize  # noqa: F401  # perfbench/spans.py patches this attribute by name
-from .fk import MomentEstimate
-from .params import ModelParams
+from .errors import RegimeError
+from .fk import MomentEstimate, _finalize, _require_order, _require_stream
+from .params import C_ALPHA, ModelParams
 from .paths import RngStream
 
 # aliases whose weight is below float64 resolution of their mode's largest
@@ -183,7 +184,7 @@ def sample_noise_slab(grid: TorusGrid, epsilon, rng):
 
 
 def _half_multiplier(grid: TorusGrid, alpha, dt):
-    return np.exp(-0.25 * dt * np.abs(grid.wavenumbers) ** alpha)
+    return np.exp(-0.5 * C_ALPHA * dt * np.abs(grid.wavenumbers) ** alpha)
 
 
 def step(state: FieldState, noise_row, alpha, dt, grid: TorusGrid,
@@ -242,10 +243,9 @@ def ensemble_moment(grid: TorusGrid, params: ModelParams, epsilon, p,
     with delta = dt by construction).
     """
     if params.d != 1:
-        raise ValueError("the direct solver is one-dimensional")
-    if p < 1 or int(p) != p:
-        raise ValueError("p must be a positive integer")
-    rng = rng if isinstance(rng, RngStream) else RngStream(rng)
+        raise RegimeError("the direct solver is one-dimensional", condition="d = 1")
+    p = _require_order(p)
+    rng = _require_stream(rng)
     sampler = NoiseSlabSampler(grid, epsilon)
     center = grid.n_space // 2  # x = 0 lies on the grid by construction
     block = max(1, _BLOCK_ELEMENTS // (grid.n_time * grid.n_space))
@@ -255,11 +255,7 @@ def ensemble_moment(grid: TorusGrid, params: ModelParams, epsilon, p,
         noise = sampler.sample([rng.substream(r) for r in range(start, stop)])
         state, _ = evolve(grid, params, noise)
         vals[start:stop] = state.values[:, center] ** p
-    value = float(np.sum(vals) / n_realizations)
-    se = float(np.std(vals, ddof=1) / math.sqrt(n_realizations)) if n_realizations > 1 else 0.0
-    return MomentEstimate(value=value, std_error=se, n_samples=n_realizations,
-                          p_order=int(p), flavor="direct", seed=rng.master_seed,
-                          grid_steps=grid.n_time)
+    return _finalize(vals, p, "direct", rng.master_seed, grid.n_time, keep_samples=False)
 
 
 def snapshot_csv(fileobj, snapshots, grid: TorusGrid):

@@ -147,13 +147,7 @@ def check_pathwise_bound(budget):
 
 def check_refinement_slope():
     grid_ns = [64, 128, 256, 512]
-    vals = []
-    for n in grid_ns:
-        grid = TimeGrid.uniform(1.0, n)
-        p = sample_path(2.0, 1, grid, 0.0, RngStream(55, 0))
-        vals.append(exponents.self_exponent(p, 1).value)
-    # paths differ across grids, so measure on the constant path where the
-    # scheme bias is isolated
+    # measured on the constant path, where the scheme bias is isolated
     cvals = [exponents.self_exponent(constant_path(TimeGrid.uniform(1.0, n)), 1).value
              for n in grid_ns]
     errs = [abs(v - EXACT_SELF_T1) for v in cvals]

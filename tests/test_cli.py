@@ -85,6 +85,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert "2 + alpha" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "--alpha", "1.5", "--d", "2", "--nmax", "2"],
+        ["moment", "--flavor", "sko", "--d", "2", "--p", "2", "--epsilon", "0.1",
+         "--delta", "0.1", "--n-samples", "4", "--grid-steps", "8"],
+    ], ids=["chaos_fourier_d2", "mollified_moment_d2"])
+    def test_unsupported_route_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unsupported configuration: ")
+        assert err.count("\n") == 1
+
     def test_exit_code_config(self, capsys, tmp_path):
         bad = tmp_path / "cfg"
         bad.write_text("frobnicate=1\n")

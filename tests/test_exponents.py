@@ -142,6 +142,18 @@ class TestCrossExponent:
         with pytest.raises(ValueError):
             cross_exponent(a, b, 1)
 
+    # alpha = 1.5 pairs from RngStream(43, d) on a non-uniform grid: off-band,
+    # diagonal and adjacent cells, recorded bit-for-bit in each dimension
+    @pytest.mark.parametrize("d, expected", [
+        (1, [0.13768497034565014, 0.1869341081679801]),
+        (2, [0.15751644944192897, 0.2575197516824277]),
+        (3, [0.1686765769421651, 0.17850881940474786]),
+    ])
+    def test_values_match_recorded(self, d, expected):
+        grid = TimeGrid(np.array([0.0, 0.1, 0.35, 0.5, 1.0]))
+        pos = sample_path_batch(1.5, d, grid, 0.0, RngStream(43, d), 4)
+        assert np.array_equal(cross_exponent_values(grid.times, pos[:2], pos[2:], d), expected)
+
     def test_gaussian_pair_mean_oracle(self):
         # E p_{|s-r|}(B_s - B'_r) = p_{|s-r|+s+r}(0): the cross-exponent mean
         # over independent Brownian pairs matches the 2-d quadrature

@@ -100,6 +100,26 @@ def bump(tlo, thi, xlo, xhi, value=1.0):
     return GridFunction(np.array([tlo, thi]), np.array([xlo, xhi]), np.array([[value]]))
 
 
+# Both routes recorded on the bump pair, a self product, time cells far apart
+# and the pair of the kernel.h_inner_dual validation check.  Reorganising a
+# quadrature may move a value at rounding level only.
+_PINNED_CASES = {
+    "bumps": (bump(0.0, 1.0, -0.5, 0.5), bump(0.25, 0.75, 0.0, 1.0)),
+    "self": (bump(0.0, 1.0, -0.5, 0.5), bump(0.0, 1.0, -0.5, 0.5)),
+    "far": (bump(0.0, 0.1, -0.5, 0.5), bump(2.0, 2.1, 0.0, 1.0)),
+    "validate": (GridFunction(np.array([0.0, 0.5, 1.0]), np.array([-1.0, 0.0, 1.0]),
+                              np.array([[1.0, 0.5], [0.25, 1.0]])),
+                 GridFunction(np.array([0.2, 0.7, 1.1]), np.array([-0.5, 0.5, 1.5]),
+                              np.array([[0.7, -0.2], [1.0, 0.3]]))),
+}
+_PINNED_INNER = {
+    "bumps": dict(physical=0.2268380918002627, fourier=0.2268380916902506),
+    "self": dict(physical=0.6051864261167641, fourier=0.6051864259484759),
+    "far": dict(physical=0.0025576984635630184, fourier=0.002557698562817206),
+    "validate": dict(physical=0.4604046081896688, fourier=0.46040460814972656),
+}
+
+
 class TestHInnerProduct:
     def test_zero_function(self):
         f = bump(0.0, 1.0, -1.0, 1.0)
@@ -147,6 +167,13 @@ class TestHInnerProduct:
         gram = 0.5 * (gram + gram.T)
         eigs = np.linalg.eigvalsh(gram)
         assert eigs.min() >= -1e-10 * np.trace(gram)
+
+    @pytest.mark.parametrize("method", ["physical", "fourier"])
+    @pytest.mark.parametrize("case", sorted(_PINNED_INNER))
+    def test_values_match_recorded(self, case, method):
+        f, g = _PINNED_CASES[case]
+        assert h_inner_product(f, g, method=method) == pytest.approx(
+            _PINNED_INNER[case][method], rel=1e-13, abs=0)
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError):

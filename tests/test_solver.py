@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sfheat import solver
+from sfheat.errors import RegimeError
 from sfheat.params import InitialCondition, ModelParams
 from sfheat.paths import RngStream
 from sfheat.solver import (FieldState, NoiseSlabSampler, TorusGrid, ensemble_moment,
@@ -209,6 +210,12 @@ class TestStep:
 
 
 class TestEnsembleMoment:
+    def test_d2_is_a_regime_error(self):
+        g = TorusGrid.default(0.25, n_space=16, n_time=16)
+        with pytest.raises(RegimeError) as info:
+            ensemble_moment(g, ModelParams(alpha=2.0, d=2, t_horizon=0.25), 0.1, 1, 4)
+        assert info.value.condition == "d = 1"
+
     def test_tiny_noise_limit(self):
         # huge eps: vanishing noise variance, so the moment approaches the
         # zero-noise solution of the same discretization raised to the p
