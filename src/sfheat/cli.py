@@ -226,7 +226,7 @@ def cmd_moment(cfg):
         with open(cfg["samples_csv"], "w") as fh:
             fh.write("sample_index,value\n")
             for i, v in enumerate(est.samples):
-                fh.write(f"{i},{v!r}\n")
+                fh.write(f"{i},{float(v)!r}\n")
     return est
 
 

@@ -13,12 +13,19 @@ use the time midpoint.  Midpoint under-estimates the convex kernel, so the
 quadrature never exceeds the exact deterministic bound; the accepted bias is
 O(step^{1/2}) and is measured by the refinement estimate.
 
-Every exact time integral here -- band cells and mollifier windows alike --
-is int_I int_J k(|u - v|) du dv, which ``kernels._rect`` evaluates as a second
-difference of K2(x) = int_0^|x| (|x| - tau) k(tau) dtau over the corners of
-I x J.  For the d = 1 heat kernel k(tau) = p_{tau + shift}(dx), K2 is closed
-form in one exp and one erfc per corner (``_heat_K2``); the band uses shift 0
-and the mollifier shift 2 eps.
+The d = 1 band cells are int_I int_J p_{|u - v|}(dx) du dv, a second
+difference of K2(x) = int_0^|x| (|x| - tau) p_tau(dx) dtau over the corners of
+I x J (the rectangle identity of ``kernels._rect``); K2 is closed form in one
+exp and one erfc per corner (``_heat_K2``).
+
+Mollified inner products take the window integrals on the Fourier side
+instead: p_sigma(z) = pi^{-1} int_0^inf cos(xi z) exp(-sigma xi^2 / 2) dxi
+turns every window pair into the time integral of exp(-a |u - v|), a = xi^2/2,
+which is separable for disjoint windows.  One pass over the windows per xi
+node replaces the n^2 cells; the xi integral is a trapezoid rule on
+[0, sqrt(40 / eps)] with spacing 2 pi / (Z + 2 sqrt(40 (eps + t/2))), Z the
+largest path separation in the batch, so both its truncation and its aliasing
+sit exp(-40) below the integrand.
 
 In d >= 2 the limiting integrals are infinite; the quadrature then reports a
 grid-dependent finite value (the band uses the cell-mean time separation
@@ -32,9 +39,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
-from .kernels import _rect
+from .kernels import _exp_time_pair_integral
 from .paths import Path
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -86,16 +94,14 @@ def _moments(x, a):
     return f0 / SQRT_2PI, f1 / SQRT_2PI
 
 
-def _heat_K2(a, shift):
-    """K2(x) = int_0^|x| (|x| - tau) p_{tau + shift}(dx) dtau in d = 1, with
-    a = |dx|^2 / 2 so that p_sigma(dx) is the g of ``_moments``, less the
-    constant m1(shift) that ``kernels._rect`` cancels."""
-    m0_s = _moments(shift, a)[0] if shift > 0 else 0.0  # m0 vanishes at 0
+def _heat_K2(a):
+    """K2(x) = int_0^|x| (|x| - tau) p_tau(dx) dtau in d = 1, with a = |dx|^2 / 2
+    so that p_tau(dx) is the g of ``_moments``."""
 
     def K2(x):
-        end = np.abs(x) + shift
-        m0, m1 = _moments(end, a)
-        return end * (m0 - m0_s) - m1
+        x = np.abs(x)
+        m0, m1 = _moments(x, a)
+        return x * m0 - m1
 
     return K2
 
@@ -173,9 +179,9 @@ def cross_exponent_values(times, pos_a, pos_b, d):
     off = np.einsum("bij,ij->b", d2, p0)
     if d == 1:
         # _rect corners of the diagonal and the two adjacent cells, K2(0) = 0 dropped
-        band = 2.0 * _heat_K2(a_diag, 0.0)(h[None, :]).sum(axis=1)
+        band = 2.0 * _heat_K2(a_diag)(h[None, :]).sum(axis=1)
         if n > 1:
-            K2 = _heat_K2(a_shared, 0.0)
+            K2 = _heat_K2(a_shared)
             adjacent = K2(h[None, :-1] + h[None, 1:]) - K2(h[None, :-1]) - K2(h[None, 1:])
             band = band + 2.0 * adjacent.sum(axis=1)
     else:
@@ -245,13 +251,72 @@ def deterministic_bound(t, d):
 # ---------------------------------------------------------------------------
 
 
+# The xi integrand carries exp(-eps xi^2), and the trapezoid rule's aliasing
+# error is the kernel's Gaussian tail; both are cut at exp(-_XI_TAIL).
+_XI_TAIL = 40.0
+# largest a * (time span) scaled up inside one cumulative sum: exp(500) is finite
+_SCAN_SPAN = 500.0
+# complex values held per chunk of xi nodes
+_CHUNK_ELEMENTS = 1 << 18
+
+
+def _xi_nodes(z_max, eps, t):
+    """Trapezoid nodes and weights (with the exp(-eps xi^2) factor) for
+    int_0^inf dxi on [0, sqrt(40 / eps)].  The spacing 2 pi / (z_max +
+    2 sqrt(40 (eps + t/2))) puts every alias of p_sigma(z), |z| <= z_max,
+    sigma <= t + 2 eps, at least exp(-40) down its Gaussian tail."""
+    step = 2.0 * math.pi / (z_max + 2.0 * math.sqrt(_XI_TAIL * (eps + 0.5 * t)))
+    xi = step * np.arange(int(math.sqrt(_XI_TAIL / eps) / step) + 1)
+    weight = step * np.exp(-eps * xi * xi)
+    weight[0] *= 0.5
+    return xi, weight
+
+
+def _decayed_prefix(x, times, a):
+    """s_k = sum_{l <= k} x_l exp(-a (times_k - times_l)) along axis -2, for
+    nondecreasing ``times`` and the rates ``a`` along the last axis.
+
+    A cumulative sum of x_l exp(a (times_l - r)) is exact up to rounding but
+    overflows for large a (times_k - r); events are therefore cut into blocks
+    spanning at most _SCAN_SPAN / max(a) in time, each scaled from its own
+    first event r and carrying the previous block's last value across.
+    """
+    a_max = float(a.max())
+    block = np.floor((times - times[0]) * (a_max / _SCAN_SPAN)).astype(np.intp)
+    bounds = np.concatenate([[0], np.flatnonzero(np.diff(block)) + 1, [len(times)]])
+    s = np.empty_like(x)
+    for k0, k1 in zip(bounds[:-1], bounds[1:]):
+        up = np.exp(a * (times[k0:k1, None] - times[k0]))
+        c = np.cumsum(x[..., k0:k1, :] * up, axis=-2)
+        if k0:
+            c += s[..., k0 - 1:k0, :] * np.exp(-a * (times[k0] - times[k0 - 1]))
+        s[..., k0:k1, :] = c / up
+    return s
+
+
 def mollified_inner_values(times, pos_a, pos_b, moll: MollifierParams, d):
     """Batched <A^{(a)}, A^{(b)}> for paths given as (B, n+1, d) position arrays.
 
     The (s, r) integral is midpoint quadrature over grid cells with the path
-    frozen at left nodes; the psi-window (u, v) integral of p_{|u-v| + 2 eps}
-    is exact -- the rectangle identity with ``_heat_K2`` at shift 2 eps --
-    honoring the [0, t]^4 clipping of the window.
+    frozen at left nodes X_i, Y_j; cell i carries the psi-window I_i = [m_i,
+    e_i] from its midpoint m_i to e_i = min(m_i + delta, t), which honors the
+    [0, t]^4 clipping.  The window integral of p_{|u-v| + 2 eps}(X_i - Y_j) is
+    taken on the Fourier side, p_sigma(z) = pi^{-1} int_0^inf cos(xi z)
+    exp(-sigma xi^2 / 2) dxi, so that the sum over all n^2 cells is
+
+        pi^{-1} int_0^inf dxi exp(-eps xi^2) Re sum_ij f_i W_ij(xi^2 / 2) conj(g_j)
+
+    with f_i = (h_i / delta) exp(i xi X_i), g_j likewise from Y_j, and
+    W_ij(a) = int_{I_i} int_{I_j} exp(-a |u - v|).  Disjoint windows
+    (e_j <= m_i) have W_ij = A_i A_j exp(-a (m_i - e_j)), A = -expm1(-a L) / a
+    for a window of length L, so their sum is a first-order recursion over
+    window ends (``_decayed_prefix``): O(n) per xi node.  The overlapping band
+    takes W from ``kernels._exp_time_pair_integral``; it does not depend on
+    the paths and is built once per call.
+
+    The xi integral is the trapezoid rule of ``_xi_nodes``, whose spacing
+    follows the largest |X_i - Y_j| in the batch; the node set, and so the
+    last digits of each value, depend on the other paths in the batch.
     Only d = 1 is supported; the mollified machinery feeds the Wick-weight
     sampler, which the solution formulas restrict to d = 1 anyway.
     """
@@ -267,15 +332,59 @@ def mollified_inner_values(times, pos_a, pos_b, moll: MollifierParams, d):
     t = float(times[-1])
     h = np.diff(times)
     n = len(h)
-    mids = times[:-1] + 0.5 * h
-    i0 = np.broadcast_to(mids[:, None], (n, n))
-    j0 = np.broadcast_to(mids[None, :], (n, n))
-    i1 = np.minimum(i0 + moll.delta, t)
-    j1 = np.minimum(j0 + moll.delta, t)
-    a = 0.5 * (pos_a[:, :n, None] - pos_b[:, None, :n]) ** 2
-    g = _rect(_heat_K2(a, 2.0 * moll.epsilon), i0[None], i1[None], j0[None], j1[None])
-    area = np.outer(h, h) / moll.delta ** 2
-    return (g * area[None]).sum(axis=(1, 2))
+    starts = times[:-1] + 0.5 * h
+    ends = np.minimum(starts + moll.delta, t)
+    X, Y = pos_a[:, :n], pos_b[:, :n]
+    z_max = float(np.max(np.maximum(X.max(axis=1) - Y.min(axis=1),
+                                    Y.max(axis=1) - X.min(axis=1))))
+    xi, weight = _xi_nodes(z_max, moll.epsilon, t)
+
+    # W is symmetric, so the band is stored as row i, column i + o for
+    # 0 <= o < width where m_{i+o} < e_i, and read in both orders with the
+    # diagonal halved.  Windows before lo_i end by m_i; the last of them
+    # starts the decay to m_i.
+    rows = np.arange(n)
+    hi = np.searchsorted(starts, ends, side="left")
+    lo = np.searchsorted(ends, starts, side="right")
+    width = int((hi - rows).max())
+    cols = rows[:, None] + np.arange(width)
+    band_weight = (cols < hi[:, None]).astype(float)
+    band_weight[:, 0] = 0.5
+    cols = np.minimum(cols, n - 1)[..., None]
+    last = np.maximum(lo - 1, 0)
+    scale = (h / moll.delta)[:, None]
+    self_pair = np.array_equal(X, Y)
+
+    B = len(X)
+    total = np.zeros(B)
+    chunk = max(1, _CHUNK_ELEMENTS // (n * ((1 if self_pair else 2) * B + width)))
+    for k0 in range(0, len(xi), chunk):
+        nodes = xi[k0:k0 + chunk]
+        a = 0.5 * nodes * nodes
+        f = scale * np.exp(1j * X[..., None] * nodes)
+        fg = f[None] if self_pair else np.stack([f, scale * np.exp(-1j * Y[..., None] * nodes)])
+        # R[s]_i = sum_j W_ij s_j over the band columns j >= i and the
+        # disjoint columns j < lo_i, for s = f and s = conj(g)
+        W = band_weight[..., None] * _exp_time_pair_integral(
+            starts[:, None, None], ends[:, None, None], starts[cols], ends[cols], a)
+        padded = np.zeros(fg.shape[:2] + (n + width - 1, len(nodes)), dtype=complex)
+        padded[:, :, :n] = fg
+        # real and imaginary parts on a trailing axis of 2 with W repeated
+        # over it: W stays real, and this is einsum's fastest layout
+        windows = sliding_window_view(padded.view(float).reshape(*padded.shape, 2), width, axis=2)
+        R = np.einsum("sbimrk,ikmr->sbimr", windows,
+                      np.repeat(W[..., None], 2, axis=-1)).view(complex)[..., 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            A = np.where(a > 0, -np.expm1(-np.outer(ends - starts, a)) / a, (ends - starts)[:, None])
+        decay = np.where(lo[:, None] > 0, A * np.exp(-(starts - ends[last])[:, None] * a), 0.0)
+        R += _decayed_prefix(fg * A, ends, a)[:, :, last] * decay
+        # sum_ij f_i W_ij conj(g_j) = sum_i f_i R[conj g]_i + conj(g_i) R[f]_i
+        if self_pair:
+            cell_sum = 2.0 * (f * R[0].conj()).sum(axis=1)
+        else:
+            cell_sum = (f * R[1] + fg[1] * R[0]).sum(axis=1)
+        total += cell_sum.real @ weight[k0:k0 + chunk]
+    return total / math.pi
 
 
 def mollified_inner(path_j: Path, path_k: Path, moll: MollifierParams, d=None):

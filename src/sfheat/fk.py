@@ -15,7 +15,11 @@ mollified inner product at matched (eps, delta), which is the comparison
 target for the direct solver and the solution samplers.
 
 Each Monte Carlo sample owns one counter-based stream and draws p fresh
-paths, so estimates are reproducible bit-for-bit and independent of batching.
+paths, so the draws are independent of batching and an estimate is
+reproducible bit-for-bit for a given configuration.  The values computed from
+the draws depend on the batch at rounding level only: einsum's summation
+order follows the batch size, and the mollified route's xi nodes follow the
+batch's largest path separation.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ class MomentEstimate:
     flavor: str
     seed: int
     grid_steps: int
+    ess: float                # (sum |w|)^2 / sum w^2 over the per-sample weights w
+    max_weight_share: float   # max |w| / sum |w|
     samples: np.ndarray = field(default=None, repr=False, compare=False)
 
 
@@ -89,7 +95,7 @@ def _moment_samples(p, params: ModelParams, n_samples, grid, rng, flavor, moll):
     n_cells = grid.n_steps ** 2
     batch = max(1, int(4_000_000 // max(n_cells, 1)))
     if moll is not None:
-        # bounds the (B, n, n) window temporaries held per batch; values do not depend on it
+        # bounds the (B, n, xi nodes) temporaries held per batch
         batch = max(1, batch // 8)
     out = np.empty(n_samples)
     x = params.x_point
@@ -113,14 +119,35 @@ def _require_order(p):
     return int(p)
 
 
+def _weight_diagnostics(values):
+    """Effective sample size and largest weight share of per-sample weights.
+
+    Computed on |w| / max|w|, so large weights cannot overflow the squares;
+    all-zero weights count as equal weights.  One dominant sample gives an
+    ess near 1 and a share near 1, where mean +- SE is not to be trusted.
+    """
+    if len(values) == 0:
+        raise ValueError("no samples to reduce: the sample count must be positive")
+    w = np.abs(values)
+    top = w.max()
+    if top == 0:
+        w, top = np.ones_like(w), 1.0
+    with np.errstate(invalid="ignore"):  # non-finite weights give nan here
+        r = w / top
+        total = r.sum()
+        return {"ess": float(total * total / np.dot(r, r)),
+                "max_weight_share": float(1.0 / total)}
+
+
 def _finalize(values, p, flavor, seed, grid_steps, keep_samples):
-    """Monte Carlo mean and standard error of per-sample values."""
+    """Monte Carlo mean, standard error and weight diagnostics of per-sample values."""
+    diagnostics = _weight_diagnostics(values)  # rejects an empty sample first
     n = len(values)
     value = float(np.sum(values) / n)
     se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return MomentEstimate(value=value, std_error=se, n_samples=n, p_order=p,
                           flavor=flavor, seed=seed, grid_steps=grid_steps,
-                          samples=values if keep_samples else None)
+                          **diagnostics, samples=values if keep_samples else None)
 
 
 def _moment(p, params, n_samples, grid, rng, flavor, moll, keep_samples):
@@ -131,10 +158,11 @@ def _moment(p, params, n_samples, grid, rng, flavor, moll, keep_samples):
     grid = grid or TimeGrid.default(params.t_horizon)
     if flavor == "skorohod" and p == 1 and params.u0.tag == "constant":
         c = params.u0.params[0]
-        values = np.full(n_samples, c) if keep_samples else None
+        values = np.full(n_samples, float(c))
         return MomentEstimate(value=float(c), std_error=0.0, n_samples=n_samples,
                               p_order=1, flavor="skorohod", seed=rng.master_seed,
-                              grid_steps=grid.n_steps, samples=values)
+                              grid_steps=grid.n_steps, **_weight_diagnostics(values),
+                              samples=values if keep_samples else None)
     values = _moment_samples(p, params, n_samples, grid, rng, flavor, moll)
     return _finalize(values, p, flavor, rng.master_seed, grid.n_steps, keep_samples)
 

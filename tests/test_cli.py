@@ -198,6 +198,41 @@ class TestCli:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "sample_index,value"
         assert len(lines) == 21
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(i) for i, _ in rows] == list(range(20))
+        values = np.array([float(v) for _, v in rows])
+        assert np.sum(values) / len(values) == json.loads(out.read_text())["results"]["value"]
+
+    def test_weight_diagnostics_flag_a_dominant_sample(self, tmp_path):
+        # at p = 8, t = 4 one sample carries nearly all the weight: the SE is
+        # about the value, and the record must say why
+        out = tmp_path / "rec.json"
+        assert main(["moment", "--flavor", "strat", "--p", "8", "--t", "4",
+                     "--grid-steps", "128", "--n-samples", "50", "--seed", "1",
+                     "--out", str(out)]) == 0
+        res = json.loads(out.read_text())["results"]
+        assert res["ess"] < 1.01
+        assert res["max_weight_share"] > 0.9999
+
+    @pytest.mark.parametrize("argv", [
+        ["moment", "--flavor", "sko", "--p", "2", "--n-samples", "0"],
+        ["moment", "--flavor", "sko", "--p", "1", "--n-samples", "0"],
+        ["solve", "--n-space", "16", "--n-time", "8", "--n-realizations", "0"],
+    ], ids=["moment", "moment_p1_constant", "solve"])
+    def test_zero_samples_is_a_configuration_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert "sample count must be positive" in capsys.readouterr().err
+
+    def test_weight_diagnostics_plain_case(self, tmp_path):
+        out = tmp_path / "rec.json"
+        csv_path = tmp_path / "samples.csv"
+        assert main(_MOMENT + ["--samples-csv", str(csv_path), "--out", str(out)]) == 0
+        res = json.loads(out.read_text())["results"]
+        w = np.abs([float(line.split(",")[1])
+                    for line in csv_path.read_text().strip().splitlines()[1:]])
+        assert res["ess"] == pytest.approx(w.sum() ** 2 / (w ** 2).sum(), rel=1e-12)
+        assert res["max_weight_share"] == pytest.approx(w.max() / w.sum(), rel=1e-12)
+        assert res["ess"] > 0.9 * len(w)
 
     def test_env_seed_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SFHEAT_SEED", "123")
@@ -222,6 +257,7 @@ class TestCli:
                      "--snapshot-times", "0.125,0.25", "--out", str(out)]) == 0
         rec = json.loads(out.read_text())
         assert rec["results"]["flavor"] == "direct"
+        assert 7.0 < rec["results"]["ess"] <= 8.0 + 1e-9  # solver records share the reduction
         lines = snap.read_text().strip().splitlines()
         assert lines[0] == "time,x,u"
         assert len(lines) == 1 + 2 * 16

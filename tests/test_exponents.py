@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from sfheat.exponents import (DivergentExponentWarning, MollifierParams,
+from sfheat.exponents import (DivergentExponentWarning, MollifierParams, _moments,
                               cross_exponent, cross_exponent_values, deterministic_bound,
                               mollified_inner, mollified_inner_values, self_exponent)
+from sfheat.kernels import _rect
 from sfheat.paths import (Path, RngStream, TimeGrid, constant_path, sample_path,
                           sample_path_batch)
 
@@ -275,7 +276,9 @@ def _window_kernel_integral(i0, i1, j0, j1, a, eps):
             + _window_piece(b3, b4, b4, -1.0, a, eps2))
 
 
-def _oracle_mollified(times, pa, pb, moll):
+def _windowed_sum(times, pa, pb, moll, window):
+    """Midpoint cells with clipped psi-windows; ``window(i0, i1, j0, j1, a)``
+    integrates p_{|u-v| + 2 eps}(dx) over each window pair, a = dx^2 / 2."""
     t = times[-1]
     h = np.diff(times)
     n = len(h)
@@ -283,8 +286,12 @@ def _oracle_mollified(times, pa, pb, moll):
     i0, j0 = mids[:, None], mids[None, :]
     i1, j1 = np.minimum(i0 + moll.delta, t), np.minimum(j0 + moll.delta, t)
     a = 0.5 * (pa[:, :n, None] - pb[:, None, :n]) ** 2
-    g = _window_kernel_integral(i0, i1, j0, j1, a, moll.epsilon)
-    return (g * np.outer(h, h) / moll.delta ** 2).sum(axis=(1, 2))
+    return (window(i0, i1, j0, j1, a) * np.outer(h, h) / moll.delta ** 2).sum(axis=(1, 2))
+
+
+def _oracle_mollified(times, pa, pb, moll):
+    return _windowed_sum(times, pa, pb, moll, lambda i0, i1, j0, j1, a:
+                         _window_kernel_integral(i0, i1, j0, j1, a, moll.epsilon))
 
 
 def _oracle_cross_d1(times, pa, pb):
@@ -338,3 +345,88 @@ class TestRectangleRouteOracle:
             np.testing.assert_allclose(mollified_inner_values(_UNIFORM.times, pa, b, moll, 1),
                                        _oracle_mollified(_UNIFORM.times, pa, b, moll),
                                        rtol=1e-12, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# Test-only oracle: the closed form the package used before the xi route.
+# Each window pair is the rectangle identity over K2(x) = int_0^|x| (|x| - tau)
+# p_{tau + shift}(dx) dtau, one exp and one erfc per corner, n^2 cells.
+# ---------------------------------------------------------------------------
+
+
+def _shifted_heat_K2(a, shift):
+    """K2 of p_{tau + shift}(dx), a = |dx|^2 / 2, less the constant m1(shift)
+    that ``_rect`` cancels."""
+    m0_s = _moments(shift, a)[0] if shift > 0 else 0.0  # m0 vanishes at 0
+
+    def K2(x):
+        end = np.abs(x) + shift
+        m0, m1 = _moments(end, a)
+        return end * (m0 - m0_s) - m1
+
+    return K2
+
+
+def _closed_form_mollified(times, pa, pb, moll):
+    return _windowed_sum(times, pa, pb, moll, lambda i0, i1, j0, j1, a:
+                         _rect(_shifted_heat_K2(a, 2.0 * moll.epsilon), i0, i1, j0, j1))
+
+
+_XVAL_GRID = TimeGrid.uniform(0.5, 128)  # the solver cross-check: delta = solver dt
+_XI_CASES = {
+    "nonuniform_delta_below_step": (_NONUNIFORM, MollifierParams(0.1, 0.02)),
+    "nonuniform_delta_above_step": (_NONUNIFORM, MollifierParams(0.05, 0.1)),
+    "nonuniform_delta_clipped": (_NONUNIFORM, MollifierParams(0.05, 0.6)),
+    "single_step": (TimeGrid.uniform(1.0, 1), MollifierParams(0.1, 0.3)),
+    # a * t reaches 4000 at the last node: the recursion runs in several blocks
+    "small_epsilon": (_UNIFORM, MollifierParams(0.005, 0.05)),
+    "xval_moll": (_XVAL_GRID, MollifierParams(0.1, 0.015625)),
+}
+
+
+class TestXiRouteOracle:
+    @pytest.mark.parametrize("kind", ["constant", "alpha2", "alpha1.5"])
+    @pytest.mark.parametrize("case", list(_XI_CASES))
+    def test_matches_closed_form(self, case, kind):
+        grid, moll = _XI_CASES[case]
+        pa, pb = _path_pairs(kind, grid)
+        for b in (pb, pa):  # cross and self pairs
+            np.testing.assert_allclose(mollified_inner_values(grid.times, pa, b, moll, 1),
+                                       _closed_form_mollified(grid.times, pa, b, moll),
+                                       rtol=1e-12, atol=0)
+
+    def test_large_epsilon_constant_path(self):
+        # at eps = 25 the shifted K2 above loses ~3e-10 to cancellation (its
+        # corners carry m1(50) ~ 94 against cells ~ 1e-5); on the constant path
+        # (a = 0) the same closed form is (2/3) (u - v)^2 (2u + v) / sqrt(2 pi)
+        # with u = sqrt(x + s), v = sqrt(s), u - v = x / (u + v): no cancellation
+        grid, moll = TimeGrid.uniform(1.0, 64), MollifierParams(25.0, 0.01)
+        s = 2.0 * moll.epsilon
+
+        def K2(x):
+            x = np.abs(x)
+            u, v = np.sqrt(x + s), math.sqrt(s)
+            return (2.0 / 3.0) * (x / (u + v)) ** 2 * (2.0 * u + v) / SQRT_2PI
+
+        zero = np.zeros((1, len(grid.times)))
+        expected = _windowed_sum(grid.times, zero, zero, moll,  # a = 0 on every cell
+                                 lambda i0, i1, j0, j1, a: _rect(K2, i0, i1, j0, j1)[None])
+        np.testing.assert_allclose(mollified_inner_values(grid.times, zero, zero, moll, 1),
+                                   expected, rtol=1e-12, atol=0)
+
+    def test_split_batch_agrees(self):
+        # draws never depend on the batch; values do at rounding level, through
+        # einsum's summation order and the xi nodes that follow the batch
+        grid = TimeGrid.uniform(1.0, 256)
+        pos = sample_path_batch(2.0, 1, grid, 0.0, RngStream(44, 0), 122)
+        pa, pb = pos[:61], pos[61:]
+        moll = MollifierParams(0.1, 1.0 / 64)
+        routes = {"cross": lambda a, b: cross_exponent_values(grid.times, a, b, 1),
+                  "mollified": lambda a, b: mollified_inner_values(grid.times, a, b, moll, 1)}
+        for name, route in routes.items():
+            whole = route(pa, pb)
+            for size in (5, 6, 10, 15, 20, 30):
+                split = np.concatenate([route(pa[k:k + size], pb[k:k + size])
+                                        for k in range(0, 61, size)])
+                np.testing.assert_allclose(split, whole, rtol=1e-13, atol=0,
+                                           err_msg=f"{name}, chunks of {size}")

@@ -22,6 +22,7 @@ class TestSkoMoment:
         assert est.value == 1.0
         assert est.std_error == 0.0
         assert est.flavor == "skorohod"
+        assert (est.ess, est.max_weight_share) == (500.0, 1.0 / 500)
 
     def test_p1_gaussian_bump_matches_convolution(self):
         pm = ModelParams(alpha=2.0, d=1, t_horizon=1.0,

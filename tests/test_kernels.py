@@ -7,6 +7,7 @@ from scipy import integrate
 from sfheat import exponents, kernels
 from sfheat.kernels import (GridFunction, h_inner_product, heat_kernel,
                             heat_kernel_ft, stable_kernel, stable_kernel_ft)
+from test_exponents import _shifted_heat_K2  # the closed-form mollifier oracle
 
 
 class TestHeatKernel:
@@ -210,11 +211,11 @@ _K2_CASES = {
     "exponential_a_to_0": (lambda tau: math.exp(-1e-10 * tau),
                            lambda *iv: kernels._exp_time_pair_integral(*iv, 1e-10)),
     "mollified": (_band_kernel(0.3, 0.2),
-                  lambda *iv: kernels._rect(exponents._heat_K2(0.3, 0.2), *iv)),
+                  lambda *iv: kernels._rect(_shifted_heat_K2(0.3, 0.2), *iv)),
     "eps0": (_band_kernel(0.3, 0.0),
-             lambda *iv: kernels._rect(exponents._heat_K2(0.3, 0.0), *iv)),
+             lambda *iv: kernels._rect(exponents._heat_K2(0.3), *iv)),
     "eps0_a0": (_band_kernel(0.0, 0.0),
-                lambda *iv: kernels._rect(exponents._heat_K2(0.0, 0.0), *iv)),
+                lambda *iv: kernels._rect(exponents._heat_K2(0.0), *iv)),
 }
 
 
