@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import BudgetError, RegimeError
 from .params import C_ALPHA, InitialCondition
@@ -103,6 +102,8 @@ _QMC_POINTS = 2 ** 13
 
 
 def _term_alpha2(n, d, t, seed):
+    from scipy.stats import qmc  # scipy.stats is slow to import; only this route needs it
+
     means = []
     fact = math.factorial(n)
     for rep in range(_QMC_REPLICATES):

@@ -135,9 +135,46 @@ def _grid_tables(times, d):
     return tables
 
 
+# float64 cells per block of the off-band pass; a block holds at least
+# _MIN_BLOCK_SAMPLES samples, because einsum's per-sample summation order
+# changes for blocks of a few samples and the values must not depend on
+# the blocking
+_BLOCK_ELEMENTS = 1 << 19
+_MIN_BLOCK_SAMPLES = 8
+
+
 def _check_band_shapes(times):
     if len(times) < 2:
         raise ValueError("path grid must contain at least one step")
+
+
+def _offband_sum(pos_a, pos_b, p0, inv2tau):
+    """Off-band cells: midpoint in time, increments frozen at left corners.
+
+    Blocks of samples run through one reused buffer (two for d > 1), so the
+    elementwise passes work on a few MB instead of B n^2 doubles; squared
+    distances are summed one component at a time in place.
+    """
+    B, n = len(pos_a), len(p0)
+    per_block = max(_MIN_BLOCK_SAMPLES, _BLOCK_ELEMENTS // (n * n))
+    bounds = [k * per_block for k in range(max(1, B // per_block))] + [B]
+    buf = np.empty((B - bounds[-2], n, n))  # the last block takes the remainder
+    diff = np.empty_like(buf) if pos_a.shape[-1] > 1 else None
+    neg_inv2tau = -inv2tau
+    off = np.empty(B)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        d2 = buf[:stop - start]
+        np.subtract(pos_a[start:stop, :n, None, 0], pos_b[start:stop, None, :n, 0], out=d2)
+        np.multiply(d2, d2, out=d2)
+        for c in range(1, pos_a.shape[-1]):
+            dc = diff[:stop - start]
+            np.subtract(pos_a[start:stop, :n, None, c], pos_b[start:stop, None, :n, c], out=dc)
+            np.multiply(dc, dc, out=dc)
+            d2 += dc
+        np.multiply(d2, neg_inv2tau, out=d2)
+        np.exp(d2, out=d2)
+        off[start:stop] = np.einsum("bij,ij->b", d2, p0)
+    return off
 
 
 def cross_exponent_values(times, pos_a, pos_b, d):
@@ -152,6 +189,14 @@ def cross_exponent_values(times, pos_a, pos_b, d):
     Returns
     -------
     (B,) array of exponent values.
+
+    The off-band cells run block by block through one reused buffer of about
+    ``_BLOCK_ELEMENTS`` float64: a block holds max(``_MIN_BLOCK_SAMPLES``,
+    ``_BLOCK_ELEMENTS`` // n^2) samples, and a remainder smaller than a block
+    joins the last block.  Each block takes the same subtract, square, scale,
+    exp and einsum as one pass over the whole batch would, so the values are
+    bit-identical to it while the working set stays at a few MB (4 MB at
+    n = 256, where one pass over B samples would hold B n^2 doubles).
     """
     _check_band_shapes(times)
     pos_a = np.asarray(pos_a, dtype=float)
@@ -162,21 +207,9 @@ def cross_exponent_values(times, pos_a, pos_b, d):
         pos_b = pos_b[..., None]
     h, mids, p0, inv2tau = _grid_tables(times, d)
     n = len(h)
-
-    # off-band cells: midpoint in time, increments frozen at left corners;
-    # squared distances summed one component at a time in place, so any d
-    # holds one (B, n, n) array
-    d2 = pos_a[:, :n, None, 0] - pos_b[:, None, :n, 0]
-    np.multiply(d2, d2, out=d2)
-    for c in range(1, pos_a.shape[-1]):
-        diff = pos_a[:, :n, None, c] - pos_b[:, None, :n, c]
-        np.multiply(diff, diff, out=diff)
-        d2 += diff
+    off = _offband_sum(pos_a, pos_b, p0, inv2tau)
     a_diag = 0.5 * ((pos_a[:, :n] - pos_b[:, :n]) ** 2).sum(axis=-1)
     a_shared = 0.5 * ((pos_a[:, 1:n] - pos_b[:, 1:n]) ** 2).sum(axis=-1)
-    np.multiply(d2, -inv2tau[None], out=d2)
-    np.exp(d2, out=d2)
-    off = np.einsum("bij,ij->b", d2, p0)
     if d == 1:
         # _rect corners of the diagonal and the two adjacent cells, K2(0) = 0 dropped
         band = 2.0 * _heat_K2(a_diag)(h[None, :]).sum(axis=1)

@@ -21,6 +21,9 @@ from .paths import Path, RngStream
 
 JITTER_SCALE = 1e-12       # first shot: 1e-12 * trace / N on the diagonal
 PSD_TOLERANCE = 1e-10      # matrices are acceptable down to min eig >= -1e-10 * trace
+# pairs x time steps per mollified_inner_values call in wick_gram: larger
+# calls leave too few xi nodes per pass for its einsum to run fast
+_GRAM_PAIR_STEPS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,10 @@ class WickWeights:
 
 
 def wick_gram(paths, moll: MollifierParams, d=1):
-    """Gram matrix of mollified inner products across a shared-grid ensemble."""
+    """Gram matrix of mollified inner products across a shared-grid ensemble.
+
+    The m (m + 1) / 2 pairs i <= j run in calls of at most
+    _GRAM_PAIR_STEPS / n_steps pairs each."""
     if not paths:
         raise ValueError("need at least one path")
     times = paths[0].grid.times
@@ -110,12 +116,14 @@ def wick_gram(paths, moll: MollifierParams, d=1):
             raise ValueError("all paths must share a time grid")
     m = len(paths)
     pos = np.stack([p.positions for p in paths])
+    rows, cols = np.triu_indices(m)
+    per_call = max(1, _GRAM_PAIR_STEPS // (len(times) - 1))
+    vals = np.concatenate([
+        mollified_inner_values(times, pos[rows[k:k + per_call]], pos[cols[k:k + per_call]], moll, d)
+        for k in range(0, len(rows), per_call)])
     gram = np.empty((m, m))
-    for i in range(m):
-        vals = mollified_inner_values(times, np.repeat(pos[i][None], m - i, axis=0),
-                                      pos[i:], moll, d)
-        gram[i, i:] = vals
-        gram[i:, i] = vals
+    gram[rows, cols] = vals
+    gram[cols, rows] = vals
     return gram
 
 

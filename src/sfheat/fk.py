@@ -16,9 +16,14 @@ target for the direct solver and the solution samplers.
 
 Each Monte Carlo sample owns one counter-based stream and draws p fresh
 paths, so the draws are independent of batching and an estimate is
-reproducible bit-for-bit for a given configuration.  The values computed from
-the draws depend on the batch at rounding level only: einsum's summation
-order follows the batch size, and the mollified route's xi nodes follow the
+reproducible bit-for-bit for a given configuration.  Samples run in batches
+of 4e6 / n^2 (n grid steps; an eighth of that when mollified).  One
+``sample_path_batch`` call takes a batch's streams and fills one block of
+draws, and ``cross_exponent_values`` takes the batch's off-band cells through
+one buffer of a few MB in blocks of at least 8 samples, bit-identical to a
+single pass over the batch.  The values computed from the draws depend on
+the batch at rounding level only: einsum's summation order changes for
+batches of a few samples, and the mollified route's xi nodes follow the
 batch's largest path separation.
 """
 
@@ -102,10 +107,9 @@ def _moment_samples(p, params: ModelParams, n_samples, grid, rng, flavor, moll):
     include_diag = flavor == "stratonovich"
     for start in range(0, n_samples, batch):
         stop = min(start + batch, n_samples)
-        pos = np.empty((stop - start, p, len(times), params.d))
-        for i in range(start, stop):
-            pos[i - start] = sample_path_batch(params.alpha, params.d, grid, 0.0,
-                                               rng.substream(i), p)
+        streams = [rng.substream(i) for i in range(start, stop)]
+        pos = sample_path_batch(params.alpha, params.d, grid, 0.0, streams, p).reshape(
+            stop - start, p, len(times), params.d)
         expo = _pair_exponents(times, pos, p, params.d, moll, include_diag)
         endpoints = pos[:, :, -1, :] + x
         u0_prod = np.prod(params.u0(endpoints), axis=1)

@@ -262,17 +262,23 @@ def _h_inner_physical(f, g):
     return total
 
 
+# K2(x) = (e^{-y} - 1 + y) / a^2, y = a|x|, loses about 1e-16 / y relative to
+# cancellation in expm1(-y) + y; below _SERIES_Y the series
+# x^2 sum_k (-y)^k / (k + 2)!, cut after y^7 (truncation below 1e-16), replaces it
+_SERIES_Y = 0.05
+_K2_SERIES = [1.0 / math.factorial(k + 2) for k in range(7, -1, -1)]
+
+
 def _exp_time_pair_integral(i0, i1, j0, j1, a):
     """int_{t in I} int_{s in J} exp(-a |t - s|) dt ds in closed form; broadcasts
     over a and the edges."""
     a = np.asarray(a, dtype=float)
 
     def K2(x):
-        # (e^{-y} - 1 + y) / a^2 with y = a|x|; below y = 1e-8 its limit x^2/2
-        # is closer than the rounded formula
         y = a * abs(x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(y > 1e-8, (np.expm1(-y) + y) / a ** 2, 0.5 * x * x)
+            return np.where(y < _SERIES_Y, x * x * np.polyval(_K2_SERIES, -y),
+                            (np.expm1(-y) + y) / a ** 2)
 
     return _rect(K2, i0, i1, j0, j1)
 

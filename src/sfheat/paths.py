@@ -125,11 +125,10 @@ def constant_path(grid, x0=0.0, d=1):
     return Path(grid, np.tile(x0, (len(grid.times), 1)))
 
 
-def _unit_subordinator(alpha, gen, shape):
-    """Positive (alpha/2)-stable variates with unit Laplace exponent (Kanter's transform)."""
+def _kanter(alpha, u, e):
+    """Positive (alpha/2)-stable variates with unit Laplace exponent from
+    uniforms u on (0, pi) and standard exponentials e (Kanter's transform)."""
     beta = 0.5 * alpha
-    u = gen.uniform(0.0, np.pi, shape)
-    e = gen.standard_exponential(shape)
     a = (np.sin(beta * u) ** (beta / (1.0 - beta))
          * np.sin((1.0 - beta) * u)
          / np.sin(u) ** (1.0 / (1.0 - beta)))
@@ -150,7 +149,8 @@ def sample_subordinator_increment(alpha, dt, rng, size=None):
         raise ValueError(f"dt must be positive, got {dt}")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     shape = () if size is None else size
-    return (C_ALPHA * dt) ** (2.0 / alpha) * _unit_subordinator(alpha, gen, shape)
+    u = gen.uniform(0.0, np.pi, shape)
+    return (C_ALPHA * dt) ** (2.0 / alpha) * _kanter(alpha, u, gen.standard_exponential(shape))
 
 
 def sample_increment(alpha, d, dt, rng, size=None):
@@ -178,19 +178,37 @@ def sample_path_batch(alpha, d, grid: TimeGrid, x0, rng, n_paths):
     """Positions array (n_paths, n_steps + 1, d); one generator drives the batch.
 
     Used internally where per-sample streams matter: pass a stream per sample
-    and n_paths = paths-per-sample so the draw order is scheduling-free.
+    and n_paths = paths-per-sample so the draw order is scheduling-free.  A
+    list or tuple of streams gives (len(rng) * n_paths, n_steps + 1, d), whose
+    rows r * n_paths to (r + 1) * n_paths - 1 are bit-identical to a call with
+    ``rng[r]`` alone: each stream's draws fill its slot of one preallocated
+    block in the single-stream order (Kanter uniforms, exponentials, then
+    normals), and one scale and one cumulative sum turn the block into
+    positions.
     """
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    gens = [s.generator() if isinstance(s, RngStream) else s
+            for s in (rng if isinstance(rng, (list, tuple)) else [rng])]
     x0 = np.broadcast_to(np.atleast_1d(np.asarray(x0, float)), (d,))
     dts = np.diff(grid.times)
     n = len(dts)
+    shape = (len(gens), n_paths, n)
+    z = np.empty(shape + (d,))
     if alpha == 2.0:
-        incr = np.sqrt(dts)[None, :, None] * gen.standard_normal((n_paths, n, d))
+        for gen, z_r in zip(gens, z):
+            gen.standard_normal(out=z_r)
+        incr = np.sqrt(dts)[:, None] * z
     else:
-        s = (C_ALPHA * dts)[None, :] ** (2.0 / alpha) * _unit_subordinator(alpha, gen, (n_paths, n))
-        incr = np.sqrt(2.0 * s)[:, :, None] * gen.standard_normal((n_paths, n, d))
-    pos = np.concatenate([np.zeros((n_paths, 1, d)), np.cumsum(incr, axis=1)], axis=1)
-    return pos + x0
+        u, e = np.empty(shape), np.empty(shape)
+        for gen, u_r, e_r, z_r in zip(gens, u, e, z):
+            u_r[...] = gen.uniform(0.0, np.pi, u_r.shape)
+            gen.standard_exponential(out=e_r)
+            gen.standard_normal(out=z_r)
+        s = (C_ALPHA * dts) ** (2.0 / alpha) * _kanter(alpha, u, e)
+        incr = np.sqrt(2.0 * s)[..., None] * z
+    pos = np.zeros((len(gens) * n_paths, n + 1, d))
+    np.cumsum(incr.reshape(-1, n, d), axis=1, out=pos[:, 1:])
+    pos += x0
+    return pos
 
 
 def path_to_csv(path: Path, fileobj):

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate
 
 from . import chaos, exponents, field, fk, kernels, solver
 from .exponents import MollifierParams
@@ -99,6 +99,8 @@ def check_increment_ecf(budget):
 
 
 def check_subordinator_scaling(budget):
+    from scipy import stats  # slow to import; the CLI's other commands never need it
+
     n = 10_000
     dt = 0.3
     s_dt = sample_subordinator_increment(1.2, dt, RngStream(7, 1), size=n)
@@ -137,8 +139,8 @@ def check_pathwise_bound(budget):
     chunk = 200
     for start in range(0, n_paths, chunk):
         m = min(chunk, n_paths - start)
-        pos = np.stack([sample_path_batch(2.0, 1, grid, 0.0, RngStream(31, start + i), 1)[0]
-                        for i in range(m)])
+        pos = sample_path_batch(2.0, 1, grid, 0.0,
+                                [RngStream(31, start + i) for i in range(m)], 1)
         vals = exponents.cross_exponent_values(grid.times, pos, pos, 1)
         worst = max(worst, float(vals.max()))
     return worst <= bound, worst, bound, (

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -261,3 +263,12 @@ class TestCli:
         lines = snap.read_text().strip().splitlines()
         assert lines[0] == "time,x,u"
         assert len(lines) == 1 + 2 * 16
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about half a second to import and only the chaos
+    # alpha = 2 route and one validate check use it
+    code = "import sys, sfheat.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.stdout.strip() == "False"

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
+from sfheat import exponents
 from sfheat.exponents import (DivergentExponentWarning, MollifierParams, _moments,
                               cross_exponent, cross_exponent_values, deterministic_bound,
                               mollified_inner, mollified_inner_values, self_exponent)
@@ -169,6 +171,50 @@ class TestCrossExponent:
             vals[i] = cross_exponent(a, b, 1).value
         se = vals.std(ddof=1) / math.sqrt(n_pairs)
         assert vals.mean() == pytest.approx(target, abs=3 * se)
+
+
+def _one_shot_offband(times, pa, pb, d):
+    """Test-only oracle: the off-band sum as one pass over the whole batch,
+    holding one (B, n, n) array."""
+    h, _, p0, inv2tau = exponents._grid_tables(times, d)
+    n = len(h)
+    d2 = pa[:, :n, None, 0] - pb[:, None, :n, 0]
+    np.multiply(d2, d2, out=d2)
+    for c in range(1, pa.shape[-1]):
+        diff = pa[:, :n, None, c] - pb[:, None, :n, c]
+        np.multiply(diff, diff, out=diff)
+        d2 += diff
+    np.multiply(d2, -inv2tau[None], out=d2)
+    np.exp(d2, out=d2)
+    return np.einsum("bij,ij->b", d2, p0)
+
+
+class TestBlockedOffBand:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_blocks_match_one_pass(self, n, d):
+        grid = TimeGrid.uniform(1.0, n)
+        block = max(exponents._MIN_BLOCK_SAMPLES, exponents._BLOCK_ELEMENTS // n ** 2)
+        for B in (block - 1, block + 3, 2 * block + 5):
+            pos = sample_path_batch(2.0, d, grid, 0.0, RngStream(45, 10 * n + d), 2 * B)
+            pa, pb = pos[:B], pos[B:]
+            _, _, p0, inv2tau = exponents._grid_tables(grid.times, d)
+            assert np.array_equal(exponents._offband_sum(pa, pb, p0, inv2tau),
+                                  _one_shot_offband(grid.times, pa, pb, d)), B
+
+    def test_peak_memory_at_moment_batch(self):
+        # the sko-p2-chaos batch: 61 samples of 256 steps; one pass would hold
+        # 61 * 256^2 doubles (32 MB)
+        grid = TimeGrid.uniform(1.0, 256)
+        pos = sample_path_batch(2.0, 1, grid, 0.0, RngStream(46, 0), 122)
+        cross_exponent_values(grid.times, pos[:61], pos[61:], 1)  # fills the grid cache
+        tracemalloc.start()
+        try:
+            cross_exponent_values(grid.times, pos[:61], pos[61:], 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
 
 class TestMollifiedInner:

@@ -112,6 +112,15 @@ class TestWickWeights:
         ses = wick.std(axis=0, ddof=1) / math.sqrt(n)
         assert np.all(np.abs(means - 1.0) <= 3 * ses)
 
+    def test_gram_matches_per_pair_inner(self):
+        # 24 paths of 32 steps give 300 pairs i <= j, more than one batched call
+        grid = TimeGrid.uniform(1.0, 32)
+        paths = [sample_path(2.0, 1, grid, 0.0, RngStream(39, i)) for i in range(24)]
+        moll = MollifierParams(0.05, 0.05)
+        gram = wick_gram(paths, moll, 1)
+        expected = np.array([[mollified_inner(a, b, moll) for b in paths] for a in paths])
+        np.testing.assert_allclose(gram, expected, rtol=1e-12, atol=0)
+
     def test_gram_determinism(self):
         grid = TimeGrid.uniform(1.0, 32)
         paths = [sample_path(2.0, 1, grid, 0.0, RngStream(38, i)) for i in range(3)]

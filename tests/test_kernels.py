@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -103,7 +104,10 @@ def bump(tlo, thi, xlo, xhi, value=1.0):
 
 # Both routes recorded on the bump pair, a self product, time cells far apart
 # and the pair of the kernel.h_inner_dual validation check.  Reorganising a
-# quadrature may move a value at rounding level only.
+# quadrature may move a value at rounding level only.  The Fourier values use
+# the small-rate series of the exp(-a|t - s|) time integral; the same xi
+# quadrature with that integral in 40-digit arithmetic lands within 1e-13 of
+# them (far: 9e-14).
 _PINNED_CASES = {
     "bumps": (bump(0.0, 1.0, -0.5, 0.5), bump(0.25, 0.75, 0.0, 1.0)),
     "self": (bump(0.0, 1.0, -0.5, 0.5), bump(0.0, 1.0, -0.5, 0.5)),
@@ -114,10 +118,10 @@ _PINNED_CASES = {
                               np.array([[0.7, -0.2], [1.0, 0.3]]))),
 }
 _PINNED_INNER = {
-    "bumps": dict(physical=0.2268380918002627, fourier=0.2268380916902506),
-    "self": dict(physical=0.6051864261167641, fourier=0.6051864259484759),
-    "far": dict(physical=0.0025576984635630184, fourier=0.002557698562817206),
-    "validate": dict(physical=0.4604046081896688, fourier=0.46040460814972656),
+    "bumps": dict(physical=0.2268380918002627, fourier=0.22683809169026728),
+    "self": dict(physical=0.6051864261167641, fourier=0.605186425948491),
+    "far": dict(physical=0.0025576984635630184, fourier=0.0025576985628359404),
+    "validate": dict(physical=0.4604046081896688, fourier=0.46040460814972606),
 }
 
 
@@ -217,6 +221,26 @@ _K2_CASES = {
     "eps0_a0": (_band_kernel(0.0, 0.0),
                 lambda *iv: kernels._rect(exponents._heat_K2(0.0), *iv)),
 }
+
+
+class TestExpTimePairIntegral:
+    @pytest.mark.parametrize("aL", [1e-8, 2e-7, 1e-6, 1e-3, 1e-2, 0.1, 1.0])
+    @pytest.mark.parametrize("intervals", [(0.0, 1.0, 0.0, 1.0), (0.0, 0.5, 0.25, 1.0)],
+                             ids=["equal", "overlapping"])
+    def test_small_rate_matches_mpmath(self, aL, intervals):
+        # K2(x) = (e^{-y} - 1 + y) / a^2 at 50 digits; for small y = a|x| the
+        # double-precision formula cancels, the series branch must not
+        a = aL / (intervals[1] - intervals[0])
+        with mpmath.workdps(50):
+            am = mpmath.mpf(a)
+
+            def K2(x):
+                y = am * abs(mpmath.mpf(x))
+                return (mpmath.exp(-y) - 1 + y) / am ** 2
+
+            exact = float(kernels._rect(K2, *intervals))
+        got = float(kernels._exp_time_pair_integral(*intervals, a))
+        assert abs(got - exact) <= 1e-14 * abs(exact)
 
 
 class TestRectangleIdentity:

@@ -231,3 +231,15 @@ class TestStreamLayout:
         assert np.array_equal(path.positions, pinned["path"])
         assert np.array_equal(batch, pinned["batch"])
         assert np.array_equal(incr, pinned["increment"])
+
+
+class TestStreamBatches:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("alpha", [2.0, 1.5, 0.7])
+    def test_rows_match_single_stream_calls(self, alpha, d):
+        grid = TimeGrid(_PINNED_GRID)
+        streams = [RngStream(47, k) for k in range(5)]
+        block = sample_path_batch(alpha, d, grid, 0.3, streams, 3)
+        single = np.concatenate([sample_path_batch(alpha, d, grid, 0.3, s, 3) for s in streams])
+        assert block.shape == (15, len(_PINNED_GRID), d)
+        assert np.array_equal(block, single)
