@@ -35,7 +35,10 @@ instead of the divergent exact integral) and emits DivergentExponentWarning.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,12 +138,30 @@ def _grid_tables(times, d):
     return tables
 
 
-# float64 cells per block of the off-band pass; a block holds at least
+# float64 cells per block of the off-band pass (4 MB), and in the buffers of
+# all ranges of one batch together (10 MB); a block holds at least
 # _MIN_BLOCK_SAMPLES samples, because einsum's per-sample summation order
-# changes for blocks of a few samples and the values must not depend on
-# the blocking
+# changes for blocks of a few samples and the values must not depend on the
+# blocking
 _BLOCK_ELEMENTS = 1 << 19
+_BUFFER_ELEMENTS = 5 << 18
 _MIN_BLOCK_SAMPLES = 8
+
+# threads that run the ranges of one batch, the calling thread included
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool():
+    """The helper threads, created on the first batch that splits."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(max_workers=max(1, _WORKERS - 1),
+                                       thread_name_prefix="sfheat-pairs")
+        return _POOL
 
 
 def _check_band_shapes(times):
@@ -148,20 +169,47 @@ def _check_band_shapes(times):
         raise ValueError("path grid must contain at least one step")
 
 
-def _offband_sum(pos_a, pos_b, p0, inv2tau):
-    """Off-band cells: midpoint in time, increments frozen at left corners.
+def _layout(B, n, workers):
+    """Block bounds of the off-band pass over B samples, grouped into ranges.
 
-    Blocks of samples run through one reused buffer (two for d > 1), so the
-    elementwise passes work on a few MB instead of B n^2 doubles; squared
-    distances are summed one component at a time in place.
+    Returns up to ``workers`` lists of bounds; range r covers samples
+    ranges[r][0]:ranges[r][-1] in the blocks between consecutive bounds.
+    Every block holds at least _MIN_BLOCK_SAMPLES samples (or the whole
+    batch, when it is smaller) and at most about min(_BLOCK_ELEMENTS,
+    _BUFFER_ELEMENTS / ranges) cells, the remainder spread one sample per
+    block.  A split into several ranges is taken only if the largest blocks
+    of its ranges fit _BUFFER_ELEMENTS together; one range always runs.
     """
-    B, n = len(pos_a), len(p0)
-    per_block = max(_MIN_BLOCK_SAMPLES, _BLOCK_ELEMENTS // (n * n))
-    bounds = [k * per_block for k in range(max(1, B // per_block))] + [B]
-    buf = np.empty((B - bounds[-2], n, n))  # the last block takes the remainder
+    cells = n * n
+    most = min(workers, B // _MIN_BLOCK_SAMPLES, _BUFFER_ELEMENTS // (_MIN_BLOCK_SAMPLES * cells))
+    for ranges in range(max(1, most), 0, -1):
+        per_block = max(_MIN_BLOCK_SAMPLES,
+                        min(_BLOCK_ELEMENTS, _BUFFER_ELEMENTS // ranges) // cells)
+        n_blocks = max(ranges, min(B // _MIN_BLOCK_SAMPLES, -(-B // per_block)))
+        bounds = [B * k // n_blocks for k in range(n_blocks + 1)]
+        split = [bounds[n_blocks * r // ranges:n_blocks * (r + 1) // ranges + 1]
+                 for r in range(ranges)]
+        held = sum(max(b - a for a, b in zip(r[:-1], r[1:])) for r in split) * cells
+        if ranges == 1 or held <= _BUFFER_ELEMENTS:
+            return split
+
+
+def _offband_sum(pos_a, pos_b, p0, inv2tau, bounds=None):
+    """Off-band cells of samples bounds[0]:bounds[-1]: midpoint in time,
+    increments frozen at left corners.
+
+    The blocks between consecutive ``bounds`` (by default the one-range
+    ``_layout`` of the whole batch) run through one reused buffer (two for
+    d > 1), so the elementwise passes work on a few MB instead of B n^2
+    doubles; squared distances are summed one component at a time in place.
+    """
+    n = len(p0)
+    if bounds is None:
+        bounds = _layout(len(pos_a), n, 1)[0]
+    buf = np.empty((max(b - a for a, b in zip(bounds[:-1], bounds[1:])), n, n))
     diff = np.empty_like(buf) if pos_a.shape[-1] > 1 else None
     neg_inv2tau = -inv2tau
-    off = np.empty(B)
+    off = np.empty(bounds[-1] - bounds[0])
     for start, stop in zip(bounds[:-1], bounds[1:]):
         d2 = buf[:stop - start]
         np.subtract(pos_a[start:stop, :n, None, 0], pos_b[start:stop, None, :n, 0], out=d2)
@@ -173,41 +221,13 @@ def _offband_sum(pos_a, pos_b, p0, inv2tau):
             d2 += dc
         np.multiply(d2, neg_inv2tau, out=d2)
         np.exp(d2, out=d2)
-        off[start:stop] = np.einsum("bij,ij->b", d2, p0)
+        off[start - bounds[0]:stop - bounds[0]] = np.einsum("bij,ij->b", d2, p0)
     return off
 
 
-def cross_exponent_values(times, pos_a, pos_b, d):
-    """Batched quadrature of int int p_{|s-r|}(X^a_s - X^b_r) ds dr.
-
-    Parameters
-    ----------
-    times : (n+1,) grid times
-    pos_a, pos_b : (B, n+1, d) positions of the two path ensembles
-    d : spatial dimension
-
-    Returns
-    -------
-    (B,) array of exponent values.
-
-    The off-band cells run block by block through one reused buffer of about
-    ``_BLOCK_ELEMENTS`` float64: a block holds max(``_MIN_BLOCK_SAMPLES``,
-    ``_BLOCK_ELEMENTS`` // n^2) samples, and a remainder smaller than a block
-    joins the last block.  Each block takes the same subtract, square, scale,
-    exp and einsum as one pass over the whole batch would, so the values are
-    bit-identical to it while the working set stays at a few MB (4 MB at
-    n = 256, where one pass over B samples would hold B n^2 doubles).
-    """
-    _check_band_shapes(times)
-    pos_a = np.asarray(pos_a, dtype=float)
-    pos_b = np.asarray(pos_b, dtype=float)
-    if pos_a.ndim == 2:
-        pos_a = pos_a[..., None]
-    if pos_b.ndim == 2:
-        pos_b = pos_b[..., None]
-    h, mids, p0, inv2tau = _grid_tables(times, d)
+def _band_sum(pos_a, pos_b, h, d):
+    """Cells of the diagonal and the two adjacent diagonals, per sample."""
     n = len(h)
-    off = _offband_sum(pos_a, pos_b, p0, inv2tau)
     a_diag = 0.5 * ((pos_a[:, :n] - pos_b[:, :n]) ** 2).sum(axis=-1)
     a_shared = 0.5 * ((pos_a[:, 1:n] - pos_b[:, 1:n]) ** 2).sum(axis=-1)
     if d == 1:
@@ -226,7 +246,62 @@ def cross_exponent_values(times, pos_a, pos_b, d):
             area = h[:-1] * h[1:]
             band = band + 2.0 * ((2.0 * np.pi * tau_adj[None, :]) ** (-d / 2.0) * area[None, :]
                                  * np.exp(-a_shared / tau_adj[None, :])).sum(axis=1)
-    return off + band
+    return band
+
+
+def cross_exponent_values(times, pos_a, pos_b, d):
+    """Batched quadrature of int int p_{|s-r|}(X^a_s - X^b_r) ds dr.
+
+    Parameters
+    ----------
+    times : (n+1,) grid times
+    pos_a, pos_b : (B, n+1, d) positions of the two path ensembles
+    d : spatial dimension
+
+    Returns
+    -------
+    (B,) array of exponent values.
+
+    The samples are cut into contiguous ranges (``_layout``), one per core of
+    the affinity mask as far as the memory cap allows: the calling thread
+    runs the first range, a module-level pool of helper threads the others,
+    each under the caller's numpy error state.  Each range takes its
+    off-band cells block by block through one reused buffer, then its band
+    cells, into its own slice of the result.  A block holds at least
+    ``_MIN_BLOCK_SAMPLES`` samples and gets the same subtract, square, scale,
+    exp and einsum as one pass over the whole batch would, so the values are
+    bit-identical to that pass for any core count.  Where one pass over B
+    samples would hold B n^2 doubles, a split holds at most
+    ``_BUFFER_ELEMENTS`` (10 MB) in all its ranges' buffers together, which
+    allows two ranges at 256 steps; a batch that cannot be split within that
+    runs as one range, whose blocks aim at ``_BLOCK_ELEMENTS`` (4 MB).
+    """
+    _check_band_shapes(times)
+    pos_a = np.asarray(pos_a, dtype=float)
+    pos_b = np.asarray(pos_b, dtype=float)
+    if pos_a.ndim == 2:
+        pos_a = pos_a[..., None]
+    if pos_b.ndim == 2:
+        pos_b = pos_b[..., None]
+    h, _, p0, inv2tau = _grid_tables(times, d)
+    out = np.empty(len(pos_a))
+    err = np.geterr()  # numpy's error state does not reach other threads
+
+    def run(bounds):
+        with np.errstate(**err):
+            start, stop = bounds[0], bounds[-1]
+            out[start:stop] = (_offband_sum(pos_a, pos_b, p0, inv2tau, bounds)
+                               + _band_sum(pos_a[start:stop], pos_b[start:stop], h, d))
+
+    ranges = _layout(len(pos_a), len(h), _WORKERS)
+    helpers = [_pool().submit(run, bounds) for bounds in ranges[1:]]
+    try:
+        run(ranges[0])
+    finally:
+        wait(helpers)
+    for future in helpers:
+        future.result()
+    return out
 
 
 def _coarsen_indices(n_nodes):

@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy
 
 from sfheat import validation
 from sfheat.cli import main, record_fingerprint
@@ -121,6 +122,21 @@ class TestCli:
             out = tmp_path / name
             assert main(args + ["--out", str(out)]) == 0
             outs.append(json.loads(out.read_text()))
+        assert record_fingerprint(outs[0]) == record_fingerprint(outs[1])
+
+    def test_record_provenance(self, tmp_path):
+        args = ["moment", "--flavor", "sko", "--p", "2", "--t", "0.5",
+                "--grid-steps", "32", "--n-samples", "20", "--seed", "3"]
+        outs = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            assert main(args + ["--out", str(out)]) == 0
+            outs.append(json.loads(out.read_text()))
+        meta = outs[0]["meta"]
+        assert (meta["numpy"], meta["scipy"]) == (np.__version__, scipy.__version__)
+        assert meta["cores"] == len(os.sched_getaffinity(0))
+        assert not {"numpy", "scipy", "cores"} & set(outs[0]["results"])
+        outs[1]["meta"]["cores"] += 1  # provenance stays out of the fingerprint
         assert record_fingerprint(outs[0]) == record_fingerprint(outs[1])
 
     def test_config_rejects_workers_key(self, tmp_path, capsys):

@@ -1,4 +1,7 @@
+import itertools
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -10,7 +13,9 @@ from sfheat import exponents
 from sfheat.exponents import (DivergentExponentWarning, MollifierParams, _moments,
                               cross_exponent, cross_exponent_values, deterministic_bound,
                               mollified_inner, mollified_inner_values, self_exponent)
+from sfheat.fk import sko_moment, strat_moment
 from sfheat.kernels import _rect
+from sfheat.params import ModelParams
 from sfheat.paths import (Path, RngStream, TimeGrid, constant_path, sample_path,
                           sample_path_batch)
 
@@ -215,6 +220,97 @@ class TestBlockedOffBand:
         finally:
             tracemalloc.stop()
         assert peak < 12e6
+
+
+class TestParallelRanges:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_values_independent_of_workers(self, n, d, monkeypatch):
+        grid = TimeGrid.uniform(1.0, n)
+        assert len(exponents._layout(61, n, 2)) == 2  # the batch really splits
+        for B in (1, 7, 8, 9, 13, 21, 61):
+            pos = sample_path_batch(2.0, d, grid, 0.0, RngStream(47, 10 * n + d), 2 * B)
+            values = []
+            for workers in (1, 2, 3, 8):
+                monkeypatch.setattr(exponents, "_WORKERS", workers)
+                values.append(cross_exponent_values(grid.times, pos[:B], pos[B:], d))
+            assert all(np.array_equal(values[0], v) for v in values[1:]), B
+
+    def test_stress_more_workers_than_cores(self, monkeypatch):
+        # seven ranges at 128 steps, with the interpreter switching threads
+        # every 10 us
+        grid = TimeGrid.uniform(1.0, 128)
+        pos = sample_path_batch(2.0, 1, grid, 0.0, RngStream(51, 0), 122)
+        monkeypatch.setattr(exponents, "_WORKERS", 1)
+        expected = cross_exponent_values(grid.times, pos[:61], pos[61:], 1)
+        monkeypatch.setattr(exponents, "_WORKERS", 8)
+        assert len(exponents._layout(61, 128, 8)) == 7
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(10):
+                assert np.array_equal(cross_exponent_values(grid.times, pos[:61], pos[61:], 1),
+                                      expected)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_layout_bounds(self):
+        for B, n, workers in itertools.product((0, 1, 7, 8, 15, 16, 23, 61, 244, 1000),
+                                               (32, 128, 256, 512), (1, 2, 3, 8, 64)):
+            ranges = exponents._layout(B, n, workers)
+            assert 1 <= len(ranges) <= workers
+            assert [r[0] for r in ranges[1:]] == [r[-1] for r in ranges[:-1]]
+            assert (ranges[0][0], ranges[-1][-1]) == (0, B)
+            blocks = [np.diff(r) for r in ranges]
+            if B >= exponents._MIN_BLOCK_SAMPLES:
+                assert min(b.min() for b in blocks) >= exponents._MIN_BLOCK_SAMPLES
+            if len(ranges) > 1:
+                assert sum(b.max() for b in blocks) * n * n <= exponents._BUFFER_ELEMENTS
+
+    @pytest.mark.parametrize("moment, alpha", [(sko_moment, 2.0), (sko_moment, 1.5),
+                                               (strat_moment, 2.0)])
+    def test_fk_samples_independent_of_workers(self, moment, alpha, monkeypatch):
+        pm = ModelParams(alpha=alpha, d=1, t_horizon=0.7)
+        samples = []
+        for workers in (1, 2):
+            monkeypatch.setattr(exponents, "_WORKERS", workers)
+            est = moment(2, pm, 40, grid=TimeGrid.uniform(0.7, 64), rng=48, keep_samples=True)
+            samples.append(est.samples)
+        assert np.array_equal(samples[0], samples[1])
+
+    def test_helper_exception_surfaces(self, monkeypatch):
+        grid = TimeGrid.uniform(1.0, 256)
+        pos = sample_path_batch(2.0, 1, grid, 0.0, RngStream(49, 0), 122)
+        monkeypatch.setattr(exponents, "_WORKERS", 1)
+        expected = cross_exponent_values(grid.times, pos[:61], pos[61:], 1)
+        monkeypatch.setattr(exponents, "_WORKERS", 2)
+        band_sum = exponents._band_sum
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("helper range failed")
+            return band_sum(*args)
+
+        monkeypatch.setattr(exponents, "_band_sum", failing)
+        with pytest.raises(RuntimeError, match="helper range failed"):
+            cross_exponent_values(grid.times, pos[:61], pos[61:], 1)
+        pool = exponents._POOL
+        monkeypatch.setattr(exponents, "_band_sum", band_sum)
+        assert np.array_equal(cross_exponent_values(grid.times, pos[:61], pos[61:], 1), expected)
+        assert exponents._POOL is pool
+
+    def test_error_state_reaches_helpers(self, monkeypatch):
+        # only the helper's range meets inf - inf, an invalid operation
+        grid = TimeGrid.uniform(1.0, 256)
+        pos = sample_path_batch(2.0, 1, grid, 0.0, RngStream(50, 0), 122)
+        pos[31:61] = pos[61 + 31:] = np.inf
+        monkeypatch.setattr(exponents, "_WORKERS", 2)
+        assert exponents._layout(61, 256, 2)[1][0] <= 31
+        with np.errstate(invalid="ignore"):
+            values = cross_exponent_values(grid.times, pos[:61], pos[61:], 1)
+        assert np.isfinite(values[:31]).all() and np.isnan(values[31:]).all()
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            cross_exponent_values(grid.times, pos[:61], pos[61:], 1)
 
 
 class TestMollifiedInner:
