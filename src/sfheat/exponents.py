@@ -13,6 +13,14 @@ use the time midpoint.  Midpoint under-estimates the convex kernel, so the
 quadrature never exceeds the exact deterministic bound; the accepted bias is
 O(step^{1/2}) and is measured by the refinement estimate.
 
+The off-band cells need every difference X_i - Y_j of the two paths' left
+nodes.  Per component, the n x n differences are the matrix product of
+[X_i, 1] (n x 2) and [1, -Y_j] (2 x n).  Both terms X_i * 1 and 1 * (-Y_j)
+are exact, so each entry has one nonzero rounding, that of their sum, and
+equals fl(X_i - Y_j) bit for bit in whatever order or with whatever fused
+multiply-add the BLAS kernel sums k = 2 terms; only the sign of a zero may
+differ, and the square removes it.
+
 The d = 1 band cells are int_I int_J p_{|u - v|}(dx) du dv, a second
 difference of K2(x) = int_0^|x| (|x| - tau) p_tau(dx) dtau over the corners of
 I x J (the rectangle identity of ``kernels._rect``); K2 is closed form in one
@@ -138,14 +146,14 @@ def _grid_tables(times, d):
     return tables
 
 
-# float64 cells per block of the off-band pass (4 MB), and in the buffers of
-# all ranges of one batch together (10 MB); a block holds at least
-# _MIN_BLOCK_SAMPLES samples, because einsum's per-sample summation order
-# changes for blocks of a few samples and the values must not depend on the
-# blocking
-_BLOCK_ELEMENTS = 1 << 19
+# float64 cells per block of the off-band pass (1 MB, half of a 2 MB per-core
+# L2), and in the buffers of all ranges of one batch together (10 MB); a block
+# holds at least _MIN_BLOCK_SAMPLES samples, because under numpy 2.4.6 a
+# 1-sample block changes einsum's per-sample summation order (blocks of 2 or
+# more do not), and the values must not depend on the blocking
+_BLOCK_ELEMENTS = 1 << 17
 _BUFFER_ELEMENTS = 5 << 18
-_MIN_BLOCK_SAMPLES = 8
+_MIN_BLOCK_SAMPLES = 2
 
 # threads that run the ranges of one batch, the calling thread included
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -200,28 +208,50 @@ def _offband_sum(pos_a, pos_b, p0, inv2tau, bounds=None):
 
     The blocks between consecutive ``bounds`` (by default the one-range
     ``_layout`` of the whole batch) run through one reused buffer (two for
-    d > 1), so the elementwise passes work on a few MB instead of B n^2
+    d > 1), so the elementwise passes work on about a MB instead of B n^2
     doubles; squared distances are summed one component at a time in place.
+    Each component's differences X_i - Y_j are one matmul of [X_i, 1] by
+    [1, -Y_j], both built once per call; the module docstring shows the
+    product is exact.  Unless every position is below 2^1022 in magnitude
+    (so no difference overflows, and none is nan or inf), the differences
+    are taken by broadcast subtraction instead: the flags raised are then
+    those of the subtraction, not those of the BLAS kernel's zero padding
+    (0 * inf) or of its threads.
     """
     n = len(p0)
     if bounds is None:
         bounds = _layout(len(pos_a), n, 1)[0]
+    first = bounds[0]
+    X = pos_a[first:bounds[-1], :n].transpose(0, 2, 1)
+    Y = pos_b[first:bounds[-1], :n].transpose(0, 2, 1)
+    by_matmul = (np.abs(X) < 2.0 ** 1022).all() and (np.abs(Y) < 2.0 ** 1022).all()
+    if by_matmul:
+        left = np.stack([X, np.ones_like(X)], axis=-1)
+        right = np.stack([np.ones_like(Y), -Y], axis=-2)
+
+    def differences(c, start, stop, out):
+        if by_matmul:
+            np.matmul(left[start - first:stop - first, c], right[start - first:stop - first, c],
+                      out=out)
+        else:
+            np.subtract(pos_a[start:stop, :n, None, c], pos_b[start:stop, None, :n, c], out=out)
+
     buf = np.empty((max(b - a for a, b in zip(bounds[:-1], bounds[1:])), n, n))
     diff = np.empty_like(buf) if pos_a.shape[-1] > 1 else None
     neg_inv2tau = -inv2tau
-    off = np.empty(bounds[-1] - bounds[0])
+    off = np.empty(bounds[-1] - first)
     for start, stop in zip(bounds[:-1], bounds[1:]):
         d2 = buf[:stop - start]
-        np.subtract(pos_a[start:stop, :n, None, 0], pos_b[start:stop, None, :n, 0], out=d2)
+        differences(0, start, stop, d2)
         np.multiply(d2, d2, out=d2)
         for c in range(1, pos_a.shape[-1]):
             dc = diff[:stop - start]
-            np.subtract(pos_a[start:stop, :n, None, c], pos_b[start:stop, None, :n, c], out=dc)
+            differences(c, start, stop, dc)
             np.multiply(dc, dc, out=dc)
             d2 += dc
         np.multiply(d2, neg_inv2tau, out=d2)
         np.exp(d2, out=d2)
-        off[start - bounds[0]:stop - bounds[0]] = np.einsum("bij,ij->b", d2, p0)
+        off[start - first:stop - first] = np.einsum("bij,ij->b", d2, p0)
     return off
 
 
@@ -268,13 +298,14 @@ def cross_exponent_values(times, pos_a, pos_b, d):
     each under the caller's numpy error state.  Each range takes its
     off-band cells block by block through one reused buffer, then its band
     cells, into its own slice of the result.  A block holds at least
-    ``_MIN_BLOCK_SAMPLES`` samples and gets the same subtract, square, scale,
-    exp and einsum as one pass over the whole batch would, so the values are
-    bit-identical to that pass for any core count.  Where one pass over B
-    samples would hold B n^2 doubles, a split holds at most
-    ``_BUFFER_ELEMENTS`` (10 MB) in all its ranges' buffers together, which
-    allows two ranges at 256 steps; a batch that cannot be split within that
-    runs as one range, whose blocks aim at ``_BLOCK_ELEMENTS`` (4 MB).
+    ``_MIN_BLOCK_SAMPLES`` samples; its differences are exact (the matmul of
+    the module docstring), and it gets the same square, scale, exp and einsum
+    as one pass over the whole batch would, so the values are bit-identical
+    to that pass for any core count.  Where one pass over B samples would
+    hold B n^2 doubles, a split holds at most ``_BUFFER_ELEMENTS`` (10 MB) in
+    all its ranges' buffers together, which allows two ranges at 512 steps;
+    a batch that cannot be split within that runs as one range, whose
+    blocks aim at ``_BLOCK_ELEMENTS`` (1 MB).
     """
     _check_band_shapes(times)
     pos_a = np.asarray(pos_a, dtype=float)

@@ -21,13 +21,12 @@ of 4e6 / n^2 (n grid steps; an eighth of that when mollified).  One
 ``sample_path_batch`` call takes a batch's streams and fills one block of
 draws, and ``cross_exponent_values`` splits the batch's pair quadrature
 into sample ranges over the cores of the affinity mask, each taking its
-off-band cells through one buffer of a few MB in blocks of at least 8
+off-band cells through one buffer of about a MB in blocks of at least 2
 samples (10 MB for all ranges together), bit-identical to a single pass over
 the batch for any core count.  Everything else here runs on the calling
 thread.  The values computed from the draws depend on the batch at rounding
-level only: einsum's summation order changes for batches of a few samples,
-and the mollified route's xi nodes follow the batch's largest path
-separation.
+level only: einsum's summation order changes for a batch of one sample, and
+the mollified route's xi nodes follow the batch's largest path separation.
 """
 
 from __future__ import annotations

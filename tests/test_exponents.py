@@ -1,5 +1,7 @@
 import itertools
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -207,19 +209,110 @@ class TestBlockedOffBand:
             assert np.array_equal(exponents._offband_sum(pa, pb, p0, inv2tau),
                                   _one_shot_offband(grid.times, pa, pb, d)), B
 
-    def test_peak_memory_at_moment_batch(self):
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [16, 64, 128, 256, 512])
+    def test_block_floor_matches_one_pass(self, n, d):
+        # every block size from the floor up, in even and remainder-spread layouts
+        grid = TimeGrid.uniform(1.0, n)
+        pos = sample_path_batch(2.0, d, grid, 0.0, RngStream(52, 10 * n + d), 34)
+        _, _, p0, inv2tau = exponents._grid_tables(grid.times, d)
+        for size in range(exponents._MIN_BLOCK_SAMPLES, 9):
+            for B in (2 * size, 2 * size + 1):
+                pa, pb = pos[:B], pos[17:17 + B]
+                bounds = [B * k // 2 for k in range(3)]
+                assert np.array_equal(exponents._offband_sum(pa, pb, p0, inv2tau, bounds),
+                                      _one_shot_offband(grid.times, pa, pb, d)), (size, B)
+
+    @pytest.mark.parametrize("case", ["equal", "square overflows", "difference overflows",
+                                      "inf", "inf - inf", "nan", "inf beside nan"])
+    @pytest.mark.parametrize("n", [17, 256])
+    def test_edge_positions_match_one_pass(self, n, case):
+        grid = TimeGrid.uniform(1.0, n)
+        pos = sample_path_batch(2.0, 1, grid, 0.0, RngStream(53, n), 8)
+        pa, pb = pos[:4], pos[4:]
+        if case == "equal":
+            pb[:2] = pa[:2]
+            pb[2:, ::3] = pa[2:, ::3]
+        elif case == "square overflows":
+            pa[1, 3:9] = 1e154
+            pb[1, 5:7] = -1e154
+        elif case == "difference overflows":
+            pa[2, 4] = 1e308
+            pb[2, n - 1] = -1e308
+        elif case == "inf":
+            pa[1, 5] = np.inf
+        elif case == "inf - inf":
+            pa[1] = pb[1] = np.inf
+        elif case == "nan":
+            pa[2, 3] = np.nan
+        else:
+            # no band cell of X_5 is inf, so one pass raises no invalid flag
+            pa[1, 5] = np.inf
+            pb[1, 4:7] = np.nan
+        _, _, p0, inv2tau = exponents._grid_tables(grid.times, 1)
+
+        def blocked():
+            return exponents._offband_sum(pa, pb, p0, inv2tau, [0, 2, 4])
+
+        def one_pass():
+            return _one_shot_offband(grid.times, pa, pb, 1)
+
+        def raises(f, flag):
+            with np.errstate(**{"over": "ignore", "invalid": "ignore", flag: "raise"}):
+                try:
+                    f()
+                except FloatingPointError:
+                    return True
+            return False
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(blocked(), one_pass(), equal_nan=True)
+        for flag in ("over", "invalid"):
+            assert raises(blocked, flag) == raises(one_pass, flag), flag
+
+    def test_single_blas_thread_reproduces_bits(self):
+        # at 512 steps each difference block is a 512 x 2 x 512 product, which
+        # a multi-threaded BLAS may split
+        grid = TimeGrid.uniform(1.0, 512)
+        pos = sample_path_batch(2.0, 2, grid, 0.0, RngStream(54, 0), 10)
+        _, _, p0, inv2tau = exponents._grid_tables(grid.times, 2)
+        here = exponents._offband_sum(pos[:5], pos[5:], p0, inv2tau).tobytes().hex()
+        script = ("from sfheat import exponents\n"
+                  "from sfheat.paths import RngStream, TimeGrid, sample_path_batch\n"
+                  "grid = TimeGrid.uniform(1.0, 512)\n"
+                  "pos = sample_path_batch(2.0, 2, grid, 0.0, RngStream(54, 0), 10)\n"
+                  "_, _, p0, inv2tau = exponents._grid_tables(grid.times, 2)\n"
+                  "print(exponents._offband_sum(pos[:5], pos[5:], p0, inv2tau).tobytes().hex())\n")
+        src = os.path.dirname(os.path.dirname(exponents.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == here
+
+    def test_peak_memory_at_moment_batch(self, monkeypatch):
         # the sko-p2-chaos batch: 61 samples of 256 steps; one pass would hold
         # 61 * 256^2 doubles (32 MB)
-        grid = TimeGrid.uniform(1.0, 256)
-        pos = sample_path_batch(2.0, 1, grid, 0.0, RngStream(46, 0), 122)
-        cross_exponent_values(grid.times, pos[:61], pos[61:], 1)  # fills the grid cache
-        tracemalloc.start()
-        try:
-            cross_exponent_values(grid.times, pos[:61], pos[61:], 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 12e6
+        assert _peak_bytes(61, 256, monkeypatch) < 6e6
+
+    def test_peak_memory_at_512_steps(self, monkeypatch):
+        # one pass would hold 15 * 512^2 doubles (31 MB)
+        assert _peak_bytes(15, 512, monkeypatch) < 20e6
+
+
+def _peak_bytes(B, n, monkeypatch):
+    """tracemalloc peak of one cross_exponent_values call on B pairs of n
+    steps, split over two workers."""
+    monkeypatch.setattr(exponents, "_WORKERS", 2)
+    grid = TimeGrid.uniform(1.0, n)
+    pos = sample_path_batch(2.0, 1, grid, 0.0, RngStream(46, 0), 2 * B)
+    cross_exponent_values(grid.times, pos[:B], pos[B:], 1)  # fills the grid cache
+    tracemalloc.start()
+    try:
+        cross_exponent_values(grid.times, pos[:B], pos[B:], 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestParallelRanges:
@@ -237,14 +330,14 @@ class TestParallelRanges:
             assert all(np.array_equal(values[0], v) for v in values[1:]), B
 
     def test_stress_more_workers_than_cores(self, monkeypatch):
-        # seven ranges at 128 steps, with the interpreter switching threads
+        # eight ranges at 128 steps, with the interpreter switching threads
         # every 10 us
         grid = TimeGrid.uniform(1.0, 128)
         pos = sample_path_batch(2.0, 1, grid, 0.0, RngStream(51, 0), 122)
         monkeypatch.setattr(exponents, "_WORKERS", 1)
         expected = cross_exponent_values(grid.times, pos[:61], pos[61:], 1)
         monkeypatch.setattr(exponents, "_WORKERS", 8)
-        assert len(exponents._layout(61, 128, 8)) == 7
+        assert len(exponents._layout(61, 128, 8)) == 8
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -255,7 +348,7 @@ class TestParallelRanges:
             sys.setswitchinterval(interval)
 
     def test_layout_bounds(self):
-        for B, n, workers in itertools.product((0, 1, 7, 8, 15, 16, 23, 61, 244, 1000),
+        for B, n, workers in itertools.product((0, 1, 2, 3, 5, 7, 8, 15, 16, 23, 61, 244, 1000),
                                                (32, 128, 256, 512), (1, 2, 3, 8, 64)):
             ranges = exponents._layout(B, n, workers)
             assert 1 <= len(ranges) <= workers
@@ -264,6 +357,8 @@ class TestParallelRanges:
             blocks = [np.diff(r) for r in ranges]
             if B >= exponents._MIN_BLOCK_SAMPLES:
                 assert min(b.min() for b in blocks) >= exponents._MIN_BLOCK_SAMPLES
+            if B >= 2:
+                assert min(b.min() for b in blocks) >= 2  # no 1-sample block
             if len(ranges) > 1:
                 assert sum(b.max() for b in blocks) * n * n <= exponents._BUFFER_ELEMENTS
 
