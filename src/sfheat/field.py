@@ -1,11 +1,8 @@
-"""Finite-dimensional Gaussian machinery for the noise field and Wick weights.
+"""Finite-dimensional Gaussian machinery for Wick weights and the conditional law.
 
-Pointwise field values use space-only mollification: the covariance
-p_{|t_i - t_j| + 2 eps}(x_i - x_j) is finite everywhere once eps > 0, so a
-plain symmetric factorization suffices.  Wick weights W(A^{(m)}) for a path
-ensemble are sampled jointly from the Gram matrix of mollified inner
-products, which is how "one shared noise across the path expectation" is
-realized numerically.
+Wick weights W(A^{(m)}) for a path ensemble are sampled jointly from the
+Gram matrix of mollified inner products, which is how "one shared noise
+across the path expectation" is realized numerically.
 """
 
 from __future__ import annotations
@@ -17,47 +14,13 @@ import numpy as np
 
 from .errors import FactorizationError, RegimeError
 from .exponents import MollifierParams, mollified_inner_values, self_exponent
-from .paths import Path, RngStream
+from .paths import Path, _generator
 
 JITTER_SCALE = 1e-12       # first shot: 1e-12 * trace / N on the diagonal
 PSD_TOLERANCE = 1e-10      # matrices are acceptable down to min eig >= -1e-10 * trace
 # pairs x time steps per mollified_inner_values call in wick_gram: larger
 # calls leave too few xi nodes per pass for its einsum to run fast
 _GRAM_PAIR_STEPS = 1 << 13
-
-
-@dataclass(frozen=True)
-class CovarianceMatrix:
-    """Covariance of the mollified noise at a finite set of (time, point) nodes."""
-
-    times: np.ndarray
-    points: np.ndarray  # (N, d)
-    epsilon: float
-    entries: np.ndarray
-
-    @property
-    def n(self):
-        return self.entries.shape[0]
-
-
-def build_covariance(points, epsilon, d=None) -> CovarianceMatrix:
-    """Covariance matrix with entries p_{|t_i - t_j| + 2 eps}(x_i - x_j).
-
-    ``points`` is a sequence of (time, location) pairs; locations may be
-    scalars (d = 1) or d-vectors.  Coincident nodes get the diagonal value
-    p_{2 eps}(0) = (4 pi eps)^{-d/2}; eps <= 0 is rejected because the
-    unmollified field has no pointwise values.
-    """
-    if epsilon <= 0:
-        raise ValueError(f"field evaluation requires epsilon > 0, got {epsilon}")
-    times = np.asarray([p[0] for p in points], dtype=float)
-    locs = np.asarray([np.atleast_1d(p[1]) for p in points], dtype=float)
-    if d is None:
-        d = locs.shape[1]
-    dt = np.abs(times[:, None] - times[None, :]) + 2.0 * epsilon
-    sq = ((locs[:, None, :] - locs[None, :, :]) ** 2).sum(axis=-1)
-    entries = (2.0 * np.pi * dt) ** (-d / 2.0) * np.exp(-sq / (2.0 * dt))
-    return CovarianceMatrix(times=times, points=locs, epsilon=float(epsilon), entries=entries)
 
 
 def _factorize(matrix):
@@ -81,18 +44,6 @@ def _factorize(matrix):
     raise FactorizationError(
         f"covariance factorization failed after jitter {PSD_TOLERANCE * trace:.3e}; "
         f"min eigenvalue {min_eig:.3e}", min_eigenvalue=min_eig) from None
-
-
-def sample_field(cov: CovarianceMatrix, rng, size=None):
-    """Zero-mean Gaussian vector(s) with the given covariance.
-
-    Returns shape (n,) or (size, n).
-    """
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    chol = _factorize(cov.entries)
-    if size is None:
-        return chol @ gen.standard_normal(cov.n)
-    return gen.standard_normal((size, cov.n)) @ chol.T
 
 
 @dataclass(frozen=True)
@@ -140,14 +91,9 @@ class WickSampler:
         self._chol = _factorize(self.gram)
 
     def sample(self, rng) -> WickWeights:
-        gen = rng.generator() if isinstance(rng, RngStream) else rng
+        gen = _generator(rng)
         return WickWeights(gram=self.gram,
                            gaussians=self._chol @ gen.standard_normal(len(self.gram)))
-
-
-def sample_wick_weights(paths, moll: MollifierParams, d, rng) -> WickWeights:
-    """Joint Gaussian draw with covariance <A^{(m)}, A^{(m')}> over the ensemble."""
-    return WickSampler(paths, moll, d).sample(rng)
 
 
 def conditional_I_sample(path: Path, d=1, rng=None, size=None):
@@ -162,7 +108,7 @@ def conditional_I_sample(path: Path, d=1, rng=None, size=None):
             condition="d = 1")
     if rng is None:
         raise ValueError("an RngStream or Generator is required")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    gen = _generator(rng)
     var = self_exponent(path, d).value
     return math.sqrt(var) * gen.standard_normal() if size is None \
         else math.sqrt(var) * gen.standard_normal(size)

@@ -40,7 +40,7 @@ from scipy import integrate
 from .errors import RegimeError
 from .chaos import existence_check
 from .exponents import MollifierParams, cross_exponent_values, mollified_inner_values
-from .field import WickWeights, sample_wick_weights
+from .field import WickSampler, WickWeights
 from .kernels import stable_kernel
 from .params import ModelParams
 from .paths import Path, RngStream, TimeGrid, sample_path, sample_path_batch
@@ -259,7 +259,7 @@ def _solution_sample(params, m_inner, moll, grid, rng, flavor):
     grid = grid or TimeGrid.default(params.t_horizon)
     paths = [sample_path(params.alpha, 1, grid, 0.0, rng.substream(m))
              for m in range(m_inner)]
-    weights = sample_wick_weights(paths, moll, 1, rng.substream(m_inner))
+    weights = WickSampler(paths, moll, 1).sample(rng.substream(m_inner))
     value = solution_value(paths, weights, params, flavor)
     return SolutionSample(value=value, inner_paths=m_inner, moll=moll, flavor=flavor)
 

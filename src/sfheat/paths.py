@@ -119,6 +119,11 @@ class Path:
         return self.positions[-1]
 
 
+def _generator(rng):
+    """The Generator of a stream, or ``rng`` itself if it is already one."""
+    return rng.generator() if isinstance(rng, RngStream) else rng
+
+
 def constant_path(grid, x0=0.0, d=1):
     """Path frozen at x0; the worst case for the exponent quadrature."""
     x0 = np.broadcast_to(np.atleast_1d(np.asarray(x0, float)), (d,))
@@ -147,7 +152,7 @@ def sample_subordinator_increment(alpha, dt, rng, size=None):
         raise ValueError(f"subordination requires alpha in (0, 2), got {alpha}")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    gen = _generator(rng)
     shape = () if size is None else size
     u = gen.uniform(0.0, np.pi, shape)
     return (C_ALPHA * dt) ** (2.0 / alpha) * _kanter(alpha, u, gen.standard_exponential(shape))
@@ -157,7 +162,7 @@ def sample_increment(alpha, d, dt, rng, size=None):
     """One (or ``size``) increments with characteristic function exp(-dt |xi|^alpha / 2)."""
     if dt < 0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    gen = _generator(rng)
     shape = (d,) if size is None else (size, d)
     if dt == 0:
         return np.zeros(shape)
@@ -186,8 +191,7 @@ def sample_path_batch(alpha, d, grid: TimeGrid, x0, rng, n_paths):
     normals), and one scale and one cumulative sum turn the block into
     positions.
     """
-    gens = [s.generator() if isinstance(s, RngStream) else s
-            for s in (rng if isinstance(rng, (list, tuple)) else [rng])]
+    gens = [_generator(s) for s in (rng if isinstance(rng, (list, tuple)) else [rng])]
     x0 = np.broadcast_to(np.atleast_1d(np.asarray(x0, float)), (d,))
     dts = np.diff(grid.times)
     n = len(dts)

@@ -39,7 +39,7 @@ from .field import _factorize  # noqa: F401  # perfbench/spans.py patches this a
 from .errors import RegimeError
 from .fk import MomentEstimate, _finalize, _require_order, _require_stream
 from .params import C_ALPHA, ModelParams
-from .paths import RngStream
+from .paths import _generator
 
 # aliases whose weight is below float64 resolution of their mode's largest
 # term are dropped: weight ratio exp(-eps dkappa^2) <= machine epsilon
@@ -151,9 +151,8 @@ class NoiseSlabSampler:
         """
         block = isinstance(rng, (list, tuple))
         shape = (self.grid.n_time, self.n_terms)
-        normals = np.stack([
-            (s.generator() if isinstance(s, RngStream) else s).standard_normal(shape)
-            for s in (rng if block else [rng])])
+        normals = np.stack([_generator(s).standard_normal(shape)
+                            for s in (rng if block else [rng])])
         slabs = self._from_normals(normals)
         return slabs if block else slabs[0]
 
@@ -175,12 +174,6 @@ class NoiseSlabSampler:
         cas = np.concatenate([half.real + half.imag,
                               (half.real - half.imag)[..., n // 2 - 1:0:-1]], axis=-1)
         return cas / math.sqrt(n)
-
-
-def sample_noise_slab(grid: TorusGrid, epsilon, rng):
-    """One (n_time, n_space) noise realization (builds the sampler each call;
-    use NoiseSlabSampler directly for ensembles)."""
-    return NoiseSlabSampler(grid, epsilon).sample(rng)
 
 
 def _half_multiplier(grid: TorusGrid, alpha, dt):

@@ -6,7 +6,7 @@ from scipy import integrate
 
 from sfheat.errors import RegimeError
 from sfheat.exponents import MollifierParams, deterministic_bound
-from sfheat.field import WickWeights, sample_wick_weights
+from sfheat.field import WickWeights
 from sfheat.fk import (sko_mean_exact, sko_moment, sko_solution_sample,
                        solution_value, strat_moment, strat_solution_sample)
 from sfheat.params import InitialCondition, ModelParams

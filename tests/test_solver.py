@@ -8,7 +8,7 @@ from sfheat.errors import RegimeError
 from sfheat.params import InitialCondition, ModelParams
 from sfheat.paths import RngStream
 from sfheat.solver import (FieldState, NoiseSlabSampler, TorusGrid, ensemble_moment,
-                           evolve, sample_noise_slab, step)
+                           evolve, step)
 
 PM_CONST = ModelParams(alpha=2.0, d=1, t_horizon=0.5)
 PM_BUMP = ModelParams(alpha=2.0, d=1, t_horizon=0.5,
@@ -149,7 +149,7 @@ class TestNoiseSlab:
 
     def test_functional_wrapper(self):
         g = TorusGrid(half_length=4.0, n_space=8, n_time=4, t_horizon=0.5)
-        slab = sample_noise_slab(g, 0.1, RngStream(64, 0))
+        slab = NoiseSlabSampler(g, 0.1).sample(RngStream(64, 0))
         assert slab.shape == (4, 8)
 
 
