@@ -17,23 +17,22 @@ from .exponents import (DivergentExponentWarning, ExponentValue, MollifierParams
 from .field import WickSampler, WickWeights, conditional_I_sample
 from .fk import (MomentEstimate, SolutionSample, sko_mean_exact, sko_moment,
                  sko_solution_sample, strat_moment, strat_solution_sample)
-from .kernels import (GridFunction, h_inner_product, heat_kernel, heat_kernel_ft,
-                      stable_kernel, stable_kernel_ft)
+from .kernels import heat_kernel, heat_kernel_ft, stable_kernel, stable_kernel_ft
 from .params import InitialCondition, ModelParams, parse_u0
-from .paths import (Path, RngStream, TimeGrid, constant_path, path_to_csv,
-                    sample_increment, sample_path, sample_subordinator_increment)
+from .paths import (Path, RngStream, TimeGrid, constant_path, sample_increment, sample_path,
+                    sample_subordinator_increment)
 from .solver import FieldState, NoiseSlabSampler, TorusGrid, ensemble_moment, step
 
 __all__ = [
     "BudgetError", "ChaosTerm", "DivergentExponentWarning",
     "ExistenceReport", "ExponentValue", "FactorizationError", "FieldState",
-    "GridFunction", "InitialCondition", "ModelParams", "MollifierParams",
+    "InitialCondition", "ModelParams", "MollifierParams",
     "MomentEstimate", "NoiseSlabSampler", "Path", "RegimeError", "RngStream",
     "SolutionSample", "TimeGrid", "TorusGrid", "WickSampler", "WickWeights",
     "chaos_second_moment", "chaos_term", "conditional_I_sample",
     "constant_path", "cross_exponent", "deterministic_bound", "ensemble_moment",
-    "existence_check", "h_inner_product", "heat_kernel", "heat_kernel_ft",
-    "mollified_inner", "parse_u0", "path_to_csv",
+    "existence_check", "heat_kernel", "heat_kernel_ft",
+    "mollified_inner", "parse_u0",
     "sample_increment", "sample_path",
     "sample_subordinator_increment", "self_exponent",
     "series_term_bound", "sko_mean_exact", "sko_moment", "sko_solution_sample",

@@ -1,4 +1,4 @@
-"""Heat kernel, symmetric stable transition densities, and the noise inner product.
+"""Heat kernel, symmetric stable transition densities, and |u - v| double integrals.
 
 Conventions
 -----------
@@ -14,7 +14,6 @@ the Cauchy density with scale t/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
@@ -125,56 +124,8 @@ def stable_kernel(alpha, t, x, d=None):
 
 
 # ---------------------------------------------------------------------------
-# Grid functions and the noise inner product
+# Double integrals of |u - v| kernels over rectangles
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Piecewise-constant function of (time, space) on a 1-d tensor grid.
-
-    The value ``values[i, k]`` applies on the cell
-    ``[time_edges[i], time_edges[i+1]) x [space_edges[k], space_edges[k+1])``.
-    Support is compact by construction, which is what makes the inner-product
-    quadrature absolutely convergent (unbounded inputs are unrepresentable).
-    """
-
-    time_edges: np.ndarray
-    space_edges: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        te = np.asarray(self.time_edges, dtype=float)
-        xe = np.asarray(self.space_edges, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if te.ndim != 1 or xe.ndim != 1 or len(te) < 2 or len(xe) < 2:
-            raise ValueError("edges must be 1-d arrays with at least two entries")
-        if np.any(np.diff(te) <= 0) or np.any(np.diff(xe) <= 0):
-            raise ValueError("grid edges must be strictly increasing")
-        if te[0] < 0:
-            raise ValueError("time support must lie in [0, inf)")
-        if vals.shape != (len(te) - 1, len(xe) - 1):
-            raise ValueError(f"values must have shape {(len(te) - 1, len(xe) - 1)}, got {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("grid values must be finite")
-        object.__setattr__(self, "time_edges", te)
-        object.__setattr__(self, "space_edges", xe)
-        object.__setattr__(self, "values", vals)
-
-    def is_zero(self):
-        return not np.any(self.values)
-
-    def space_transform(self, xi):
-        """F in space of each time slice at frequencies xi: shape (n_t, len(xi)), complex."""
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        a = self.space_edges[:-1][:, None]
-        b = self.space_edges[1:][:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cell_ft = (np.exp(-1j * xi * a) - np.exp(-1j * xi * b)) / (1j * xi)
-        small = np.abs(xi) < 1e-12
-        if np.any(small):
-            cell_ft[:, small] = (b - a)  # xi -> 0 limit
-        return self.values @ cell_ft
 
 
 def _rect(K2, i0, i1, j0, j1):
@@ -185,81 +136,6 @@ def _rect(K2, i0, i1, j0, j1):
     of the rectangle, which cancels any affine part of K2.
     """
     return K2(j0 - i1) - K2(j0 - i0) - K2(j1 - i1) + K2(j1 - i0)
-
-
-def _gauss_cell_integral(tau, a, b, c, e):
-    """int_a^b int_c^e p_tau(x - y) dy dx via the double antiderivative of the
-    Gaussian: I2(z) = z Phi(z/sqrt tau) + tau p_tau(z).  Broadcasts over tau
-    and the edges."""
-
-    def I2(z):
-        return (z * special.ndtr(z / np.sqrt(tau))
-                + tau * np.exp(-z ** 2 / (2 * tau)) / np.sqrt(TWO_PI * tau))
-
-    return _rect(I2, a, b, c, e)
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-
-
-def _time_pair_integral(i0, i1, j0, j1, fn):
-    """int_{t in I} int_{s in J} fn(|t - s|) dt ds for smooth-enough fn.
-
-    Each corner value K2(x) = int_0^|x| (|x| - tau) fn(tau) dtau is a
-    Gauss-Legendre sum after tau = |x| w^2, which makes the sqrt(tau) onset of
-    the space coupling at tau = 0 smooth in w.
-    """
-
-    def K2(x):
-        x = abs(x)
-        if x == 0.0:
-            return 0.0
-        w = 0.5 * (1.0 + _GL_NODES)
-        return x * x * float(np.sum(_GL_WEIGHTS * (1.0 - w * w) * w * fn(x * w * w)))
-
-    return _rect(K2, i0, i1, j0, j1)
-
-
-def h_inner_product(f: GridFunction, g: GridFunction, method="physical"):
-    """Noise inner product <f, g> = int f(s,x) g(t,y) p_{|t-s|}(x-y) dx dy ds dt.
-
-    ``method="physical"`` integrates in physical space: space cell pairs have
-    an exact Gaussian-CDF integral and the remaining time integral is smooth
-    (the space integral stays finite as |t-s| -> 0, tending to the overlap
-    length of the space cells).
-
-    ``method="fourier"`` evaluates the same number on the Fourier side,
-    carrying the (2 pi)^{-1} Plancherel factor explicitly; time cell pairs
-    integrate exp(-a|t-s|) in closed form.  The two routes agree to
-    quadrature tolerance and serve as each other's oracle.
-    """
-    if f.is_zero() or g.is_zero():
-        return 0.0
-    if method == "physical":
-        return _h_inner_physical(f, g)
-    if method == "fourier":
-        return _h_inner_fourier(f, g)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _h_inner_physical(f, g):
-    # space cell pairs broadcast (n_fx, 1) x (1, n_gx) against the tau nodes;
-    # one time-cell pair at a time bounds memory to 24 n_fx n_gx per corner
-    fa, fb = f.space_edges[:-1, None], f.space_edges[1:, None]
-    ga, gb = g.space_edges[None, :-1], g.space_edges[None, 1:]
-    total = 0.0
-    for i, fi in enumerate(f.values):
-        for j, gj in enumerate(g.values):
-            if not fi.any() or not gj.any():
-                continue
-
-            def coupled(tau):
-                S = _gauss_cell_integral(tau[:, None, None], fa, fb, ga, gb)
-                return np.einsum("k,mkl,l->m", fi, S, gj)
-
-            total += _time_pair_integral(f.time_edges[i], f.time_edges[i + 1],
-                                         g.time_edges[j], g.time_edges[j + 1], coupled)
-    return total
 
 
 # K2(x) = (e^{-y} - 1 + y) / a^2, y = a|x|, loses about 1e-16 / y relative to
@@ -281,25 +157,3 @@ def _exp_time_pair_integral(i0, i1, j0, j1, a):
                             (np.expm1(-y) + y) / a ** 2)
 
     return _rect(K2, i0, i1, j0, j1)
-
-
-def _h_inner_fourier(f, g):
-    # every (i, j) time-cell pair at once: f cells down, g cells across
-    fi0, fi1 = f.time_edges[:-1, None], f.time_edges[1:, None]
-    gj0, gj1 = g.time_edges[None, :-1], g.time_edges[None, 1:]
-
-    def integrand(xi):
-        Ff = f.space_transform(xi)[:, 0]
-        Fg = g.space_transform(xi)[:, 0]
-        T = _exp_time_pair_integral(fi0, fi1, gj0, gj1, 0.5 * xi ** 2)
-        return float(np.sum(np.real(np.outer(Ff, np.conj(Fg))) * T))
-
-    # |F f(xi)| <= 2 sum|f| / |xi| and the time factor is <= 4/xi^2 for large
-    # xi, so the tail beyond the cutoff is below 16 S_f S_g / (3 cut^3)
-    s_f = float(np.abs(f.values).sum())
-    s_g = float(np.abs(g.values).sum())
-    cut = max(50.0, (16.0 * max(s_f * s_g, 1.0) / (3.0 * 1e-9)) ** (1.0 / 3.0))
-    val, _ = integrate.quad(integrand, 0.0, cut,
-                            epsabs=1e-10, epsrel=1e-8, limit=400)
-    # even integrand: double the half-line integral, then Plancherel factor
-    return 2.0 * val / TWO_PI

@@ -13,7 +13,6 @@ so ensembles are reproducible independently of scheduling or batching.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,11 +212,3 @@ def sample_path_batch(alpha, d, grid: TimeGrid, x0, rng, n_paths):
     np.cumsum(incr.reshape(-1, n, d), axis=1, out=pos[:, 1:])
     pos += x0
     return pos
-
-
-def path_to_csv(path: Path, fileobj):
-    """Write columns time, x_1..x_d for debugging / external plotting."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["time"] + [f"x_{i + 1}" for i in range(path.d)])
-    for t, row in zip(path.grid.times, path.positions):
-        writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from sfheat.errors import FactorizationError, RegimeError
-from sfheat.exponents import (MollifierParams, deterministic_bound, mollified_inner,
-                              self_exponent)
+from sfheat.exponents import MollifierParams, mollified_inner, self_exponent
 from sfheat.field import WickSampler, conditional_I_sample, wick_gram
 from sfheat.paths import RngStream, TimeGrid, constant_path, sample_path
+from sfheat.validation import check_conditional_variance, check_wick_mean_one
 
 
 class TestFactorize:
@@ -42,17 +42,8 @@ class TestWickWeights:
 
     def test_mean_one_normalization(self):
         # E[exp(W(A) - |A|^2/2)] = 1 per path over the joint ensemble draw
-        m = 64
-        grid = TimeGrid.uniform(1.0, 32)
-        paths = [sample_path(2.0, 1, grid, 0.0, RngStream(37, i)) for i in range(m)]
-        gram = wick_gram(paths, MollifierParams(0.1, 0.1), 1)
-        chol = np.linalg.cholesky(gram + 1e-12 * np.trace(gram) / m * np.eye(m))
-        n = 5000
-        draws = RngStream(37, 1000).generator().standard_normal((n, m)) @ chol.T
-        wick = np.exp(draws - 0.5 * np.diag(gram))
-        means = wick.mean(axis=0)
-        ses = wick.std(axis=0, ddof=1) / math.sqrt(n)
-        assert np.all(np.abs(means - 1.0) <= 3 * ses)
+        ok, worst, tol, _ = check_wick_mean_one("full", seed=37)
+        assert ok, (worst, tol)
 
     def test_gram_matches_per_pair_inner(self):
         # 24 paths of 32 steps give 300 pairs i <= j, more than one batched call
@@ -74,14 +65,8 @@ class TestWickWeights:
 
 class TestConditionalLaw:
     def test_constant_path_variance(self):
-        grid = TimeGrid.uniform(1.0, 512)
-        cp = constant_path(grid)
-        target = self_exponent(cp, 1).value
-        n = 100_000
-        draws = conditional_I_sample(cp, 1, RngStream(39, 0), size=n)
-        se = target * math.sqrt(2.0 / n)
-        assert draws.var(ddof=1) == pytest.approx(deterministic_bound(1.0, 1), abs=3 * se + 1e-3)
-        assert draws.var(ddof=1) == pytest.approx(target, abs=3 * se)
+        ok, err, tol, _ = check_conditional_variance("full", n_steps=512, seed=39)
+        assert ok, (err, tol)
 
     def test_sign_symmetry(self):
         grid = TimeGrid.uniform(1.0, 128)
@@ -103,25 +88,3 @@ class TestConditionalLaw:
         grid = TimeGrid.uniform(1.0, 16)
         with pytest.raises(RegimeError):
             conditional_I_sample(constant_path(grid, d=2), 2, RngStream(42, 0))
-
-    def test_variance_ladder_tracks_mollified(self):
-        # L2-convergence echo: Var W(A^{eps,delta}) = mollified inner, and the
-        # ladder climbs toward the self exponent
-        grid = TimeGrid.uniform(1.0, 128)
-        path = sample_path(2.0, 1, grid, 0.0, RngStream(43, 0))
-        target = self_exponent(path, 1).value
-        n = 4000
-        prev = -np.inf
-        for j, e in enumerate((0.1, 0.05, 0.025)):
-            moll = MollifierParams(e, e)
-            inner = mollified_inner(path, path, moll)
-            sampler = WickSampler([path], moll, 1)
-            draws = np.array([
-                sampler.sample(RngStream(43, 100 + 1000 * j + i)).gaussians[0]
-                for i in range(n)])
-            emp = draws.var(ddof=1)
-            se = inner * math.sqrt(2.0 / n)
-            assert abs(emp - inner) <= 3 * se
-            assert inner > prev
-            assert inner < target
-            prev = inner

@@ -3,11 +3,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from sfheat import exponents, kernels
-from sfheat.kernels import (GridFunction, h_inner_product, heat_kernel,
-                            heat_kernel_ft, stable_kernel, stable_kernel_ft)
+from sfheat.kernels import heat_kernel, heat_kernel_ft, stable_kernel, stable_kernel_ft
 from test_exponents import _shifted_heat_K2  # the closed-form mollifier oracle
 
 
@@ -98,95 +97,6 @@ class TestStableKernel:
             stable_kernel(1.5, 0.0, 0.0, 1)
 
 
-def bump(tlo, thi, xlo, xhi, value=1.0):
-    return GridFunction(np.array([tlo, thi]), np.array([xlo, xhi]), np.array([[value]]))
-
-
-# Both routes recorded on the bump pair, a self product, time cells far apart
-# and the pair of the kernel.h_inner_dual validation check.  Reorganising a
-# quadrature may move a value at rounding level only.  The Fourier values use
-# the small-rate series of the exp(-a|t - s|) time integral; the same xi
-# quadrature with that integral in 40-digit arithmetic lands within 1e-13 of
-# them (far: 9e-14).
-_PINNED_CASES = {
-    "bumps": (bump(0.0, 1.0, -0.5, 0.5), bump(0.25, 0.75, 0.0, 1.0)),
-    "self": (bump(0.0, 1.0, -0.5, 0.5), bump(0.0, 1.0, -0.5, 0.5)),
-    "far": (bump(0.0, 0.1, -0.5, 0.5), bump(2.0, 2.1, 0.0, 1.0)),
-    "validate": (GridFunction(np.array([0.0, 0.5, 1.0]), np.array([-1.0, 0.0, 1.0]),
-                              np.array([[1.0, 0.5], [0.25, 1.0]])),
-                 GridFunction(np.array([0.2, 0.7, 1.1]), np.array([-0.5, 0.5, 1.5]),
-                              np.array([[0.7, -0.2], [1.0, 0.3]]))),
-}
-_PINNED_INNER = {
-    "bumps": dict(physical=0.2268380918002627, fourier=0.22683809169026728),
-    "self": dict(physical=0.6051864261167641, fourier=0.605186425948491),
-    "far": dict(physical=0.0025576984635630184, fourier=0.0025576985628359404),
-    "validate": dict(physical=0.4604046081896688, fourier=0.46040460814972606),
-}
-
-
-class TestHInnerProduct:
-    def test_zero_function(self):
-        f = bump(0.0, 1.0, -1.0, 1.0)
-        z = bump(0.0, 1.0, -1.0, 1.0, value=0.0)
-        assert h_inner_product(f, z) == 0.0
-
-    def test_physical_vs_fourier_on_bumps(self):
-        f = bump(0.0, 1.0, -0.5, 0.5)
-        g = bump(0.25, 0.75, 0.0, 1.0)
-        phys = h_inner_product(f, g, method="physical")
-        four = h_inner_product(f, g, method="fourier")
-        assert phys > 0
-        assert phys == pytest.approx(four, abs=1e-4)
-
-    def test_self_inner_positive_and_dual(self):
-        f = bump(0.0, 1.0, -0.5, 0.5)
-        phys = h_inner_product(f, f, method="physical")
-        four = h_inner_product(f, f, method="fourier")
-        assert phys > 0
-        assert phys == pytest.approx(four, abs=1e-4)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(5)
-        for _ in range(3):
-            f = GridFunction(np.sort(rng.uniform(0, 1, 3)) * [0, 1, 2] + [0, 0.1, 0.2],
-                             np.array([-1.0, 0.0, 1.0]), rng.standard_normal((2, 2)))
-            g = GridFunction(np.array([0.0, 0.4, 1.1]), np.array([-0.7, 0.2, 0.9]),
-                             rng.standard_normal((2, 2)))
-            assert h_inner_product(f, g) == pytest.approx(h_inner_product(g, f), rel=1e-9)
-
-    def test_bilinearity(self):
-        f = bump(0.0, 1.0, -0.5, 0.5)
-        g = bump(0.2, 0.8, 0.0, 0.7)
-        f2 = GridFunction(f.time_edges, f.space_edges, 2.5 * f.values)
-        assert h_inner_product(f2, g) == pytest.approx(2.5 * h_inner_product(f, g), rel=1e-9)
-
-    def test_gram_positive_semidefinite(self):
-        rng = np.random.default_rng(11)
-        fams = []
-        for _ in range(4):
-            fams.append(GridFunction(np.array([0.0, 0.5, 1.0]),
-                                     np.array([-1.0, 0.0, 1.0]),
-                                     rng.standard_normal((2, 2))))
-        gram = np.array([[h_inner_product(a, b) for b in fams] for a in fams])
-        gram = 0.5 * (gram + gram.T)
-        eigs = np.linalg.eigvalsh(gram)
-        assert eigs.min() >= -1e-10 * np.trace(gram)
-
-    @pytest.mark.parametrize("method", ["physical", "fourier"])
-    @pytest.mark.parametrize("case", sorted(_PINNED_INNER))
-    def test_values_match_recorded(self, case, method):
-        f, g = _PINNED_CASES[case]
-        assert h_inner_product(f, g, method=method) == pytest.approx(
-            _PINNED_INNER[case][method], rel=1e-13, abs=0)
-
-    def test_rejects_bad_grids(self):
-        with pytest.raises(ValueError):
-            GridFunction(np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([[1.0]]))
-        with pytest.raises(ValueError):
-            GridFunction(np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.array([[np.inf]]))
-
-
 def _dblquad_rect(k, i0, i1, j0, j1):
     """int_{u in [i0,i1]} int_{v in [j0,j1]} k(|u - v|) by dblquad.  The outer
     range is split at j0 and j1 and the inner one at v = u, and the inner
@@ -203,13 +113,18 @@ def _dblquad_rect(k, i0, i1, j0, j1):
     return total
 
 
+def _gauss_K2(tau):
+    """Second antiderivative of p_tau: K2(z) = z Phi(z / sqrt(tau)) + tau p_tau(z)."""
+    return lambda z: z * special.ndtr(z / math.sqrt(tau)) + tau * heat_kernel(tau, z, 1)
+
+
 def _band_kernel(a, shift):
     return lambda tau: (2 * math.pi * (tau + shift)) ** -0.5 * math.exp(-a / (tau + shift))
 
 
 _K2_CASES = {
     "gaussian": (lambda tau: heat_kernel(0.3, tau, 1),
-                 lambda *iv: kernels._gauss_cell_integral(0.3, *iv)),
+                 lambda *iv: kernels._rect(_gauss_K2(0.3), *iv)),
     "exponential": (lambda tau: math.exp(-1.7 * tau),
                     lambda *iv: kernels._exp_time_pair_integral(*iv, 1.7)),
     "exponential_a_to_0": (lambda tau: math.exp(-1e-10 * tau),
@@ -252,10 +167,3 @@ class TestRectangleIdentity:
         k, rect = _K2_CASES[kernel]
         assert float(rect(*intervals)) == pytest.approx(_dblquad_rect(k, *intervals), rel=1e-10)
 
-    def test_far_time_cells_converge(self):
-        # on time cells far apart the Fourier route's xi quadrature must still
-        # converge: an IntegrationWarning fails the suite
-        f = bump(0.0, 0.1, -0.5, 0.5)
-        g = bump(2.0, 2.1, 0.0, 1.0)
-        phys = h_inner_product(f, g, method="physical")
-        assert phys == pytest.approx(h_inner_product(f, g, method="fourier"), abs=1e-4)

@@ -1,13 +1,11 @@
-import io
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from sfheat.paths import (Path, RngStream, TimeGrid, constant_path, path_to_csv,
-                          sample_increment, sample_path, sample_path_batch,
-                          sample_subordinator_increment)
+from sfheat.paths import (Path, RngStream, TimeGrid, constant_path, sample_increment,
+                          sample_path, sample_path_batch, sample_subordinator_increment)
 
 
 class TestTimeGrid:
@@ -155,15 +153,6 @@ class TestPaths:
         grid = TimeGrid.uniform(1.0, 4)
         cp = constant_path(grid, 1.5)
         assert np.all(cp.positions == 1.5)
-
-    def test_csv_export(self):
-        grid = TimeGrid.uniform(0.5, 2)
-        p = sample_path(2.0, 2, grid, 0.0, RngStream(16, 0))
-        buf = io.StringIO()
-        path_to_csv(p, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "time,x_1,x_2"
-        assert len(lines) == 4
 
     def test_path_invariants(self):
         grid = TimeGrid.uniform(1.0, 4)

@@ -1,3 +1,4 @@
+import inspect
 import time
 
 from sfheat import validation
@@ -11,6 +12,15 @@ def test_quick_suite_all_pass():
     assert not failures, failures
     assert len(results) >= 25
     assert elapsed < 300  # the quick tier stays well under five minutes
+
+
+def test_registry_lists_every_check_once():
+    rows = validation._CHECKS + validation._FULL_ONLY
+    names = [name for name, _, _ in rows]
+    assert len(names) == len(set(names))
+    defined = {fn for name, fn in inspect.getmembers(validation, inspect.isfunction)
+               if name.startswith("check_") and fn.__module__ == validation.__name__}
+    assert defined == {fn for _, fn, _ in rows}
 
 
 def test_format_table_shape():
