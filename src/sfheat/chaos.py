@@ -7,7 +7,9 @@ space.  Two independent numeric routes are provided:
   the Gaussian semigroup into a single multivariate normal density at 0,
   leaving a 2n-dimensional time integral evaluated by randomized
   quasi-Monte Carlo over [0, t]^{2n} (the ordering permutations are handled
-  analytically by the 1/n! weight).
+  analytically by the 1/n! weight).  The density's det^{-d/2} comes from an
+  explicit Cholesky factor of the n x n time covariance, built entry by
+  entry across all QMC points at once.
 
 * ``fourier_mc``: for general alpha (d = 1) the Fourier-side representation
   is sampled by importance Monte Carlo: time pairs from the density
@@ -101,23 +103,51 @@ _QMC_REPLICATES = 8
 _QMC_POINTS = 2 ** 13
 
 
-def _term_alpha2(n, d, t, seed):
+def _time_covariance(s, r, t):
+    """Sigma_ij = min(t - s_i, t - s_j) + min(t - r_i, t - r_j) + [i = j] |s_i - r_i|,
+    points-last: ``s`` and ``r`` are (n, points) and entry [i][j] is the
+    (i, j) entry at every point (lower triangle only, j <= i)."""
+    a, b = t - s, t - r
+    sig = [[np.minimum(a[i], a[j]) + np.minimum(b[i], b[j]) for j in range(i)]
+           for i in range(len(s))]
+    for i, row in enumerate(sig):
+        row.append(a[i] + b[i] + np.abs(s[i] - r[i]))
+    return sig
+
+
+def _inv_det_power(sig, d):
+    """det(Sigma)^{-d/2} at every point, from Sigma's lower triangle
+    points-last, as prod_j L_jj^{-d} of the Cholesky factor L built one
+    vector entry at a time: L_ij = (Sigma_ij - sum_{k<j} L_ik L_jk) / L_jj."""
+    L = []
+    diag = 1.0
+    for i, row in enumerate(sig):
+        L.append([])
+        for j in range(i + 1):
+            acc = row[j]
+            for k in range(j):
+                acc = acc - L[i][k] * L[j][k]
+            L[i].append(np.sqrt(acc) if i == j else acc / L[j][j])
+        diag = diag * L[i][i]
+    return diag ** -float(d)
+
+
+def _sobol_times(n, t, seed, rep):
+    """Replicate ``rep``'s scrambled Sobol points on [0, t]^{2n}, points-last:
+    rows 0..n-1 are the s coordinates and rows n..2n-1 the r coordinates."""
     from scipy.stats import qmc  # scipy.stats is slow to import; only this route needs it
 
+    gen = np.random.default_rng(np.random.SeedSequence((seed, 1000 + n * 16 + rep)))
+    sob = qmc.Sobol(2 * n, scramble=True, seed=gen)
+    return np.ascontiguousarray(sob.random(_QMC_POINTS).T) * t
+
+
+def _term_alpha2(n, d, t, seed):
     means = []
     fact = math.factorial(n)
     for rep in range(_QMC_REPLICATES):
-        gen = np.random.default_rng(np.random.SeedSequence((seed, 1000 + n * 16 + rep)))
-        sob = qmc.Sobol(2 * n, scramble=True, seed=gen)
-        u = sob.random(_QMC_POINTS) * t
-        s, r = u[:, :n], u[:, n:]
-        a = t - s
-        b = t - r
-        sig = np.minimum(a[:, :, None], a[:, None, :]) + np.minimum(b[:, :, None], b[:, None, :])
-        idx = np.arange(n)
-        sig[:, idx, idx] += np.abs(s - r)
-        det = np.linalg.det(sig)
-        vals = (2.0 * np.pi) ** (-n * d / 2.0) * det ** (-d / 2.0)
+        u = _sobol_times(n, t, seed, rep)
+        vals = (2.0 * np.pi) ** (-n * d / 2.0) * _inv_det_power(_time_covariance(u[:n], u[n:], t), d)
         means.append(t ** (2 * n) / fact * vals.mean())
     value = float(np.mean(means))
     err = float(np.std(means) / math.sqrt(_QMC_REPLICATES))

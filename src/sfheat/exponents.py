@@ -51,7 +51,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import special
 
 from .kernels import _exp_time_pair_integral
 from .paths import Path
@@ -94,14 +93,18 @@ def _moments(x, a):
     """Zeroth and first moments int_0^X sigma^k g(sigma) dsigma, k = 0, 1, of
     g(sigma) = (2 pi sigma)^{-1/2} exp(-a / sigma), sharing one exp and one erfc:
     sqrt(2 pi) m0 = 2 sqrt(X) e^{-a/X} - 2 sqrt(pi a) erfc(sqrt(a/X)) and
-    sqrt(2 pi) m1 = (2/3) X^{3/2} e^{-a/X} - (2a/3) sqrt(2 pi) m0."""
-    x, a = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(a, dtype=float))
+    sqrt(2 pi) m1 = (2/3) X^{3/2} e^{-a/X} - (2a/3) sqrt(2 pi) m0; both are 0 at X = 0."""
+    from scipy import special  # loaded by the first unmollified band only
+
+    x, a = np.asarray(x, dtype=float), np.asarray(a, dtype=float)
     pos = x > 0
     xs = np.where(pos, x, 1.0)
-    e = np.where(pos, np.exp(-a / xs), 0.0)
-    c = np.where(pos, np.sqrt(np.pi * a) * special.erfc(np.sqrt(a / xs)), 0.0)
-    f0 = 2.0 * np.sqrt(xs) * e - 2.0 * c
-    f1 = (2.0 / 3.0) * xs * np.sqrt(xs) * e - (2.0 * a / 3.0) * f0
+    root = np.sqrt(xs)
+    ratio = a / xs
+    e = np.where(pos, np.exp(-ratio), 0.0)
+    c = np.where(pos, np.sqrt(np.pi * a) * special.erfc(np.sqrt(ratio)), 0.0)
+    f0 = 2.0 * root * e - 2.0 * c
+    f1 = (2.0 / 3.0) * xs * root * e - (2.0 * a / 3.0) * f0
     return f0 / SQRT_2PI, f1 / SQRT_2PI
 
 
@@ -265,7 +268,10 @@ def _band_sum(pos_a, pos_b, h, d):
         band = 2.0 * _heat_K2(a_diag)(h[None, :]).sum(axis=1)
         if n > 1:
             K2 = _heat_K2(a_shared)
-            adjacent = K2(h[None, :-1] + h[None, 1:]) - K2(h[None, :-1]) - K2(h[None, 1:])
+            k_lo = K2(h[None, :-1])
+            # equal adjacent widths (any uniform grid) give K2(h_hi) = K2(h_lo)
+            k_hi = k_lo if np.array_equal(h[:-1], h[1:]) else K2(h[None, 1:])
+            adjacent = K2(h[None, :-1] + h[None, 1:]) - k_lo - k_hi
             band = band + 2.0 * adjacent.sum(axis=1)
     else:
         tau_diag = h / 3.0

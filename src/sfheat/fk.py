@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .errors import RegimeError
 from .chaos import existence_check
@@ -220,6 +219,8 @@ def sko_mean_exact(params: ModelParams):
         return u0.params[0]
     if params.d != 1:
         raise NotImplementedError("nonconstant initial data quadrature is implemented for d = 1")
+    from scipy import integrate  # moment and solve calls never load it
+
     x = float(params.x_point[0])
     alpha = params.alpha
     if u0.tag == "cosine":

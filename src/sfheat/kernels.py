@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate, special
 
 from .params import C_ALPHA
 
@@ -82,6 +81,8 @@ def _stable_kernel_numeric(alpha, t, r, d):
     The exponential damping makes the oscillatory tail benign; the quadrature
     is run to an absolute tolerance of 1e-8.
     """
+    from scipy import integrate, special  # only numeric inversions load these
+
     damp = lambda rho: math.exp(-C_ALPHA * t * rho ** alpha)
     if r == 0.0:
         # g(0) = (2 pi)^{-d} * surface(S^{d-1}) * int rho^{d-1} f(rho) drho

@@ -8,7 +8,9 @@ coordinate-wise construction would not.
 
 Randomness comes from counter-based Philox streams keyed by
 (master_seed, stream_index): distinct indices own disjoint counter blocks,
-so ensembles are reproducible independently of scheduling or batching.
+so ensembles are reproducible independently of scheduling or batching.  A
+call over many streams resets one Philox to each stream's key and counter in
+turn, which draws exactly what a fresh Philox per stream would.
 """
 
 from __future__ import annotations
@@ -22,6 +24,13 @@ from .params import C_ALPHA
 DEFAULT_STEPS_PER_UNIT = 256
 
 
+def _integer(name, value):
+    """``value`` as a Python int; floats, bools and other non-integers raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Value-type handle to one Philox counter block."""
@@ -30,20 +39,38 @@ class RngStream:
     stream_index: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.master_seed < 2 ** 64:
-            raise ValueError("master_seed must fit in 64 bits")
-        if not 0 <= self.stream_index < 2 ** 64:
-            raise ValueError("stream_index must fit in 64 bits")
+        for name in ("master_seed", "stream_index"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                value = _integer(name, value)
+                object.__setattr__(self, name, value)
+            if not 0 <= value < 2 ** 64:
+                raise ValueError(f"{name} must fit in 64 bits")
 
-    def generator(self):
-        """Fresh numpy Generator positioned at the start of this stream's block."""
-        bitgen = np.random.Philox(key=self.master_seed,
-                                  counter=int(self.stream_index) << 128)
-        return np.random.Generator(bitgen)
+    def generator(self, reuse=None):
+        """Generator positioned at the start of this stream's block.
+
+        By default a fresh Generator over a new Philox.  Given ``reuse``, a
+        Generator over a Philox, resets that Philox to this stream's key and
+        counter and returns ``reuse``: the same draws as a fresh Generator, at
+        a fraction of the cost, because building a Philox first seeds a
+        SeedSequence from OS entropy even when a key is given.
+        """
+        if reuse is None:
+            return np.random.Generator(np.random.Philox(key=self.master_seed,
+                                                        counter=self.stream_index << 128))
+        reuse.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.array([0, 0, self.stream_index, 0], dtype=np.uint64),
+                      "key": np.array([self.master_seed, 0], dtype=np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0,
+        }
+        return reuse
 
     def substream(self, k):
         """Stream shifted by k; callers manage strides so indices never collide."""
-        return RngStream(self.master_seed, self.stream_index + int(k))
+        return RngStream(self.master_seed, self.stream_index + _integer("k", k))
 
 
 @dataclass(frozen=True)
@@ -123,6 +150,22 @@ def _generator(rng):
     return rng.generator() if isinstance(rng, RngStream) else rng
 
 
+def _generators(rngs):
+    """The Generator of each of ``rngs`` in turn, streams by one shared Philox.
+
+    The first stream builds it, and every later stream resets it to its own
+    key and counter, so each yielded Generator is valid only until the next
+    one is taken; Generators pass through unchanged.
+    """
+    shared = None
+    for rng in rngs:
+        if isinstance(rng, RngStream):
+            shared = rng.generator(shared)
+            yield shared
+        else:
+            yield rng
+
+
 def constant_path(grid, x0=0.0, d=1):
     """Path frozen at x0; the worst case for the exponent quadrature."""
     x0 = np.broadcast_to(np.atleast_1d(np.asarray(x0, float)), (d,))
@@ -185,30 +228,30 @@ def sample_path_batch(alpha, d, grid: TimeGrid, x0, rng, n_paths):
     and n_paths = paths-per-sample so the draw order is scheduling-free.  A
     list or tuple of streams gives (len(rng) * n_paths, n_steps + 1, d), whose
     rows r * n_paths to (r + 1) * n_paths - 1 are bit-identical to a call with
-    ``rng[r]`` alone: each stream's draws fill its slot of one preallocated
-    block in the single-stream order (Kanter uniforms, exponentials, then
-    normals), and one scale and one cumulative sum turn the block into
-    positions.
+    ``rng[r]`` alone: one Philox is reset to each stream in turn, each
+    stream's draws fill its slot of one preallocated block in the
+    single-stream order (Kanter uniforms, exponentials, then normals), and
+    one scale and one cumulative sum turn the block into positions.
     """
-    gens = [_generator(s) for s in (rng if isinstance(rng, (list, tuple)) else [rng])]
+    rngs = rng if isinstance(rng, (list, tuple)) else [rng]
     x0 = np.broadcast_to(np.atleast_1d(np.asarray(x0, float)), (d,))
     dts = np.diff(grid.times)
     n = len(dts)
-    shape = (len(gens), n_paths, n)
+    shape = (len(rngs), n_paths, n)
     z = np.empty(shape + (d,))
     if alpha == 2.0:
-        for gen, z_r in zip(gens, z):
+        for gen, z_r in zip(_generators(rngs), z):
             gen.standard_normal(out=z_r)
         incr = np.sqrt(dts)[:, None] * z
     else:
         u, e = np.empty(shape), np.empty(shape)
-        for gen, u_r, e_r, z_r in zip(gens, u, e, z):
+        for gen, u_r, e_r, z_r in zip(_generators(rngs), u, e, z):
             u_r[...] = gen.uniform(0.0, np.pi, u_r.shape)
             gen.standard_exponential(out=e_r)
             gen.standard_normal(out=z_r)
         s = (C_ALPHA * dts) ** (2.0 / alpha) * _kanter(alpha, u, e)
         incr = np.sqrt(2.0 * s)[..., None] * z
-    pos = np.zeros((len(gens) * n_paths, n + 1, d))
+    pos = np.zeros((len(rngs) * n_paths, n + 1, d))
     np.cumsum(incr.reshape(-1, n, d), axis=1, out=pos[:, 1:])
     pos += x0
     return pos

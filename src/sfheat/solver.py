@@ -39,7 +39,7 @@ from .field import _factorize  # noqa: F401  # perfbench/spans.py patches this a
 from .errors import RegimeError
 from .fk import MomentEstimate, _finalize, _require_order, _require_stream
 from .params import C_ALPHA, ModelParams
-from .paths import _generator
+from .paths import _generators
 
 # aliases whose weight is below float64 resolution of their mode's largest
 # term are dropped: weight ratio exp(-eps dkappa^2) <= machine epsilon
@@ -147,12 +147,13 @@ class NoiseSlabSampler:
         """One slab from a stream (or numpy Generator), or a block of slabs.
 
         A list or tuple of streams gives a (len, n_time, n_space) block whose
-        row r is bit-identical to ``sample(streams[r])``.
+        row r is bit-identical to ``sample(streams[r])``; one Philox is reset
+        to each stream in turn.
         """
         block = isinstance(rng, (list, tuple))
         shape = (self.grid.n_time, self.n_terms)
-        normals = np.stack([_generator(s).standard_normal(shape)
-                            for s in (rng if block else [rng])])
+        normals = np.stack([gen.standard_normal(shape)
+                            for gen in _generators(rng if block else [rng])])
         slabs = self._from_normals(normals)
         return slabs if block else slabs[0]
 

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import chaos, exponents, field, fk, kernels, solver
 from .exponents import MollifierParams
@@ -49,6 +48,8 @@ def _run(name, fn):
 
 
 def check_kernel_mass():
+    from scipy import integrate
+
     t = 0.7
     val, _ = integrate.quad(lambda x: kernels.heat_kernel(t, x, 1), -np.inf, np.inf)
     err = abs(val - 1.0)
@@ -56,6 +57,8 @@ def check_kernel_mass():
 
 
 def check_semigroup():
+    from scipy import integrate
+
     s, t, x = 0.3, 0.5, 0.7
     val, _ = integrate.quad(lambda y: kernels.heat_kernel(s, x - y, 1) * kernels.heat_kernel(t, y, 1),
                             -np.inf, np.inf)
@@ -64,6 +67,8 @@ def check_semigroup():
 
 
 def check_stable_mass():
+    from scipy import integrate
+
     val, _ = integrate.quad(lambda x: kernels.stable_kernel(1.5, 0.7, x, 1), -np.inf, np.inf,
                             limit=200)
     err = abs(val - 1.0)
@@ -282,6 +287,8 @@ def check_moment_ordering(budget):
 
 
 def check_strat_jensen(budget):
+    from scipy import integrate
+
     n = 1000 if budget == "quick" else 5000
     grid = TimeGrid.uniform(1.0, 128)
     pm = ModelParams(alpha=2.0, d=1, t_horizon=1.0)

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
-from sfheat.chaos import (chaos_second_moment, chaos_term, existence_check,
+from sfheat.chaos import (MAX_CHAOS_ORDER, _inv_det_power, _sobol_times, _time_covariance,
+                          chaos_second_moment, chaos_term, existence_check,
                           holder_exponents, series_term_bound)
 from sfheat.errors import BudgetError, RegimeError
 from sfheat.params import InitialCondition
@@ -89,6 +91,27 @@ class TestChaosTerm:
     def test_fourier_d2_unsupported(self):
         with pytest.raises(NotImplementedError):
             chaos_term(1, 1.5, 2, 1.0)
+
+
+class TestCholeskyDeterminant:
+    @pytest.mark.parametrize("n", range(1, MAX_CHAOS_ORDER + 1))
+    def test_matches_linalg_det(self, n):
+        # the sampled time covariances of one replicate, against the dense
+        # (points, n, n) determinant the route used before
+        u = _sobol_times(n, 1.0, 0, 0)
+        sig = _time_covariance(u[:n], u[n:], 1.0)
+        dense = np.empty((u.shape[1], n, n))
+        for i in range(n):
+            for j in range(i + 1):
+                dense[:, i, j] = dense[:, j, i] = sig[i][j]
+        det = np.linalg.det(dense)
+        for d in (1, 2, 3):
+            ref = det ** (-d / 2.0)
+            assert np.max(np.abs(_inv_det_power(sig, d) / ref - 1.0)) <= 1e-13
+
+    def test_criterion_03_series_value_unchanged(self):
+        # acceptance criterion 03 prints the n_max = 4 series to 5 decimals
+        assert f"{chaos_second_moment(2.0, 1, 1.0, 4).value:.5f}" == "1.47691"
 
 
 class TestSeriesBound:

@@ -281,10 +281,32 @@ class TestCli:
         assert len(lines) == 1 + 2 * 16
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes about half a second to import and only the chaos
-    # alpha = 2 route and one validate check use it
-    code = "import sys, sfheat.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+_DEFERRED = ("scipy.stats", "scipy.special", "scipy.integrate")
+
+
+def _run_then_list_loaded(code):
+    """Run ``code`` in a fresh interpreter; its JSON output lines, the last one
+    the modules of _DEFERRED then loaded."""
+    probe = code + f"\nimport json, sys; print(json.dumps([m for m in {_DEFERRED!r} if m in sys.modules]))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
-    assert out.stdout.strip() == "False"
+    return [json.loads(line) for line in out.stdout.strip().splitlines()]
+
+
+@pytest.mark.parametrize("module", _DEFERRED)
+def test_cli_import_leaves_scipy_stats_unloaded(module):
+    # scipy.stats takes about half a second to import and only the chaos
+    # alpha = 2 route and one validate check use it; scipy.special and
+    # scipy.integrate load with the unmollified band, the numeric stable
+    # kernel, the exact Skorohod mean and the quadrature checks
+    assert module not in _run_then_list_loaded("import sfheat.cli")[-1]
+
+
+def test_solve_and_mollified_moment_leave_scipy_submodules_unloaded():
+    moll = _MOMENT_STRAT + ["--epsilon", "0.1", "--delta", "0.05"]
+    code = ("import contextlib, io, json\n"
+            "from sfheat.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main({_SOLVE!r}), main({moll!r})]\n"
+            "print(json.dumps(codes))")
+    assert _run_then_list_loaded(code) == [[0, 0], []]

@@ -232,3 +232,58 @@ class TestStreamBatches:
         single = np.concatenate([sample_path_batch(alpha, d, grid, 0.3, s, 3) for s in streams])
         assert block.shape == (15, len(_PINNED_GRID), d)
         assert np.array_equal(block, single)
+
+
+def _draw_all(gen):
+    """One draw of each kind the samplers use, plus 32-bit integers, whose odd
+    count leaves half of a 64-bit word buffered in the bit generator."""
+    return np.concatenate([gen.uniform(0.0, np.pi, 5), gen.standard_exponential(5),
+                           gen.standard_normal(5), gen.integers(0, 2 ** 31, 3, dtype=np.int32),
+                           gen.standard_normal(2)])
+
+
+class TestStreamReset:
+    def test_reset_matches_fresh_for_interleaved_streams(self):
+        streams = [RngStream(41, 7), RngStream(42, 7), RngStream(41, 8), RngStream(41, 7)]
+        shared = RngStream(0).generator()
+        shared.integers(0, 2 ** 31, 1, dtype=np.int32)  # a half-word left buffered
+        for s in streams:
+            assert s.generator(shared) is shared
+            assert np.array_equal(_draw_all(shared), _draw_all(s.generator()))
+
+    def test_reset_matches_fresh_at_edge_values(self):
+        top = 2 ** 64 - 1
+        shared = RngStream(1, 1).generator()
+        for s in (RngStream(top, top), RngStream(top, 0), RngStream(0, top)):
+            assert np.array_equal(_draw_all(s.generator(shared)), _draw_all(s.generator()))
+
+    def test_public_generators_are_independent(self):
+        s = RngStream(43, 2)
+        first, second = s.generator(), s.generator()
+        assert first is not second
+        a = _draw_all(first)
+        assert np.array_equal(_draw_all(second), a)
+        assert not np.array_equal(_draw_all(first), a)
+
+    @pytest.mark.parametrize("args", [(3, 2.5), (1.5,), (2.0, 1), (True,), (3, False),
+                                      (np.float64(3.0),), (np.bool_(True),), ("3",)])
+    def test_rejects_non_integers(self, args):
+        with pytest.raises(TypeError):
+            RngStream(*args)
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, True, np.float32(2.0)])
+    def test_substream_rejects_non_integers(self, k):
+        with pytest.raises(TypeError):
+            RngStream(3).substream(k)
+
+    def test_accepts_numpy_integers(self):
+        s = RngStream(np.int64(3), np.uint64(2)).substream(np.int32(1))
+        assert s == RngStream(3, 3)
+        assert type(s.master_seed) is int and type(s.stream_index) is int
+        assert np.array_equal(_draw_all(s.generator()), _draw_all(RngStream(3, 3).generator()))
+
+    def test_range_still_checked(self):
+        with pytest.raises(ValueError):
+            RngStream(-1)
+        with pytest.raises(ValueError):
+            RngStream(0, 2 ** 64)
