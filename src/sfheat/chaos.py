@@ -223,8 +223,8 @@ def chaos_term(n, alpha, d, t, u0=None, seed=0, method=None,
         raise ValueError("n must be a nonnegative integer")
     if n > MAX_CHAOS_ORDER:
         raise BudgetError(f"chaos terms are budgeted up to n = {MAX_CHAOS_ORDER}, got {n}")
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     c0 = _require_constant_u0(u0)
     if method is None:
         method = "closed_form_alpha2" if alpha == 2.0 else "fourier_mc"

@@ -249,12 +249,15 @@ def cmd_solve(cfg):
     grid = solver.TorusGrid.default(params.t_horizon)
     grid = dataclasses.replace(grid, n_space=cfg["n_space"], n_time=cfg["n_time"],
                                half_length=cfg["half_length"] or grid.half_length)
+    times = ([float(v) for v in cfg["snapshot_times"].split(",")]
+             if cfg["snapshot_times"] else [params.t_horizon])
+    outside = [s for s in times if not 0.0 < s <= params.t_horizon]
+    if outside:
+        raise ConfigError(f"snapshot times must lie in (0, t = {params.t_horizon}], got {outside}")
     rng = RngStream(cfg["seed"])
     est = solver.ensemble_moment(grid, params, cfg["epsilon"], cfg["p"],
                                  cfg["n_realizations"], rng=rng)
     if cfg["snapshot_csv"]:
-        times = ([float(v) for v in cfg["snapshot_times"].split(",")]
-                 if cfg["snapshot_times"] else [params.t_horizon])
         sampler = solver.NoiseSlabSampler(grid, cfg["epsilon"])
         noise = sampler.sample(rng.substream(0))
         _, shots = solver.evolve(grid, params, noise, snapshot_times=times)

@@ -33,7 +33,13 @@ which is separable for disjoint windows.  One pass over the windows per xi
 node replaces the n^2 cells; the xi integral is a trapezoid rule on
 [0, sqrt(40 / eps)] with spacing 2 pi / (Z + 2 sqrt(40 (eps + t/2))), Z the
 largest path separation in the batch, so both its truncation and its aliasing
-sit exp(-40) below the integrand.
+sit exp(-40) below the integrand.  One core (``_xi_transforms``) applies the
+window operator to a stack of paths, chunk of nodes by chunk of nodes, and
+serves two contractions: pair batches (``mollified_inner_values``, on the
+rows [X; Y]) and the Wick Gram (``field.wick_gram``, on all m paths of an
+ensemble at once, one matrix product per chunk).  The Gram takes its node set
+from the whole ensemble's spread, since its entries pair every path with
+every other.
 
 In d >= 2 the limiting integrals are infinite; the quadrature then reports a
 grid-dependent finite value (the band uses the cell-mean time separation
@@ -72,8 +78,9 @@ class MollifierParams:
     delta: float
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.delta <= 0:
-            raise ValueError("mollifier parameters must be positive")
+        if not (0.0 < self.epsilon < math.inf and 0.0 < self.delta < math.inf):
+            raise ValueError("mollifier parameters must be positive and finite, "
+                             f"got epsilon = {self.epsilon}, delta = {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -175,9 +182,13 @@ def _pool():
         return _POOL
 
 
-def _check_band_shapes(times):
+def _check_band_shapes(times, pos_a, pos_b):
+    """Both position arrays must be (B, len(times), ...) with one shape."""
     if len(times) < 2:
         raise ValueError("path grid must contain at least one step")
+    if pos_a.shape != pos_b.shape or pos_a.ndim < 2 or pos_a.shape[1] != len(times):
+        raise ValueError(f"positions must share one shape (B, {len(times)}, d), "
+                         f"got {pos_a.shape} and {pos_b.shape}")
 
 
 def _layout(B, n, workers):
@@ -313,13 +324,13 @@ def cross_exponent_values(times, pos_a, pos_b, d):
     a batch that cannot be split within that runs as one range, whose
     blocks aim at ``_BLOCK_ELEMENTS`` (1 MB).
     """
-    _check_band_shapes(times)
     pos_a = np.asarray(pos_a, dtype=float)
     pos_b = np.asarray(pos_b, dtype=float)
     if pos_a.ndim == 2:
         pos_a = pos_a[..., None]
     if pos_b.ndim == 2:
         pos_b = pos_b[..., None]
+    _check_band_shapes(times, pos_a, pos_b)
     h, _, p0, inv2tau = _grid_tables(times, d)
     out = np.empty(len(pos_a))
     err = np.geterr()  # numpy's error state does not reach other threads
@@ -439,6 +450,59 @@ def _decayed_prefix(x, times, a):
     return s
 
 
+def _xi_transforms(times, P, z_max, moll: MollifierParams):
+    """The xi route of the mollified window integrals, one chunk of nodes at a time.
+
+    For the rows P (k, n) of left-node positions X_i, yields per chunk of
+    ``_xi_nodes(z_max, ...)`` nodes the trapezoid weights, F = (h / delta)
+    exp(i xi P) and R = W~ conj(F), both (k, n, nodes).  W = W~ + W~^T is the
+    window operator of ``mollified_inner_values``; W~ holds its band columns
+    j >= i, with the diagonal halved, and the disjoint columns j < lo_i, so
+    that sum_ij f_i W_ij conj(g_j) has real part Re sum_i f_i R[g]_i +
+    g_i R[f]_i.  ``z_max`` must bound every |X_i - Y_j| that is contracted.
+    """
+    t = float(times[-1])
+    h = np.diff(times)
+    n = len(h)
+    starts = times[:-1] + 0.5 * h
+    ends = np.minimum(starts + moll.delta, t)
+    xi, weight = _xi_nodes(z_max, moll.epsilon, t)
+
+    # the band of W is stored as row i, column i + o for 0 <= o < width where
+    # m_{i+o} < e_i.  Windows before lo_i end by m_i; the last of them starts
+    # the decay to m_i.
+    hi = np.searchsorted(starts, ends, side="left")
+    lo = np.searchsorted(ends, starts, side="right")
+    width = int((hi - np.arange(n)).max())
+    cols = np.arange(n)[:, None] + np.arange(width)
+    band_weight = (cols < hi[:, None]).astype(float)
+    band_weight[:, 0] = 0.5
+    cols = np.minimum(cols, n - 1)[..., None]
+    last = np.maximum(lo - 1, 0)
+    gap = np.where(lo > 0, starts - ends[last], 0.0)[:, None]
+    scale = (h / moll.delta)[:, None]
+
+    chunk = max(1, _CHUNK_ELEMENTS // (n * (len(P) + width)))
+    for k0 in range(0, len(xi), chunk):
+        nodes = xi[k0:k0 + chunk]
+        a = 0.5 * nodes * nodes
+        F = scale * np.exp(1j * P[..., None] * nodes)
+        W = band_weight[..., None] * _exp_time_pair_integral(
+            starts[:, None, None], ends[:, None, None], starts[cols], ends[cols], a)
+        padded = np.zeros((len(P), n + width - 1, len(nodes)), dtype=complex)
+        np.conjugate(F, out=padded[:, :n])
+        # real and imaginary parts on a trailing axis of 2 with W repeated
+        # over it: W stays real, and this is einsum's fastest layout
+        windows = sliding_window_view(padded.view(float).reshape(*padded.shape, 2), width, axis=1)
+        R = np.einsum("bimrk,ikmr->bimr", windows,
+                      np.repeat(W[..., None], 2, axis=-1)).view(complex)[..., 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            A = np.where(a > 0, -np.expm1(-np.outer(ends - starts, a)) / a, (ends - starts)[:, None])
+        decay = np.where(lo[:, None] > 0, A * np.exp(-gap * a), 0.0)
+        R += _decayed_prefix(padded[:, :n] * A, ends, a)[:, last] * decay
+        yield weight[k0:k0 + chunk], F, R
+
+
 def mollified_inner_values(times, pos_a, pos_b, moll: MollifierParams, d):
     """Batched <A^{(a)}, A^{(b)}> for paths given as (B, n+1, d) position arrays.
 
@@ -457,7 +521,8 @@ def mollified_inner_values(times, pos_a, pos_b, moll: MollifierParams, d):
     for a window of length L, so their sum is a first-order recursion over
     window ends (``_decayed_prefix``): O(n) per xi node.  The overlapping band
     takes W from ``kernels._exp_time_pair_integral``; it does not depend on
-    the paths and is built once per call.
+    the paths.  ``_xi_transforms`` applies W to the rows [X; Y] (X alone for
+    a self pair), and each value contracts the two halves.
 
     The xi integral is the trapezoid rule of ``_xi_nodes``, whose spacing
     follows the largest |X_i - Y_j| in the batch; the node set, and so the
@@ -467,68 +532,24 @@ def mollified_inner_values(times, pos_a, pos_b, moll: MollifierParams, d):
     """
     if d != 1:
         raise NotImplementedError("mollified inner products are implemented for d = 1 only")
-    _check_band_shapes(times)
     pos_a = np.asarray(pos_a, dtype=float)
     pos_b = np.asarray(pos_b, dtype=float)
     if pos_a.ndim == 3:
         pos_a = pos_a[..., 0]
     if pos_b.ndim == 3:
         pos_b = pos_b[..., 0]
-    t = float(times[-1])
-    h = np.diff(times)
-    n = len(h)
-    starts = times[:-1] + 0.5 * h
-    ends = np.minimum(starts + moll.delta, t)
+    _check_band_shapes(times, pos_a, pos_b)
+    B, n = len(pos_a), len(times) - 1
     X, Y = pos_a[:, :n], pos_b[:, :n]
     z_max = float(np.max(np.maximum(X.max(axis=1) - Y.min(axis=1),
                                     Y.max(axis=1) - X.min(axis=1))))
-    xi, weight = _xi_nodes(z_max, moll.epsilon, t)
-
-    # W is symmetric, so the band is stored as row i, column i + o for
-    # 0 <= o < width where m_{i+o} < e_i, and read in both orders with the
-    # diagonal halved.  Windows before lo_i end by m_i; the last of them
-    # starts the decay to m_i.
-    rows = np.arange(n)
-    hi = np.searchsorted(starts, ends, side="left")
-    lo = np.searchsorted(ends, starts, side="right")
-    width = int((hi - rows).max())
-    cols = rows[:, None] + np.arange(width)
-    band_weight = (cols < hi[:, None]).astype(float)
-    band_weight[:, 0] = 0.5
-    cols = np.minimum(cols, n - 1)[..., None]
-    last = np.maximum(lo - 1, 0)
-    scale = (h / moll.delta)[:, None]
     self_pair = np.array_equal(X, Y)
-
-    B = len(X)
     total = np.zeros(B)
-    chunk = max(1, _CHUNK_ELEMENTS // (n * ((1 if self_pair else 2) * B + width)))
-    for k0 in range(0, len(xi), chunk):
-        nodes = xi[k0:k0 + chunk]
-        a = 0.5 * nodes * nodes
-        f = scale * np.exp(1j * X[..., None] * nodes)
-        fg = f[None] if self_pair else np.stack([f, scale * np.exp(-1j * Y[..., None] * nodes)])
-        # R[s]_i = sum_j W_ij s_j over the band columns j >= i and the
-        # disjoint columns j < lo_i, for s = f and s = conj(g)
-        W = band_weight[..., None] * _exp_time_pair_integral(
-            starts[:, None, None], ends[:, None, None], starts[cols], ends[cols], a)
-        padded = np.zeros(fg.shape[:2] + (n + width - 1, len(nodes)), dtype=complex)
-        padded[:, :, :n] = fg
-        # real and imaginary parts on a trailing axis of 2 with W repeated
-        # over it: W stays real, and this is einsum's fastest layout
-        windows = sliding_window_view(padded.view(float).reshape(*padded.shape, 2), width, axis=2)
-        R = np.einsum("sbimrk,ikmr->sbimr", windows,
-                      np.repeat(W[..., None], 2, axis=-1)).view(complex)[..., 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            A = np.where(a > 0, -np.expm1(-np.outer(ends - starts, a)) / a, (ends - starts)[:, None])
-        decay = np.where(lo[:, None] > 0, A * np.exp(-(starts - ends[last])[:, None] * a), 0.0)
-        R += _decayed_prefix(fg * A, ends, a)[:, :, last] * decay
-        # sum_ij f_i W_ij conj(g_j) = sum_i f_i R[conj g]_i + conj(g_i) R[f]_i
-        if self_pair:
-            cell_sum = 2.0 * (f * R[0].conj()).sum(axis=1)
-        else:
-            cell_sum = (f * R[1] + fg[1] * R[0]).sum(axis=1)
-        total += cell_sum.real @ weight[k0:k0 + chunk]
+    for weight, F, R in _xi_transforms(times, X if self_pair else np.concatenate([X, Y]),
+                                       z_max, moll):
+        cell_sum = (2.0 * (F * R).sum(axis=1) if self_pair
+                    else (F[:B] * R[B:] + F[B:] * R[:B]).sum(axis=1))
+        total += cell_sum.real @ weight
     return total / math.pi
 
 

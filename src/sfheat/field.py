@@ -13,14 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FactorizationError, RegimeError
-from .exponents import MollifierParams, mollified_inner_values, self_exponent
+from .exponents import MollifierParams, _xi_transforms, self_exponent
 from .paths import Path, _generator
 
 JITTER_SCALE = 1e-12       # first shot: 1e-12 * trace / N on the diagonal
 PSD_TOLERANCE = 1e-10      # matrices are acceptable down to min eig >= -1e-10 * trace
-# pairs x time steps per mollified_inner_values call in wick_gram: larger
-# calls leave too few xi nodes per pass for its einsum to run fast
-_GRAM_PAIR_STEPS = 1 << 13
 
 
 def _factorize(matrix):
@@ -57,25 +54,27 @@ class WickWeights:
 def wick_gram(paths, moll: MollifierParams, d=1):
     """Gram matrix of mollified inner products across a shared-grid ensemble.
 
-    The m (m + 1) / 2 pairs i <= j run in calls of at most
-    _GRAM_PAIR_STEPS / n_steps pairs each."""
+    Entry (a, b) is ``mollified_inner_values`` of paths a and b up to
+    rounding.  The xi route applies the window operator once to all m paths,
+    over one node set whose spacing follows the largest separation in the
+    whole ensemble (each pair's own set would follow that pair alone), so per
+    chunk of nodes the Gram is one real matrix product: G_ab = Re sum_i
+    F_a,i R_b,i is (F w) @ conj(R)^T on the real views, and the Gram
+    (G + G^T) / pi is exactly symmetric.  Only d = 1 is supported."""
     if not paths:
         raise ValueError("need at least one path")
     times = paths[0].grid.times
     for p in paths[1:]:
         if not np.array_equal(p.grid.times, times):
             raise ValueError("all paths must share a time grid")
+    if d != 1:
+        raise NotImplementedError("mollified inner products are implemented for d = 1 only")
     m = len(paths)
-    pos = np.stack([p.positions for p in paths])
-    rows, cols = np.triu_indices(m)
-    per_call = max(1, _GRAM_PAIR_STEPS // (len(times) - 1))
-    vals = np.concatenate([
-        mollified_inner_values(times, pos[rows[k:k + per_call]], pos[cols[k:k + per_call]], moll, d)
-        for k in range(0, len(rows), per_call)])
-    gram = np.empty((m, m))
-    gram[rows, cols] = vals
-    gram[cols, rows] = vals
-    return gram
+    left = np.stack([p.positions[:-1, 0] for p in paths])
+    G = np.zeros((m, m))
+    for weight, F, R in _xi_transforms(times, left, float(left.max() - left.min()), moll):
+        G += (F * weight).view(float).reshape(m, -1) @ R.conj().view(float).reshape(m, -1).T
+    return (G + G.T) / math.pi
 
 
 class WickSampler:

@@ -237,7 +237,9 @@ def sko_mean_exact(params: ModelParams):
 
 
 # ---------------------------------------------------------------------------
-# solution-realization samplers (one shared noise draw across inner paths)
+# solution-realization samplers (one shared noise draw across inner paths);
+# the Wick Gram of the m inner paths is one xi-route pass over the whole
+# ensemble (``field.wick_gram``), not m (m + 1) / 2 pair passes
 # ---------------------------------------------------------------------------
 
 

@@ -37,6 +37,8 @@ class InitialCondition:
         n_expected = {"constant": 1, "gaussian_bump": 2, "cosine": 1}[self.tag]
         if len(self.params) != n_expected:
             raise ValueError(f"{self.tag} takes {n_expected} parameter(s), got {len(self.params)}")
+        if not np.all(np.isfinite(self.params)):
+            raise ValueError(f"{self.tag} parameters must be finite, got {self.params}")
         if self.tag == "gaussian_bump" and self.params[1] <= 0:
             raise ValueError("gaussian_bump width must be positive")
 
@@ -105,8 +107,8 @@ class ModelParams:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
         if self.d < 1 or int(self.d) != self.d:
             raise ValueError(f"d must be a positive integer, got {self.d}")
-        if self.t_horizon <= 0:
-            raise ValueError(f"t_horizon must be positive, got {self.t_horizon}")
+        if not 0.0 < self.t_horizon < np.inf:
+            raise ValueError(f"t_horizon must be positive and finite, got {self.t_horizon}")
         if self.c_alpha != C_ALPHA:
             raise ValueError("c_alpha is pinned to 1/2 (alpha=2 must reproduce the heat kernel)")
         x = np.zeros(self.d) if self.x_point is None else np.atleast_1d(np.asarray(self.x_point, float))

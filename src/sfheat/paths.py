@@ -83,6 +83,8 @@ class TimeGrid:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or len(t) < 2:
             raise ValueError("a grid needs at least two times")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("grid times must be finite")
         if t[0] != 0.0:
             raise ValueError("grids start at time 0")
         if np.any(np.diff(t) <= 0):
@@ -100,6 +102,8 @@ class TimeGrid:
     @classmethod
     def default(cls, t_horizon):
         """Uniform grid at DEFAULT_STEPS_PER_UNIT steps per unit time."""
+        if not 0.0 < t_horizon < np.inf:
+            raise ValueError(f"t_horizon must be positive and finite, got {t_horizon}")
         return cls.uniform(t_horizon, max(1, int(np.ceil(DEFAULT_STEPS_PER_UNIT * t_horizon))))
 
     @property

@@ -60,8 +60,8 @@ class TorusGrid:
     t_horizon: float
 
     def __post_init__(self):
-        if self.half_length <= 0 or self.t_horizon <= 0:
-            raise ValueError("half_length and t_horizon must be positive")
+        if not (0.0 < self.half_length < math.inf and 0.0 < self.t_horizon < math.inf):
+            raise ValueError("half_length and t_horizon must be positive and finite")
         if self.n_space < 2 or self.n_space & (self.n_space - 1):
             raise ValueError("n_space must be a power of two")
         if self.n_time < 1:
@@ -120,8 +120,8 @@ class NoiseSlabSampler:
     """
 
     def __init__(self, grid: TorusGrid, epsilon):
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
         self.grid = grid
         self.epsilon = float(epsilon)
         n, dx = grid.n_space, grid.dx

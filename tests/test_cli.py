@@ -99,6 +99,35 @@ class TestCli:
         assert err.startswith("error: unsupported configuration: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["moment", "--t", "inf"],
+        ["solve", "--t", "inf"],
+        ["solve", "--half-length", "inf"],
+        ["moment", "--epsilon", "inf", "--delta", "0.1"],
+        ["moment", "--epsilon", "nan", "--delta", "0.1"],
+        ["moment", "--epsilon", "0.1", "--delta", "inf"],
+        ["moment", "--epsilon", "0.1", "--delta", "nan"],
+        ["moment", "--u0", "gauss:1,nan"],
+        ["chaos", "--t", "inf"],
+        ["chaos", "--t", "nan"],
+        ["solve", "--epsilon", "inf"],
+        ["solve", "--epsilon", "nan"],
+    ], ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
+    def test_non_finite_input_is_a_configuration_error(self, argv, capsys):
+        # rejected at the boundary, before any sampling
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("times", ["0.25,5", "nan", "-1", "0", "inf"])
+    def test_snapshot_times_outside_the_run_rejected(self, times, tmp_path, capsys):
+        snap = tmp_path / "snap.csv"
+        assert main(_SOLVE + ["--snapshot-csv", str(snap), "--snapshot-times", times]) == 2
+        assert "snapshot times must lie in (0, t = 0.25]" in capsys.readouterr().err
+        assert not snap.exists()
+
     def test_exit_code_config(self, capsys, tmp_path):
         bad = tmp_path / "cfg"
         bad.write_text("frobnicate=1\n")

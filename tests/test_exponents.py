@@ -408,12 +408,31 @@ class TestParallelRanges:
             cross_exponent_values(grid.times, pos[:61], pos[61:], 1)
 
 
+class TestBatchShapes:
+    # each path of pos_a meets the path of pos_b in the same row, so the two
+    # batches must match in size and carry one row per grid time
+    @pytest.mark.parametrize("route", ["cross", "mollified"])
+    @pytest.mark.parametrize("case", ["one_against_four", "four_against_one",
+                                      "rows_short", "rows_differ"])
+    def test_mismatched_positions_rejected(self, route, case):
+        grid = TimeGrid.uniform(1.0, 16)
+        pos = sample_path_batch(2.0, 1, grid, 0.0, RngStream(45, 0), 5)
+        pa, pb = {"one_against_four": (pos[:4], pos[4:]),
+                  "four_against_one": (pos[4:], pos[:4]),
+                  "rows_short": (pos[:2, :-1], pos[2:4, :-1]),
+                  "rows_differ": (pos[:2], pos[2:4, :-1])}[case]
+        with pytest.raises(ValueError, match="positions must share one shape"):
+            if route == "cross":
+                cross_exponent_values(grid.times, pa, pb, 1)
+            else:
+                mollified_inner_values(grid.times, pa, pb, MollifierParams(0.1, 0.1), 1)
+
+
 class TestMollifiedInner:
     def test_parameters_validated(self):
-        with pytest.raises(ValueError):
-            MollifierParams(0.0, 0.1)
-        with pytest.raises(ValueError):
-            MollifierParams(0.1, -1.0)
+        for eps, delta in ((0.0, 0.1), (0.1, -1.0), (math.inf, 0.1), (0.1, math.nan)):
+            with pytest.raises(ValueError):
+                MollifierParams(eps, delta)
 
     def test_constant_path_ladder(self):
         grid = TimeGrid.uniform(1.0, 256)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sfheat.errors import FactorizationError, RegimeError
-from sfheat.exponents import MollifierParams, mollified_inner, self_exponent
+from sfheat.exponents import MollifierParams, mollified_inner, mollified_inner_values, self_exponent
 from sfheat.field import WickSampler, conditional_I_sample, wick_gram
 from sfheat.paths import RngStream, TimeGrid, constant_path, sample_path
 from sfheat.validation import check_conditional_variance, check_wick_mean_one
@@ -46,13 +46,38 @@ class TestWickWeights:
         assert ok, (worst, tol)
 
     def test_gram_matches_per_pair_inner(self):
-        # 24 paths of 32 steps give 300 pairs i <= j, more than one batched call
+        # 24 paths of 32 steps: every entry against its own single-pair call,
+        # whose xi nodes follow that pair's separation, not the ensemble's
         grid = TimeGrid.uniform(1.0, 32)
         paths = [sample_path(2.0, 1, grid, 0.0, RngStream(39, i)) for i in range(24)]
         moll = MollifierParams(0.05, 0.05)
         gram = wick_gram(paths, moll, 1)
         expected = np.array([[mollified_inner(a, b, moll) for b in paths] for a in paths])
         np.testing.assert_allclose(gram, expected, rtol=1e-12, atol=0)
+
+    def test_gram_at_sampler_default(self):
+        # the solution samplers' ensemble: 128 paths of 256 steps, eps = delta
+        # = 0.05; the batch of self pairs spaces its xi nodes by the widest
+        # single path, the Gram by the whole ensemble
+        grid = TimeGrid.uniform(1.0, 256)
+        paths = [sample_path(2.0, 1, grid, 0.0, RngStream(46, i)) for i in range(128)]
+        moll = MollifierParams(0.05, 0.05)
+        gram = wick_gram(paths, moll, 1)
+        assert np.array_equal(gram, gram.T)
+        pos = np.stack([p.positions for p in paths])
+        np.testing.assert_allclose(np.diag(gram), mollified_inner_values(grid.times, pos, pos, moll, 1),
+                                   rtol=1e-12, atol=0)
+
+    def test_gram_covers_separations_between_paths(self):
+        # one Cauchy path starts 6 away from the others: the Gram's xi nodes
+        # must follow the whole ensemble's spread, not each path's own range
+        grid = TimeGrid.uniform(1.0, 64)
+        paths = [sample_path(1.0, 1, grid, 6.0 if i == 0 else 0.0, RngStream(47, i))
+                 for i in range(6)]
+        moll = MollifierParams(0.05, 0.05)
+        gram = wick_gram(paths, moll, 1)
+        expected = np.array([[mollified_inner(a, b, moll) for b in paths] for a in paths])
+        np.testing.assert_allclose(gram, expected, rtol=0, atol=1e-13 * np.abs(gram).max())
 
     def test_gram_determinism(self):
         grid = TimeGrid.uniform(1.0, 32)

@@ -24,6 +24,12 @@ class TestTimeGrid:
             TimeGrid(np.array([0.1, 0.5]))
         with pytest.raises(ValueError):
             TimeGrid(np.array([0.0, 0.5, 0.5]))
+        with pytest.raises(ValueError):
+            TimeGrid(np.array([0.0, 0.5, np.inf]))
+        with pytest.raises(ValueError):
+            TimeGrid.uniform(np.nan, 4)
+        with pytest.raises(ValueError):
+            TimeGrid.default(np.inf)
 
 
 class TestSubordinator:
