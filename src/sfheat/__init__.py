@@ -17,7 +17,7 @@ from .exponents import (DivergentExponentWarning, ExponentValue, MollifierParams
 from .field import WickSampler, WickWeights, conditional_I_sample
 from .fk import (MomentEstimate, SolutionSample, sko_mean_exact, sko_moment,
                  sko_solution_sample, strat_moment, strat_solution_sample)
-from .kernels import heat_kernel, heat_kernel_ft, stable_kernel, stable_kernel_ft
+from .kernels import heat_kernel, stable_kernel
 from .params import InitialCondition, ModelParams, parse_u0
 from .paths import (Path, RngStream, TimeGrid, constant_path, sample_increment, sample_path,
                     sample_subordinator_increment)
@@ -31,11 +31,11 @@ __all__ = [
     "SolutionSample", "TimeGrid", "TorusGrid", "WickSampler", "WickWeights",
     "chaos_second_moment", "chaos_term", "conditional_I_sample",
     "constant_path", "cross_exponent", "deterministic_bound", "ensemble_moment",
-    "existence_check", "heat_kernel", "heat_kernel_ft",
+    "existence_check", "heat_kernel",
     "mollified_inner", "parse_u0",
     "sample_increment", "sample_path",
     "sample_subordinator_increment", "self_exponent",
     "series_term_bound", "sko_mean_exact", "sko_moment", "sko_solution_sample",
-    "stable_kernel", "stable_kernel_ft", "step", "strat_moment",
+    "stable_kernel", "step", "strat_moment",
     "strat_solution_sample",
 ]

@@ -395,8 +395,8 @@ def cross_exponent(path_j: Path, path_k: Path, d=None) -> ExponentValue:
 def deterministic_bound(t, d):
     """Pathwise bound int int (2 pi |s-r|)^{-d/2}: (8/3)(2 pi)^{-1/2} t^{3/2} for
     d = 1, infinite for d >= 2 (finiteness holds iff d = 1)."""
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     if d == 1:
         return (8.0 / 3.0) / SQRT_2PI * t ** 1.5
     return math.inf

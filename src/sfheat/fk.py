@@ -42,7 +42,7 @@ from .exponents import MollifierParams, cross_exponent_values, mollified_inner_v
 from .field import WickSampler, WickWeights
 from .kernels import stable_kernel
 from .params import ModelParams
-from .paths import Path, RngStream, TimeGrid, sample_path, sample_path_batch
+from .paths import Path, RngStream, TimeGrid, sample_path_batch
 
 DEFAULT_INNER_PATHS = 128
 
@@ -260,8 +260,8 @@ def _solution_sample(params, m_inner, moll, grid, rng, flavor):
             condition="d = 1")
     rng = _require_stream(rng)
     grid = grid or TimeGrid.default(params.t_horizon)
-    paths = [sample_path(params.alpha, 1, grid, 0.0, rng.substream(m))
-             for m in range(m_inner)]
+    streams = [rng.substream(m) for m in range(m_inner)]
+    paths = [Path(grid, pos) for pos in sample_path_batch(params.alpha, 1, grid, 0.0, streams, 1)]
     weights = WickSampler(paths, moll, 1).sample(rng.substream(m_inner))
     value = solution_value(paths, weights, params, flavor)
     return SolutionSample(value=value, inner_paths=m_inner, moll=moll, flavor=flavor)

@@ -48,23 +48,6 @@ def heat_kernel(t, x, d=None):
     return (TWO_PI * t) ** (-d / 2.0) * math.exp(-sq / (2.0 * t))
 
 
-def heat_kernel_ft(t, xi):
-    """F p_t at frequency xi: exp(-t |xi|^2 / 2). Valid for t >= 0."""
-    if t < 0:
-        raise ValueError(f"heat_kernel_ft requires t >= 0, got t={t}")
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    return math.exp(-0.5 * t * float((xi ** 2).sum()))
-
-
-def stable_kernel_ft(alpha, t, xi):
-    """F g_alpha(t, .) at xi: exp(-t |xi|^alpha / 2). Valid for t >= 0."""
-    if t < 0:
-        raise ValueError(f"stable_kernel_ft requires t >= 0, got t={t}")
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    norm = math.sqrt(float((xi ** 2).sum()))
-    return math.exp(-C_ALPHA * t * norm ** alpha)
-
-
 def _cauchy_kernel(t, x, d):
     """Isotropic Cauchy density with scale t/2 (the alpha = 1 stable kernel)."""
     scale = 0.5 * t

@@ -69,11 +69,6 @@ class InitialCondition:
         first = x if x.ndim <= 1 else x[..., 0]
         return np.cos(k * first)
 
-    def describe(self):
-        vals = ",".join(repr(p) for p in self.params)
-        short = {"constant": "const", "gaussian_bump": "gauss", "cosine": "cos"}[self.tag]
-        return f"{short}:{vals}"
-
 
 def parse_u0(text):
     """Parse the ``const:<c>`` / ``gauss:<amp>,<width>`` / ``cos:<k>`` mini-grammar."""

@@ -4,7 +4,10 @@ Increments are generated by Gaussian subordination: Y = sqrt(2 S) Z with S a
 positive (alpha/2)-stable variate (Kanter's one-sided Chambers-Mallows-Stuck
 transform) and Z a standard d-dimensional Gaussian.  This gives the exact
 characteristic function exp(-dt |xi|^alpha / 2) in every dimension, which a
-coordinate-wise construction would not.
+coordinate-wise construction would not.  The law is written once, as one draw
+step (``_draws``: Kanter uniforms, exponentials, normals) and one transform
+of those draws (``_increments``, through ``_subordinator``); every sampler
+here is one call into the pair.
 
 Randomness comes from counter-based Philox streams keyed by
 (master_seed, stream_index): distinct indices own disjoint counter blocks,
@@ -186,6 +189,42 @@ def _kanter(alpha, u, e):
     return (a / e) ** ((1.0 - beta) / beta)
 
 
+def _draws(gens, alpha, shape, d):
+    """Kanter uniforms u on (0, pi) and exponentials e of ``shape``, and
+    standard normals z of ``shape + (d,)``: the draws of every sampler.
+
+    Row r of each array comes from the r-th of ``gens``, in the single-stream
+    order u, e, z.  At alpha = 2 only z is drawn and u, e are None; d = 0
+    draws no normals.
+    """
+    z = np.empty(shape + (d,))
+    u, e = (None, None) if alpha == 2.0 else (np.empty(shape), np.empty(shape))
+    for r, gen in zip(range(shape[0]), gens):
+        row = slice(r, r + 1)  # a view also where a row is one number
+        if u is not None:
+            u[row] = gen.uniform(0.0, np.pi, u[row].shape)
+            gen.standard_exponential(out=e[row])
+        gen.standard_normal(out=z[row])
+    return u, e, z
+
+
+def _subordinator(alpha, dt, u, e):
+    """Subordinator increments over dt, (C_alpha dt)^{2/alpha} S_std.
+
+    A single draw passes dt as a Python float and u, e as numpy scalars, not
+    arrays: numpy's array power differs from the scalar one in the last bit
+    for some inputs, which would move the recorded draws.
+    """
+    return (C_ALPHA * dt) ** (2.0 / alpha) * _kanter(alpha, u, e)
+
+
+def _increments(alpha, dt, u, e, z):
+    """Stable increments over dt from the draws of ``_draws``: sqrt(dt) Z at
+    alpha = 2 and sqrt(2 S) Z otherwise, S the subordinator increment."""
+    var = dt if alpha == 2.0 else 2.0 * _subordinator(alpha, dt, u, e)
+    return np.sqrt(var)[..., None] * z
+
+
 def sample_subordinator_increment(alpha, dt, rng, size=None):
     """Positive (alpha/2)-stable variates S with E exp(-lam S) = exp(-(dt/2) lam^{alpha/2}).
 
@@ -198,26 +237,21 @@ def sample_subordinator_increment(alpha, dt, rng, size=None):
         raise ValueError(f"subordination requires alpha in (0, 2), got {alpha}")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    gen = _generator(rng)
-    shape = () if size is None else size
-    u = gen.uniform(0.0, np.pi, shape)
-    return (C_ALPHA * dt) ** (2.0 / alpha) * _kanter(alpha, u, gen.standard_exponential(shape))
+    u, e, _ = _draws([_generator(rng)], alpha, (1,) if size is None else (1, size), 0)
+    return _subordinator(alpha, dt, u[0], e[0])
 
 
 def sample_increment(alpha, d, dt, rng, size=None):
     """One (or ``size``) increments with characteristic function exp(-dt |xi|^alpha / 2)."""
     if dt < 0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
-    gen = _generator(rng)
-    shape = (d,) if size is None else (size, d)
+    if not 0.0 < alpha <= 2.0:
+        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
+    shape = () if size is None else (size,)
     if dt == 0:
-        return np.zeros(shape)
-    if alpha == 2.0:
-        return np.sqrt(dt) * gen.standard_normal(shape)
-    s = sample_subordinator_increment(alpha, dt, gen, size=size)
-    z = gen.standard_normal(shape)
-    return np.sqrt(2.0 * np.asarray(s))[..., None] * z if size is not None \
-        else np.sqrt(2.0 * s) * z
+        return np.zeros(shape + (d,))
+    draws = _draws([_generator(rng)], alpha, (1,) + shape, d)
+    return _increments(alpha, dt, *(None if a is None else a[0] for a in draws))
 
 
 def sample_path(alpha, d, grid: TimeGrid, x0, rng) -> Path:
@@ -235,27 +269,14 @@ def sample_path_batch(alpha, d, grid: TimeGrid, x0, rng, n_paths):
     ``rng[r]`` alone: one Philox is reset to each stream in turn, each
     stream's draws fill its slot of one preallocated block in the
     single-stream order (Kanter uniforms, exponentials, then normals), and
-    one scale and one cumulative sum turn the block into positions.
+    one transform and one cumulative sum turn the block into positions.
     """
     rngs = rng if isinstance(rng, (list, tuple)) else [rng]
     x0 = np.broadcast_to(np.atleast_1d(np.asarray(x0, float)), (d,))
     dts = np.diff(grid.times)
     n = len(dts)
-    shape = (len(rngs), n_paths, n)
-    z = np.empty(shape + (d,))
-    if alpha == 2.0:
-        for gen, z_r in zip(_generators(rngs), z):
-            gen.standard_normal(out=z_r)
-        incr = np.sqrt(dts)[:, None] * z
-    else:
-        u, e = np.empty(shape), np.empty(shape)
-        for gen, u_r, e_r, z_r in zip(_generators(rngs), u, e, z):
-            u_r[...] = gen.uniform(0.0, np.pi, u_r.shape)
-            gen.standard_exponential(out=e_r)
-            gen.standard_normal(out=z_r)
-        s = (C_ALPHA * dts) ** (2.0 / alpha) * _kanter(alpha, u, e)
-        incr = np.sqrt(2.0 * s)[..., None] * z
+    draws = _draws(_generators(rngs), alpha, (len(rngs), n_paths, n), d)
     pos = np.zeros((len(rngs) * n_paths, n + 1, d))
-    np.cumsum(incr.reshape(-1, n, d), axis=1, out=pos[:, 1:])
+    np.cumsum(_increments(alpha, dts, *draws).reshape(-1, n, d), axis=1, out=pos[:, 1:])
     pos += x0
     return pos

@@ -19,7 +19,8 @@ import numpy as np
 from . import chaos, exponents, field, fk, kernels, solver
 from .exponents import MollifierParams
 from .params import InitialCondition, ModelParams
-from .paths import RngStream, TimeGrid, constant_path, sample_path, sample_subordinator_increment
+from .paths import (RngStream, TimeGrid, constant_path, sample_increment, sample_path,
+                    sample_path_batch, sample_subordinator_increment)
 
 EXACT_SELF_T1 = exponents.deterministic_bound(1.0, 1)  # t = 1 constant-path exponent
 
@@ -83,8 +84,6 @@ def check_stable_mass():
 def check_increment_ecf(budget):
     n = 10_000 if budget == "quick" else 100_000
     gen = RngStream(2024, 0).generator()
-    from .paths import sample_increment
-
     y = sample_increment(1.0, 1, 1.0, gen, size=n)[:, 0]
     vals = np.cos(y)
     se = vals.std(ddof=1) / math.sqrt(n)
@@ -124,8 +123,6 @@ def check_constant_path_oracle():
 
 
 def check_pathwise_bound(budget):
-    from .paths import sample_path_batch
-
     n_paths = 1000 if budget == "quick" else 10_000
     grid = TimeGrid.uniform(1.0, 128)
     bound = exponents.deterministic_bound(1.0, 1)
@@ -225,8 +222,8 @@ def check_chaos_term1():
     return err <= 1e-3, err, 1e-3, "semigroup-collapse route vs closed form"
 
 
-def check_chaos_dual_route(budget):
-    n = 50_000 if budget == "quick" else 200_000
+def check_chaos_dual_route(budget, n_samples=None):
+    n = n_samples or (50_000 if budget == "quick" else 200_000)
     det = chaos.chaos_term(1, 2.0, 1, 1.0)
     fmc = chaos.chaos_term(1, 2.0, 1, 1.0, method="fourier_mc", n_samples=n)
     tol = 3 * math.hypot(det.mc_error, fmc.mc_error)
@@ -239,7 +236,8 @@ def check_existence_table():
     for alpha in (0.5, 1.0, 1.5, 2.0):
         for d in range(1, 6):
             rep = chaos.existence_check(alpha, d)
-            if rep.exists != (d < 2.0 + alpha):
+            conditions = rep.cond_d_lt_2q and rep.cond_d_lt_4pqa and rep.cond_d_lt_pa2
+            if rep.exists != (d < 2.0 + alpha) or rep.exists != conditions:
                 bad += 1
     return bad == 0, bad, 0, "20-cell truth table against d < 2 + alpha"
 
@@ -273,14 +271,14 @@ def check_sko_mean_multiplier():
     return worst <= 1e-6, worst, 1e-6, "convolution quadrature vs stable multiplier"
 
 
-def check_moment_ordering(budget):
-    n = 100 if budget == "quick" else 500
+def check_moment_ordering(budget, n_samples=None, seed=77):
+    n = n_samples or (100 if budget == "quick" else 500)
     grid = TimeGrid.uniform(1.0, 128)
     pm = ModelParams(alpha=2.0, d=1, t_horizon=1.0)
     ok = True
     for p in (1, 2, 3):
-        s = fk.strat_moment(p, pm, n, grid=grid, rng=77, keep_samples=True)
-        k = fk.sko_moment(p, pm, n, grid=grid, rng=77, keep_samples=True)
+        s = fk.strat_moment(p, pm, n, grid=grid, rng=seed, keep_samples=True)
+        k = fk.sko_moment(p, pm, n, grid=grid, rng=seed, keep_samples=True)
         if not np.all(s.samples >= k.samples):
             ok = False
     return ok, 0.0 if ok else 1.0, 0.0, "strat >= sko sample-by-sample on shared paths"

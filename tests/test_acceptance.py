@@ -2,8 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.  Tolerances are pinned, not configurable: here, or for
-criteria 01, 08 and 09 in the ``sfheat validate`` check of the same
-invariant, which they call with their own sizes and seeds.
+criteria 01, 02, 06, 07, 08 and 09 in the ``sfheat validate`` checks of the
+same invariants, which they call with their own sizes and seeds.
 """
 
 import json
@@ -14,16 +14,14 @@ import numpy as np
 import pytest
 
 from sfheat import validation
-from sfheat.chaos import chaos_second_moment, chaos_term, existence_check
+from sfheat.chaos import chaos_second_moment
 from sfheat.cli import main as cli_main
 from sfheat.cli import record_fingerprint
 from sfheat.exponents import MollifierParams, mollified_inner, self_exponent
 from sfheat.field import WickSampler
-from sfheat.fk import sko_mean_exact, sko_moment, strat_moment
+from sfheat.fk import sko_moment
 from sfheat.params import InitialCondition, ModelParams
 from sfheat.paths import RngStream, TimeGrid, sample_path
-
-TERM1 = 0.3761263
 
 
 def report(idx, ok, detail, seconds, budget):
@@ -42,15 +40,11 @@ def test_criterion_01_self_exponent_oracle():
 
 def test_criterion_02_chaos_term1_oracle():
     t0 = time.perf_counter()
-    det = chaos_term(1, 2.0, 1, 1.0)
-    fmc = chaos_term(1, 2.0, 1, 1.0, method="fourier_mc", n_samples=150_000)
-    err_closed = abs(det.value - TERM1)
-    gap = abs(det.value - fmc.value)
-    tol = 3 * math.hypot(det.mc_error, fmc.mc_error)
-    ok = err_closed <= 1e-3 and gap <= tol
+    ok_closed, err_closed, tol_closed, _ = validation.check_chaos_term1()
+    ok_routes, gap, tol, _ = validation.check_chaos_dual_route("full", n_samples=150_000)
     dt = time.perf_counter() - t0
-    report(2, ok, f"chaos term1 {det.value:.7f} (err {err_closed:.1e} <= 1e-3), "
-                  f"routes differ by {gap:.1e} <= {tol:.1e}", dt, 30.0)
+    report(2, ok_closed and ok_routes, f"chaos term1 err {err_closed:.1e} <= {tol_closed:g}, "
+                                       f"routes differ by {gap:.1e} <= {tol:.1e}", dt, 30.0)
 
 
 def test_criterion_03_cross_method_second_moment():
@@ -119,27 +113,14 @@ def test_criterion_05_conditional_law_ladder():
 
 def test_criterion_06_moment_ordering_samplewise():
     t0 = time.perf_counter()
-    pm = ModelParams(alpha=2.0, d=1, t_horizon=1.0)
-    grid = TimeGrid.uniform(1.0, 128)
-    ok = True
-    for p in (1, 2, 3):
-        s = strat_moment(p, pm, 400, grid=grid, rng=306, keep_samples=True)
-        k = sko_moment(p, pm, 400, grid=grid, rng=306, keep_samples=True)
-        ok = ok and bool(np.all(s.samples >= k.samples))
+    ok, _, _, _ = validation.check_moment_ordering("full", n_samples=400, seed=306)
     dt = time.perf_counter() - t0
     report(6, ok, "strat >= sko holds sample-by-sample for p in {1,2,3} (exact)", dt, 120.0)
 
 
 def test_criterion_07_existence_truth_table():
     t0 = time.perf_counter()
-    ok = True
-    for alpha in (0.5, 1.0, 1.5, 2.0):
-        for d in range(1, 6):
-            rep = existence_check(alpha, d)
-            expected = d < 2.0 + alpha
-            ok = ok and rep.exists == expected
-            ok = ok and rep.exists == (rep.cond_d_lt_2q and rep.cond_d_lt_4pqa
-                                       and rep.cond_d_lt_pa2)
+    ok, _, _, _ = validation.check_existence_table()
     dt = time.perf_counter() - t0
     report(7, ok, "existence_check matches d < 2 + alpha on all 20 cells "
                   "with the three-condition decomposition", dt, 10.0)

@@ -35,6 +35,11 @@ class TestDeterministicBound:
         assert deterministic_bound(1.0, 2) == math.inf
         assert deterministic_bound(1.0, 3) == math.inf
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_horizon(self, t):
+        with pytest.raises(ValueError):
+            deterministic_bound(t, 1)
+
 
 class TestSelfExponent:
     def test_constant_path_oracle(self):

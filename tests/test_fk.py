@@ -171,6 +171,17 @@ class TestSolutionSamplers:
         se = vals.std(ddof=1) / math.sqrt(n_outer)
         assert np.mean(vals) == pytest.approx(1.0, abs=3 * se)
 
+    def test_values_match_recorded(self):
+        # recorded with one sample_path call per inner path; drawing the
+        # ensemble in one batch leaves every bit of the value in place
+        grid = TimeGrid.uniform(1.0, 32)
+        strat = strat_solution_sample(PM, m_inner=16, moll=self.MOLL, grid=grid,
+                                      rng=RngStream(5, 3))
+        sko = sko_solution_sample(ModelParams(alpha=1.3), m_inner=16, moll=self.MOLL,
+                                  grid=grid, rng=RngStream(6, 0))
+        assert strat.value == 2.7725349255504987
+        assert sko.value == 0.5163903190663173
+
     def test_d2_rejected(self):
         pm = ModelParams(alpha=2.0, d=2, t_horizon=1.0)
         with pytest.raises(RegimeError):

@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate, special
 
 from sfheat import exponents, kernels
-from sfheat.kernels import heat_kernel, heat_kernel_ft, stable_kernel, stable_kernel_ft
+from sfheat.kernels import heat_kernel, stable_kernel
 from test_exponents import _shifted_heat_K2  # the closed-form mollifier oracle
 
 
@@ -32,36 +32,6 @@ class TestHeatKernel:
         val, _ = integrate.quad(lambda y: heat_kernel(s, x - y, 1) * heat_kernel(t, y, 1),
                                 -np.inf, np.inf)
         assert val == pytest.approx(heat_kernel(s + t, x, 1), abs=1e-6)
-
-
-class TestFourierTransforms:
-    def test_zero_time_identity(self):
-        assert heat_kernel_ft(0.0, 3.7) == 1.0
-        assert heat_kernel_ft(0.0, np.array([1.0, -2.0])) == 1.0
-
-    def test_heat_ft_value(self):
-        assert heat_kernel_ft(1.0, math.sqrt(2.0)) == pytest.approx(math.exp(-1.0))
-
-    def test_plancherel_against_physical(self):
-        # (2 pi)^{-1} int F p_1(xi)^2 dxi = p_2(0): quadrature vs closed form
-        val, _ = integrate.quad(lambda xi: heat_kernel_ft(1.0, xi) ** 2, -np.inf, np.inf)
-        assert val / (2 * math.pi) == pytest.approx(heat_kernel(2.0, 0.0, 1), abs=1e-8)
-
-    def test_stable_ft_alpha2_matches_heat(self):
-        for t in (0.2, 1.0, 3.0):
-            for xi in (0.0, 0.5, 2.0):
-                assert stable_kernel_ft(2.0, t, xi) == heat_kernel_ft(t, xi)
-
-    def test_stable_ft_value(self):
-        assert stable_kernel_ft(1.0, 1.0, 2.0) == pytest.approx(math.exp(-1.0))
-
-    @pytest.mark.parametrize("alpha,t,p", [(1.5, 0.7, 2.0), (1.0, 1.3, 3.0), (0.8, 0.5, 2.5)])
-    def test_ft_power_integral_scaling(self, alpha, t, p):
-        # int |F g_alpha(t, .)|^p dxi = (c_alpha t p)^{-1/alpha} int e^{-|u|^alpha} du
-        lhs, _ = integrate.quad(lambda xi: stable_kernel_ft(alpha, t, xi) ** p,
-                                -np.inf, np.inf)
-        base, _ = integrate.quad(lambda u: math.exp(-abs(u) ** alpha), -np.inf, np.inf)
-        assert lhs == pytest.approx((0.5 * t * p) ** (-1.0 / alpha) * base, rel=1e-8)
 
 
 class TestStableKernel:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sfheat.paths import (Path, RngStream, TimeGrid, constant_path, sample_increment,
-                          sample_path, sample_path_batch, sample_subordinator_increment)
+from sfheat.paths import (Path, RngStream, TimeGrid, _increments, constant_path,
+                          sample_increment, sample_path, sample_path_batch,
+                          sample_subordinator_increment)
 
 
 class TestTimeGrid:
@@ -169,9 +170,11 @@ class TestPaths:
 
 
 # Recorded draws on the non-uniform grid below with x0 = 0.3: a path from
-# RngStream(41, 7), a batch of two from RngStream(41, 8) and two increments of
-# dt = 0.25 from RngStream(41, 9).  They pin the stream layout: any change to
-# the draw order or to the arithmetic of the samplers fails bit-for-bit.
+# RngStream(41, 7), a batch of two from RngStream(41, 8), two increments of
+# dt = 0.25 from RngStream(41, 9) and one (size=None) from RngStream(41, 11);
+# and two alpha = 1.5 subordinator increments of dt = 0.25 from
+# RngStream(41, 10).  They pin the stream layout: any change to the draw
+# order or to the arithmetic of the samplers fails bit-for-bit.
 _PINNED_GRID = np.array([0.0, 0.1, 0.35, 1.0])
 _PINNED = {
     (2.0, 1): dict(
@@ -179,6 +182,7 @@ _PINNED = {
         batch=[[[0.3], [0.2162151383235142], [0.11137118199014437], [1.3338281163828776]],
                [[0.3], [0.8473469461792604], [1.2087581581316122], [1.6927353879849132]]],
         increment=[[0.5495125454212298], [-0.16778842741367547]],
+        single=[0.03604270712310763],
     ),
     (2.0, 2): dict(
         path=[[0.3, 0.3], [0.11053279109294159, 0.3082495543012801],
@@ -192,12 +196,14 @@ _PINNED = {
                 [0.9365925255838583, -1.8895924987483281]]],
         increment=[[0.5495125454212298, -0.16778842741367547],
                    [-0.06506984075076801, -0.3202261552741527]],
+        single=[0.03604270712310763, 0.03757970180484594],
     ),
     (1.5, 1): dict(
         path=[[0.3], [0.33804037851286406], [0.11468130909507693], [-1.964363348313306]],
         batch=[[[0.3], [0.13592620057320912], [-0.09050934571835717], [-2.925364305754389]],
                [[0.3], [0.3499909872721949], [1.1779817023278958], [0.712250552180696]]],
         increment=[[-0.06455346754923587], [-0.4436659160794461]],
+        single=[0.19443441635890116],
     ),
     (1.5, 2): dict(
         path=[[0.3, 0.3], [0.33804037851286406, 0.13288887825979998],
@@ -211,8 +217,10 @@ _PINNED = {
                 [2.0085165870289705, 0.5841084852561813]]],
         increment=[[-0.06455346754923587, -0.3668905210395637],
                    [-0.4077874317807143, 0.038148785682980586]],
+        single=[0.19443441635890116, 0.5251977567954945],
     ),
 }
+_PINNED_SUBORDINATOR = [0.10207864375417118, 0.035702262577687924]
 
 
 class TestStreamLayout:
@@ -226,6 +234,25 @@ class TestStreamLayout:
         assert np.array_equal(path.positions, pinned["path"])
         assert np.array_equal(batch, pinned["batch"])
         assert np.array_equal(incr, pinned["increment"])
+        single = sample_increment(alpha, d, 0.25, RngStream(41, 11))
+        assert single.shape == (d,)
+        assert np.array_equal(single, pinned["single"])
+
+    def test_subordinator_matches_recorded_values(self):
+        s = sample_subordinator_increment(1.5, 0.25, RngStream(41, 10), size=2)
+        assert np.array_equal(s, _PINNED_SUBORDINATOR)
+
+
+class TestTransform:
+    def test_fixed_point_without_draws(self):
+        # at alpha = 1, u = pi/2 and e = 1 Kanter's transform gives S_std = 1/2,
+        # so the subordinator is (dt/2)^2 / 2 and the increment its sqrt(2 S) Z
+        dt = 0.3
+        z = np.array([[[0.7, -1.2], [2.0, 0.1]]])
+        u, e = np.full((1, 2), np.pi / 2), np.ones((1, 2))
+        expected = z * math.sqrt(2.0 * (dt / 2.0) ** 2 * 0.5)
+        np.testing.assert_allclose(_increments(1.0, dt, u, e, z), expected, rtol=1e-14)
+        assert np.array_equal(_increments(2.0, dt, None, None, z), math.sqrt(dt) * z)
 
 
 class TestStreamBatches:
