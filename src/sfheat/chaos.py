@@ -17,8 +17,9 @@ space.  Two independent numeric routes are provided:
   coupling, leaving a bounded integrand (a product of stable characteristic
   functions), hence finite variance and an honest standard error.
 
-Initial conditions are restricted to constants (the general-u0 series is out
-of scope; a constant c just scales every term by c^2).
+Every term is for the initial data u0 = 1.  Constant data u0 = c scale each
+term, and so the second moment, by c^2; the series for other initial data is
+out of scope.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, RegimeError
-from .params import C_ALPHA, InitialCondition
+from .params import C_ALPHA
 from .paths import RngStream
 
 MAX_CHAOS_ORDER = 6
@@ -85,14 +86,6 @@ def existence_check(alpha, d) -> ExistenceReport:
     return ExistenceReport(alpha=alpha, d=int(d), p_choice=p, q_choice=q,
                            cond_d_lt_2q=c1, cond_d_lt_4pqa=c2, cond_d_lt_pa2=c3,
                            exists=c1 and c2 and c3)
-
-
-def _require_constant_u0(u0):
-    if u0 is None:
-        return 1.0
-    if not isinstance(u0, InitialCondition) or u0.tag != "constant":
-        raise ValueError("chaos terms are implemented for constant initial data only")
-    return u0.params[0]
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +204,8 @@ def _term_fourier_mc(n, alpha, t, seed, n_samples):
     return const * float(vals.mean()), const * float(vals.std() / math.sqrt(n_samples))
 
 
-def chaos_term(n, alpha, d, t, u0=None, seed=0, method=None,
-               n_samples=_FOURIER_SAMPLES) -> ChaosTerm:
-    """n! ||f~_n(., t, x)||^2 for constant initial data (x-independent).
+def chaos_term(n, alpha, d, t, seed=0, method=None, n_samples=_FOURIER_SAMPLES) -> ChaosTerm:
+    """n! ||f~_n(., t, x)||^2 for u0 = 1 (x-independent); u0 = c scales it by c^2.
 
     ``method`` may force ``"closed_form_alpha2"`` or ``"fourier_mc"``; by
     default alpha = 2 takes the determinant route and alpha < 2 the Fourier
@@ -225,12 +217,11 @@ def chaos_term(n, alpha, d, t, u0=None, seed=0, method=None,
         raise BudgetError(f"chaos terms are budgeted up to n = {MAX_CHAOS_ORDER}, got {n}")
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
-    c0 = _require_constant_u0(u0)
     if method is None:
         method = "closed_form_alpha2" if alpha == 2.0 else "fourier_mc"
     if n == 0:
         # |(g_alpha(t,.) * u0)(x)|^2 with mass-one kernel
-        return ChaosTerm(0, c0 ** 2, 0.0, method)
+        return ChaosTerm(0, 1.0, 0.0, method)
     if method == "closed_form_alpha2":
         if alpha != 2.0:
             raise ValueError("the semigroup-collapse route requires alpha = 2")
@@ -243,7 +234,7 @@ def chaos_term(n, alpha, d, t, u0=None, seed=0, method=None,
         value, err = _term_fourier_mc(int(n), alpha, t, seed, n_samples)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return ChaosTerm(int(n), c0 ** 2 * value, c0 ** 2 * err, method)
+    return ChaosTerm(int(n), value, err, method)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +256,7 @@ def series_term_bound(n, alpha, d, t):
     of the stable semigroup under the Hoelder split and the Plancherel
     factor:
 
-        C = (2 pi)^{-d} * [I_alpha (c_alpha p)^{-d/alpha}]^{2/p}
+        C = (2 pi)^{-d} * [I_alpha (C_ALPHA p)^{-d/alpha}]^{2/p}
             * [(2 pi / q)^{d/2}]^{1/q},
         I_alpha = surface(S^{d-1}) Gamma(d/alpha) / alpha,
 
@@ -297,9 +288,10 @@ def series_term_bound(n, alpha, d, t):
     return math.exp(log_bound)
 
 
-def chaos_second_moment(alpha, d, t, n_max, u0=None, seed=0,
+def chaos_second_moment(alpha, d, t, n_max, seed=0,
                         n_samples=_FOURIER_SAMPLES) -> ChaosSeriesResult:
-    """Partial series sum for E[u(t, x)^2] plus a calibrated analytic tail.
+    """Partial series sum for E[u(t, x)^2] at u0 = 1, plus a calibrated analytic
+    tail; for u0 = c multiply the value, error and tail by c^2.
 
     The tail multiplies the Gamma-ratio bound profile by the last computed
     term (the bound's absolute constant is not pinned, its decay profile is),
@@ -313,7 +305,7 @@ def chaos_second_moment(alpha, d, t, n_max, u0=None, seed=0,
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     n_max = int(min(n_max, MAX_CHAOS_ORDER))
-    terms = tuple(chaos_term(n, alpha, d, t, u0=u0, seed=seed, n_samples=n_samples)
+    terms = tuple(chaos_term(n, alpha, d, t, seed=seed, n_samples=n_samples)
                   for n in range(n_max + 1))
     value = float(sum(term.value for term in terms))
     err = float(math.sqrt(sum(term.mc_error ** 2 for term in terms)))

@@ -2,7 +2,10 @@
 
 The object of interest is V = int_0^t int_0^t p_{|s-r|}(X_s - X_r) dr ds for
 one path (self exponent) or two paths (cross exponent), plus its mollified
-version <A_eps_delta, A_eps_delta> used by the Wick-weight machinery.
+version <A_eps_delta, A_eps_delta> used by the Wick-weight machinery.  The
+dimension d is read from the paths (``Path.d``) or from the last axis of the
+position arrays, where a (B, n+1) array means d = 1; ``cross_exponent_values``
+also takes d and rejects a d that differs from its positions'.
 
 Scheme ("midpoint_exact_diagonal"): paths are frozen on grid cells at their
 left node.  Cells overlapping the singular band |s - r| <= max step are
@@ -149,7 +152,7 @@ def _grid_tables(times, d):
     with np.errstate(divide="ignore"):
         p0 = np.where(offband, (2.0 * np.pi * np.where(offband, tau, 1.0)) ** (-d / 2.0) * area, 0.0)
         inv2tau = np.where(offband, 0.5 / np.where(offband, tau, 1.0), 0.0)
-    tables = (h, mids, p0, inv2tau)
+    tables = (h, p0, inv2tau)
     if len(_GRID_CACHE) >= _GRID_CACHE_MAX:
         _GRID_CACHE.clear()
     _GRID_CACHE[key] = tables
@@ -182,13 +185,17 @@ def _pool():
         return _POOL
 
 
-def _check_band_shapes(times, pos_a, pos_b):
-    """Both position arrays must be (B, len(times), ...) with one shape."""
+def _positions(times, pos_a, pos_b):
+    """The two position batches as float arrays of one shape (B, len(times), d);
+    a 2-D array (B, len(times)) is d = 1."""
     if len(times) < 2:
         raise ValueError("path grid must contain at least one step")
-    if pos_a.shape != pos_b.shape or pos_a.ndim < 2 or pos_a.shape[1] != len(times):
+    pos_a, pos_b = (np.asarray(pos, dtype=float) for pos in (pos_a, pos_b))
+    pos_a, pos_b = (pos[..., None] if pos.ndim == 2 else pos for pos in (pos_a, pos_b))
+    if pos_a.shape != pos_b.shape or pos_a.ndim != 3 or pos_a.shape[1] != len(times):
         raise ValueError(f"positions must share one shape (B, {len(times)}, d), "
                          f"got {pos_a.shape} and {pos_b.shape}")
+    return pos_a, pos_b
 
 
 def _layout(B, n, workers):
@@ -302,8 +309,9 @@ def cross_exponent_values(times, pos_a, pos_b, d):
     Parameters
     ----------
     times : (n+1,) grid times
-    pos_a, pos_b : (B, n+1, d) positions of the two path ensembles
-    d : spatial dimension
+    pos_a, pos_b : (B, n+1, d) positions of the two path ensembles; (B, n+1)
+        arrays are d = 1
+    d : spatial dimension, which must equal the positions' last axis
 
     Returns
     -------
@@ -324,14 +332,10 @@ def cross_exponent_values(times, pos_a, pos_b, d):
     a batch that cannot be split within that runs as one range, whose
     blocks aim at ``_BLOCK_ELEMENTS`` (1 MB).
     """
-    pos_a = np.asarray(pos_a, dtype=float)
-    pos_b = np.asarray(pos_b, dtype=float)
-    if pos_a.ndim == 2:
-        pos_a = pos_a[..., None]
-    if pos_b.ndim == 2:
-        pos_b = pos_b[..., None]
-    _check_band_shapes(times, pos_a, pos_b)
-    h, _, p0, inv2tau = _grid_tables(times, d)
+    pos_a, pos_b = _positions(times, pos_a, pos_b)
+    if pos_a.shape[-1] != d:
+        raise ValueError(f"d = {d} differs from the positions' dimension {pos_a.shape[-1]}")
+    h, p0, inv2tau = _grid_tables(times, d)
     out = np.empty(len(pos_a))
     err = np.geterr()  # numpy's error state does not reach other threads
 
@@ -359,10 +363,11 @@ def _coarsen_indices(n_nodes):
     return idx
 
 
-def _exponent(path_a: Path, path_b: Path, d):
+def _exponent(path_a: Path, path_b: Path):
     if path_a.grid.times.shape != path_b.grid.times.shape or \
             not np.array_equal(path_a.grid.times, path_b.grid.times):
         raise ValueError("paths must share a time grid")
+    d = path_a.d
     # only the self exponent diverges for d >= 2; couplings of distinct paths
     # are finite a.s. in the existence region
     if d >= 2 and (path_a is path_b or np.array_equal(path_a.positions, path_b.positions)):
@@ -380,16 +385,14 @@ def _exponent(path_a: Path, path_b: Path, d):
                          refinement_estimate=abs(value - coarse))
 
 
-def self_exponent(path: Path, d=None) -> ExponentValue:
+def self_exponent(path: Path) -> ExponentValue:
     """Quadrature of Var[I_{t,x} | X] = int int p_{|s-r|}(X_s - X_r) dr ds."""
-    d = path.d if d is None else d
-    return _exponent(path, path, d)
+    return _exponent(path, path)
 
 
-def cross_exponent(path_j: Path, path_k: Path, d=None) -> ExponentValue:
+def cross_exponent(path_j: Path, path_k: Path) -> ExponentValue:
     """Quadrature of the two-path coupling int int p_{|s-r|}(X^j_s - X^k_r) ds dr."""
-    d = path_j.d if d is None else d
-    return _exponent(path_j, path_k, d)
+    return _exponent(path_j, path_k)
 
 
 def deterministic_bound(t, d):
@@ -503,8 +506,8 @@ def _xi_transforms(times, P, z_max, moll: MollifierParams):
         yield weight[k0:k0 + chunk], F, R
 
 
-def mollified_inner_values(times, pos_a, pos_b, moll: MollifierParams, d):
-    """Batched <A^{(a)}, A^{(b)}> for paths given as (B, n+1, d) position arrays.
+def mollified_inner_values(times, pos_a, pos_b, moll: MollifierParams):
+    """Batched <A^{(a)}, A^{(b)}> for paths given as (B, n+1, 1) or (B, n+1) position arrays.
 
     The (s, r) integral is midpoint quadrature over grid cells with the path
     frozen at left nodes X_i, Y_j; cell i carries the psi-window I_i = [m_i,
@@ -527,20 +530,15 @@ def mollified_inner_values(times, pos_a, pos_b, moll: MollifierParams, d):
     The xi integral is the trapezoid rule of ``_xi_nodes``, whose spacing
     follows the largest |X_i - Y_j| in the batch; the node set, and so the
     last digits of each value, depend on the other paths in the batch.
-    Only d = 1 is supported; the mollified machinery feeds the Wick-weight
+    Only d = 1 is supported, and positions of any other d raise
+    NotImplementedError; the mollified machinery feeds the Wick-weight
     sampler, which the solution formulas restrict to d = 1 anyway.
     """
-    if d != 1:
+    pos_a, pos_b = _positions(times, pos_a, pos_b)
+    if pos_a.shape[-1] != 1:
         raise NotImplementedError("mollified inner products are implemented for d = 1 only")
-    pos_a = np.asarray(pos_a, dtype=float)
-    pos_b = np.asarray(pos_b, dtype=float)
-    if pos_a.ndim == 3:
-        pos_a = pos_a[..., 0]
-    if pos_b.ndim == 3:
-        pos_b = pos_b[..., 0]
-    _check_band_shapes(times, pos_a, pos_b)
     B, n = len(pos_a), len(times) - 1
-    X, Y = pos_a[:, :n], pos_b[:, :n]
+    X, Y = pos_a[:, :n, 0], pos_b[:, :n, 0]
     z_max = float(np.max(np.maximum(X.max(axis=1) - Y.min(axis=1),
                                     Y.max(axis=1) - X.min(axis=1))))
     self_pair = np.array_equal(X, Y)
@@ -553,15 +551,14 @@ def mollified_inner_values(times, pos_a, pos_b, moll: MollifierParams, d):
     return total / math.pi
 
 
-def mollified_inner(path_j: Path, path_k: Path, moll: MollifierParams, d=None):
-    """<A^{eps,delta,(j)}, A^{eps,delta,(k)}> for two paths on a shared grid.
+def mollified_inner(path_j: Path, path_k: Path, moll: MollifierParams):
+    """<A^{eps,delta,(j)}, A^{eps,delta,(k)}> for two d = 1 paths on a shared grid.
 
     Nonsingular for eps > 0 (the time covariance is shifted by 2 eps) and
     converges to the cross exponent as (eps, delta) -> 0.
     """
-    d = path_j.d if d is None else d
     if path_j.grid.times.shape != path_k.grid.times.shape or \
             not np.array_equal(path_j.grid.times, path_k.grid.times):
         raise ValueError("paths must share a time grid")
     return float(mollified_inner_values(path_j.grid.times, path_j.positions[None],
-                                        path_k.positions[None], moll, d)[0])
+                                        path_k.positions[None], moll)[0])

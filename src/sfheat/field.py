@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import FactorizationError, RegimeError
 from .exponents import MollifierParams, _xi_transforms, self_exponent
-from .paths import Path, _generator
+from .paths import Path, _require_stream
 
 JITTER_SCALE = 1e-12       # first shot: 1e-12 * trace / N on the diagonal
 PSD_TOLERANCE = 1e-10      # matrices are acceptable down to min eig >= -1e-10 * trace
@@ -51,7 +51,7 @@ class WickWeights:
     gaussians: np.ndarray
 
 
-def wick_gram(paths, moll: MollifierParams, d=1):
+def wick_gram(paths, moll: MollifierParams):
     """Gram matrix of mollified inner products across a shared-grid ensemble.
 
     Entry (a, b) is ``mollified_inner_values`` of paths a and b up to
@@ -60,14 +60,15 @@ def wick_gram(paths, moll: MollifierParams, d=1):
     whole ensemble (each pair's own set would follow that pair alone), so per
     chunk of nodes the Gram is one real matrix product: G_ab = Re sum_i
     F_a,i R_b,i is (F w) @ conj(R)^T on the real views, and the Gram
-    (G + G^T) / pi is exactly symmetric.  Only d = 1 is supported."""
+    (G + G^T) / pi is exactly symmetric.  Only d = 1 paths are supported;
+    others raise NotImplementedError."""
     if not paths:
         raise ValueError("need at least one path")
     times = paths[0].grid.times
     for p in paths[1:]:
         if not np.array_equal(p.grid.times, times):
             raise ValueError("all paths must share a time grid")
-    if d != 1:
+    if any(p.d != 1 for p in paths):
         raise NotImplementedError("mollified inner products are implemented for d = 1 only")
     m = len(paths)
     left = np.stack([p.positions[:-1, 0] for p in paths])
@@ -85,29 +86,27 @@ class WickSampler:
     conditional-variance ladders) need.
     """
 
-    def __init__(self, paths, moll: MollifierParams, d=1):
-        self.gram = wick_gram(paths, moll, d)
+    def __init__(self, paths, moll: MollifierParams):
+        self.gram = wick_gram(paths, moll)
         self._chol = _factorize(self.gram)
 
     def sample(self, rng) -> WickWeights:
-        gen = _generator(rng)
+        gen = _require_stream(rng).generator()
         return WickWeights(gram=self.gram,
                            gaussians=self._chol @ gen.standard_normal(len(self.gram)))
 
 
-def conditional_I_sample(path: Path, d=1, rng=None, size=None):
+def conditional_I_sample(path: Path, rng, size=None):
     """Draw from the conditional law of I_{t,x} given the path: N(0, V(path)).
 
-    Only d = 1 carries a finite conditional variance, so other dimensions
-    are rejected.
+    Only d = 1 carries a finite conditional variance, so paths of other
+    dimensions are rejected.
     """
-    if d != 1:
+    if path.d != 1:
         raise RegimeError(
             "the conditional variance of I_{t,x} is finite only for d = 1",
             condition="d = 1")
-    if rng is None:
-        raise ValueError("an RngStream or Generator is required")
-    gen = _generator(rng)
-    var = self_exponent(path, d).value
+    gen = _require_stream(rng).generator()
+    var = self_exponent(path).value
     return math.sqrt(var) * gen.standard_normal() if size is None \
         else math.sqrt(var) * gen.standard_normal(size)

@@ -16,8 +16,10 @@ target for the direct solver and the solution samplers.
 
 Each Monte Carlo sample owns one counter-based stream and draws p fresh
 paths, so the draws are independent of batching and an estimate is
-reproducible bit-for-bit for a given configuration.  Samples run in batches
-of 4e6 / n^2 (n grid steps; an eighth of that when mollified).  One
+reproducible bit-for-bit for a given configuration.  Every estimator takes
+``rng`` as an RngStream or an integer master seed (its stream 0), and the
+exponents take their dimension from the sampled positions.  Samples run in
+batches of 4e6 / n^2 (n grid steps; an eighth of that when mollified).  One
 ``sample_path_batch`` call takes a batch's streams and fills one block of
 draws, and ``cross_exponent_values`` splits the batch's pair quadrature
 into sample ranges over the cores of the affinity mask, each taking its
@@ -42,7 +44,7 @@ from .exponents import MollifierParams, cross_exponent_values, mollified_inner_v
 from .field import WickSampler, WickWeights
 from .kernels import stable_kernel
 from .params import ModelParams
-from .paths import Path, RngStream, TimeGrid, sample_path_batch
+from .paths import Path, TimeGrid, _require_stream, sample_path_batch
 
 DEFAULT_INNER_PATHS = 128
 
@@ -69,15 +71,7 @@ class SolutionSample:
     flavor: str
 
 
-def _require_stream(rng):
-    if isinstance(rng, RngStream):
-        return rng
-    if isinstance(rng, int):
-        return RngStream(rng)
-    raise TypeError("rng must be an RngStream or an integer master seed")
-
-
-def _pair_exponents(times, pos, p, d, moll, include_diag):
+def _pair_exponents(times, pos, p, moll, include_diag):
     """Weighted sum of pairwise exponents for a batch of shape (B, p, n+1, d).
 
     Returns (1/2) sum_{j,k} V_jk when ``include_diag`` (Stratonovich weight)
@@ -88,9 +82,9 @@ def _pair_exponents(times, pos, p, d, moll, include_diag):
     for j in range(p):
         for k in range(j if include_diag else j + 1, p):
             if moll is None:
-                vals = cross_exponent_values(times, pos[:, j], pos[:, k], d)
+                vals = cross_exponent_values(times, pos[:, j], pos[:, k], pos.shape[-1])
             else:
-                vals = mollified_inner_values(times, pos[:, j], pos[:, k], moll, d)
+                vals = mollified_inner_values(times, pos[:, j], pos[:, k], moll)
             expo += 0.5 * vals if (include_diag and j == k) else vals
     return expo
 
@@ -111,7 +105,7 @@ def _moment_samples(p, params: ModelParams, n_samples, grid, rng, flavor, moll):
         streams = [rng.substream(i) for i in range(start, stop)]
         pos = sample_path_batch(params.alpha, params.d, grid, 0.0, streams, p).reshape(
             stop - start, p, len(times), params.d)
-        expo = _pair_exponents(times, pos, p, params.d, moll, include_diag)
+        expo = _pair_exponents(times, pos, p, moll, include_diag)
         endpoints = pos[:, :, -1, :] + x
         u0_prod = np.prod(params.u0(endpoints), axis=1)
         out[start:stop] = u0_prod * np.exp(expo)
@@ -262,7 +256,7 @@ def _solution_sample(params, m_inner, moll, grid, rng, flavor):
     grid = grid or TimeGrid.default(params.t_horizon)
     streams = [rng.substream(m) for m in range(m_inner)]
     paths = [Path(grid, pos) for pos in sample_path_batch(params.alpha, 1, grid, 0.0, streams, 1)]
-    weights = WickSampler(paths, moll, 1).sample(rng.substream(m_inner))
+    weights = WickSampler(paths, moll).sample(rng.substream(m_inner))
     value = solution_value(paths, weights, params, flavor)
     return SolutionSample(value=value, inner_paths=m_inner, moll=moll, flavor=flavor)
 

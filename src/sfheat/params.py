@@ -95,7 +95,6 @@ class ModelParams:
     t_horizon: float = 1.0
     x_point: np.ndarray = None
     u0: InitialCondition = field(default_factory=InitialCondition.constant)
-    c_alpha: float = C_ALPHA
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
@@ -104,8 +103,6 @@ class ModelParams:
             raise ValueError(f"d must be a positive integer, got {self.d}")
         if not 0.0 < self.t_horizon < np.inf:
             raise ValueError(f"t_horizon must be positive and finite, got {self.t_horizon}")
-        if self.c_alpha != C_ALPHA:
-            raise ValueError("c_alpha is pinned to 1/2 (alpha=2 must reproduce the heat kernel)")
         x = np.zeros(self.d) if self.x_point is None else np.atleast_1d(np.asarray(self.x_point, float))
         if x.shape != (self.d,):
             raise ValueError(f"x_point must be a {self.d}-vector, got shape {x.shape}")

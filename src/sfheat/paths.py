@@ -11,7 +11,9 @@ here is one call into the pair.
 
 Randomness comes from counter-based Philox streams keyed by
 (master_seed, stream_index): distinct indices own disjoint counter blocks,
-so ensembles are reproducible independently of scheduling or batching.  A
+so ensembles are reproducible independently of scheduling or batching.
+Every sampler here, and every caller in the package, takes an RngStream or
+an integer master seed (its stream 0) through ``_require_stream``.  A
 call over many streams resets one Philox to each stream's key and counter in
 turn, which draws exactly what a fresh Philox per stream would.
 """
@@ -117,10 +119,6 @@ class TimeGrid:
     def t_horizon(self):
         return float(self.times[-1])
 
-    @property
-    def max_step(self):
-        return float(np.max(np.diff(self.times)))
-
 
 @dataclass(frozen=True)
 class Path:
@@ -152,25 +150,26 @@ class Path:
         return self.positions[-1]
 
 
-def _generator(rng):
-    """The Generator of a stream, or ``rng`` itself if it is already one."""
-    return rng.generator() if isinstance(rng, RngStream) else rng
+def _require_stream(rng):
+    """``rng`` as an RngStream: an integer is a master seed and names its stream 0."""
+    if isinstance(rng, RngStream):
+        return rng
+    if isinstance(rng, int):
+        return RngStream(rng)  # rejects bools
+    raise TypeError(f"rng must be an RngStream or an integer master seed, got {rng!r}")
 
 
 def _generators(rngs):
-    """The Generator of each of ``rngs`` in turn, streams by one shared Philox.
+    """The Generator of each of ``rngs`` (streams or seeds) in turn, by one shared Philox.
 
     The first stream builds it, and every later stream resets it to its own
     key and counter, so each yielded Generator is valid only until the next
-    one is taken; Generators pass through unchanged.
+    one is taken.
     """
     shared = None
     for rng in rngs:
-        if isinstance(rng, RngStream):
-            shared = rng.generator(shared)
-            yield shared
-        else:
-            yield rng
+        shared = _require_stream(rng).generator(shared)
+        yield shared
 
 
 def constant_path(grid, x0=0.0, d=1):
@@ -237,7 +236,7 @@ def sample_subordinator_increment(alpha, dt, rng, size=None):
         raise ValueError(f"subordination requires alpha in (0, 2), got {alpha}")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    u, e, _ = _draws([_generator(rng)], alpha, (1,) if size is None else (1, size), 0)
+    u, e, _ = _draws(_generators([rng]), alpha, (1,) if size is None else (1, size), 0)
     return _subordinator(alpha, dt, u[0], e[0])
 
 
@@ -247,10 +246,11 @@ def sample_increment(alpha, d, dt, rng, size=None):
         raise ValueError(f"dt must be nonnegative, got {dt}")
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
+    rng = _require_stream(rng)  # also where dt = 0 draws nothing
     shape = () if size is None else (size,)
     if dt == 0:
         return np.zeros(shape + (d,))
-    draws = _draws([_generator(rng)], alpha, (1,) + shape, d)
+    draws = _draws(_generators([rng]), alpha, (1,) + shape, d)
     return _increments(alpha, dt, *(None if a is None else a[0] for a in draws))
 
 

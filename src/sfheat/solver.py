@@ -37,9 +37,9 @@ import numpy as np
 
 from .field import _factorize  # noqa: F401  # perfbench/spans.py patches this attribute by name
 from .errors import RegimeError
-from .fk import MomentEstimate, _finalize, _require_order, _require_stream
+from .fk import MomentEstimate, _finalize, _require_order
 from .params import C_ALPHA, ModelParams
-from .paths import _generators
+from .paths import _generators, _require_stream
 
 # aliases whose weight is below float64 resolution of their mode's largest
 # term are dropped: weight ratio exp(-eps dkappa^2) <= machine epsilon
@@ -144,7 +144,7 @@ class NoiseSlabSampler:
         return len(self._rho)
 
     def sample(self, rng):
-        """One slab from a stream (or numpy Generator), or a block of slabs.
+        """One slab from a stream (or integer master seed), or a block of slabs.
 
         A list or tuple of streams gives a (len, n_time, n_space) block whose
         row r is bit-identical to ``sample(streams[r])``; one Philox is reset

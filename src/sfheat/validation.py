@@ -2,13 +2,16 @@
 
 Each check re-measures one documented invariant at desk scale and reports
 the measured number against its tolerance.  The suite is deterministic
-(fixed seeds) and split into a quick tier and a full tier; the slow
-cross-validation of the direct solver against the matched Feynman-Kac
-estimator only runs in full mode.
+(fixed seeds) and split into a quick tier and a full tier.  A check's sizes
+are keyword arguments whose defaults are the quick tier; its ``_CHECKS`` row
+holds the full-tier sizes, and flags the slow cross-validation of the direct
+solver against the matched Feynman-Kac estimator, which only runs in full
+mode.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import warnings
@@ -81,17 +84,15 @@ def check_stable_mass():
 # ---------------------------------------------------------------------------
 
 
-def check_increment_ecf(budget):
-    n = 10_000 if budget == "quick" else 100_000
-    gen = RngStream(2024, 0).generator()
-    y = sample_increment(1.0, 1, 1.0, gen, size=n)[:, 0]
+def check_increment_ecf(n=10_000):
+    y = sample_increment(1.0, 1, 1.0, RngStream(2024, 0), size=n)[:, 0]
     vals = np.cos(y)
     se = vals.std(ddof=1) / math.sqrt(n)
     err = abs(vals.mean() - math.exp(-0.5))
     return err <= 3 * se, err, 3 * se, "ECF of the alpha = 1 increment at xi = 1"
 
 
-def check_subordinator_scaling(budget):
+def check_subordinator_scaling():
     from scipy import stats  # slow to import; the CLI's other commands never need it
 
     n = 10_000
@@ -117,13 +118,12 @@ def check_path_reproducibility():
 
 def check_constant_path_oracle():
     grid = TimeGrid.uniform(1.0, 512)
-    val = exponents.self_exponent(constant_path(grid), 1).value
+    val = exponents.self_exponent(constant_path(grid)).value
     err = abs(val - EXACT_SELF_T1)
     return err <= 1e-3, err, 1e-3, "512-step quadrature vs (8/3)(2 pi)^{-1/2}"
 
 
-def check_pathwise_bound(budget):
-    n_paths = 1000 if budget == "quick" else 10_000
+def check_pathwise_bound(n_paths=1000):
     grid = TimeGrid.uniform(1.0, 128)
     bound = exponents.deterministic_bound(1.0, 1)
     worst = -np.inf
@@ -141,7 +141,7 @@ def check_pathwise_bound(budget):
 def check_refinement_slope():
     grid_ns = [64, 128, 256, 512]
     # measured on the constant path, where the scheme bias is isolated
-    cvals = [exponents.self_exponent(constant_path(TimeGrid.uniform(1.0, n)), 1).value
+    cvals = [exponents.self_exponent(constant_path(TimeGrid.uniform(1.0, n))).value
              for n in grid_ns]
     errs = [abs(v - EXACT_SELF_T1) for v in cvals]
     slope = np.polyfit(np.log(grid_ns), np.log(errs), 1)[0]
@@ -156,8 +156,8 @@ def check_divergence_witness():
         cp2 = constant_path(grid, 0.0, d=2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", exponents.DivergentExponentWarning)
-            vals_d2.append(exponents.self_exponent(cp2, 2).value)
-        vals_d1.append(exponents.self_exponent(constant_path(grid), 1).value)
+            vals_d2.append(exponents.self_exponent(cp2).value)
+        vals_d1.append(exponents.self_exponent(constant_path(grid)).value)
     incr = np.diff(vals_d2)
     grow = np.all(incr > 0) and incr[-1] > 0.5 * incr[0]
     d1_gaps = np.abs(np.diff(vals_d1))
@@ -181,12 +181,10 @@ def check_mollified_ladder():
 # ---------------------------------------------------------------------------
 
 
-def check_wick_mean_one(budget, seed=23):
-    m = 16 if budget == "quick" else 64
-    n_draws = 2000 if budget == "quick" else 5000
+def check_wick_mean_one(m=16, n_draws=2000, seed=23):
     grid = TimeGrid.uniform(1.0, 32)
     paths = [sample_path(2.0, 1, grid, 0.0, RngStream(seed, i)) for i in range(m)]
-    gram = field.wick_gram(paths, MollifierParams(0.1, 0.1), 1)
+    gram = field.wick_gram(paths, MollifierParams(0.1, 0.1))
     chol = field._factorize(gram)
     gen = RngStream(seed, 1000).generator()
     draws = gen.standard_normal((n_draws, m)) @ chol.T
@@ -198,12 +196,11 @@ def check_wick_mean_one(budget, seed=23):
     return worst <= 1.0, worst, 1.0, "E[exp(W(A) - |A|^2/2)] = 1 per path"
 
 
-def check_conditional_variance(budget, n_steps=256, seed=29):
-    n_draws = 20_000 if budget == "quick" else 100_000
+def check_conditional_variance(n_draws=20_000, n_steps=256, seed=29):
     grid = TimeGrid.uniform(1.0, n_steps)
     cp = constant_path(grid)
-    draws = field.conditional_I_sample(cp, 1, RngStream(seed, 0), size=n_draws)
-    target = exponents.self_exponent(cp, 1).value
+    draws = field.conditional_I_sample(cp, RngStream(seed, 0), size=n_draws)
+    target = exponents.self_exponent(cp).value
     emp = float(np.var(draws, ddof=1))
     se = target * math.sqrt(2.0 / n_draws)
     err = abs(emp - target)
@@ -222,10 +219,9 @@ def check_chaos_term1():
     return err <= 1e-3, err, 1e-3, "semigroup-collapse route vs closed form"
 
 
-def check_chaos_dual_route(budget, n_samples=None):
-    n = n_samples or (50_000 if budget == "quick" else 200_000)
+def check_chaos_dual_route(n_samples=50_000):
     det = chaos.chaos_term(1, 2.0, 1, 1.0)
-    fmc = chaos.chaos_term(1, 2.0, 1, 1.0, method="fourier_mc", n_samples=n)
+    fmc = chaos.chaos_term(1, 2.0, 1, 1.0, method="fourier_mc", n_samples=n_samples)
     tol = 3 * math.hypot(det.mc_error, fmc.mc_error)
     err = abs(det.value - fmc.value)
     return err <= tol, err, tol, "determinant QMC vs Fourier MC"
@@ -239,7 +235,8 @@ def check_existence_table():
             conditions = rep.cond_d_lt_2q and rep.cond_d_lt_4pqa and rep.cond_d_lt_pa2
             if rep.exists != (d < 2.0 + alpha) or rep.exists != conditions:
                 bad += 1
-    return bad == 0, bad, 0, "20-cell truth table against d < 2 + alpha"
+    return bad == 0, bad, 0, ("20-cell truth table against d < 2 + alpha "
+                              "and the three-condition decomposition")
 
 
 def check_bound_ratios():
@@ -271,26 +268,24 @@ def check_sko_mean_multiplier():
     return worst <= 1e-6, worst, 1e-6, "convolution quadrature vs stable multiplier"
 
 
-def check_moment_ordering(budget, n_samples=None, seed=77):
-    n = n_samples or (100 if budget == "quick" else 500)
+def check_moment_ordering(n_samples=100, seed=77):
     grid = TimeGrid.uniform(1.0, 128)
     pm = ModelParams(alpha=2.0, d=1, t_horizon=1.0)
     ok = True
     for p in (1, 2, 3):
-        s = fk.strat_moment(p, pm, n, grid=grid, rng=seed, keep_samples=True)
-        k = fk.sko_moment(p, pm, n, grid=grid, rng=seed, keep_samples=True)
+        s = fk.strat_moment(p, pm, n_samples, grid=grid, rng=seed, keep_samples=True)
+        k = fk.sko_moment(p, pm, n_samples, grid=grid, rng=seed, keep_samples=True)
         if not np.all(s.samples >= k.samples):
             ok = False
     return ok, 0.0 if ok else 1.0, 0.0, "strat >= sko sample-by-sample on shared paths"
 
 
-def check_strat_jensen(budget):
+def check_strat_jensen(n_samples=1000):
     from scipy import integrate
 
-    n = 1000 if budget == "quick" else 5000
     grid = TimeGrid.uniform(1.0, 128)
     pm = ModelParams(alpha=2.0, d=1, t_horizon=1.0)
-    est = fk.strat_moment(1, pm, n, grid=grid, rng=101)
+    est = fk.strat_moment(1, pm, n_samples, grid=grid, rng=101)
     # E[V_self] for alpha = 2: E p_tau(X_s - X_r) = p_{2 tau}(0); reduce the
     # square to the diagonal offset tau with weight 2(1 - tau)
     mean_self, _ = integrate.quad(
@@ -352,8 +347,7 @@ def check_splitting_order():
     return -slope >= 1.8, -slope, 1.8, f"order slope {-slope:.2f} on a frozen potential"
 
 
-def check_solver_mean_floor(budget):
-    n_real = 100 if budget == "quick" else 300
+def check_solver_mean_floor(n_real=100):
     pm = ModelParams(alpha=2.0, d=1, t_horizon=0.5)
     grid = solver.TorusGrid.default(0.5, n_space=32, n_time=32)
     est = solver.ensemble_moment(grid, pm, 0.1, 1, n_real, rng=41)
@@ -386,50 +380,44 @@ def check_reproducibility():
 # registry
 # ---------------------------------------------------------------------------
 
+# (name, check, full-tier sizes, full tier only); a check's defaults are its
+# quick-tier sizes
 _CHECKS = [
-    ("kernel.mass", check_kernel_mass, False),
-    ("kernel.semigroup", check_semigroup, False),
-    ("kernel.stable_mass", check_stable_mass, False),
-    ("paths.increment_ecf", check_increment_ecf, True),
-    ("paths.subordinator_scaling", check_subordinator_scaling, True),
-    ("paths.reproducibility", check_path_reproducibility, False),
-    ("exponent.constant_oracle", check_constant_path_oracle, False),
-    ("exponent.pathwise_bound", check_pathwise_bound, True),
-    ("exponent.refinement_slope", check_refinement_slope, False),
-    ("exponent.divergence_witness", check_divergence_witness, False),
-    ("exponent.mollified_ladder", check_mollified_ladder, False),
-    ("field.wick_mean_one", check_wick_mean_one, True),
-    ("field.conditional_variance", check_conditional_variance, True),
-    ("chaos.term1_oracle", check_chaos_term1, False),
-    ("chaos.dual_route", check_chaos_dual_route, True),
-    ("chaos.existence_table", check_existence_table, False),
-    ("chaos.bound_ratios", check_bound_ratios, False),
-    ("fk.sko_mean_one", check_sko_mean_one, False),
-    ("fk.sko_mean_multiplier", check_sko_mean_multiplier, False),
-    ("fk.moment_ordering", check_moment_ordering, True),
-    ("fk.strat_jensen", check_strat_jensen, True),
-    ("solver.heat_evolution", check_solver_heat_evolution, False),
-    ("solver.truncation", check_solver_truncation, False),
-    ("solver.splitting_order", check_splitting_order, False),
-    ("solver.mean_floor", check_solver_mean_floor, True),
-    ("repro.bit_identical", check_reproducibility, False),
-]
-
-_FULL_ONLY = [
-    ("solver.vs_fk_matched", check_solver_vs_fk, False),
+    ("kernel.mass", check_kernel_mass, {}, False),
+    ("kernel.semigroup", check_semigroup, {}, False),
+    ("kernel.stable_mass", check_stable_mass, {}, False),
+    ("paths.increment_ecf", check_increment_ecf, {"n": 100_000}, False),
+    ("paths.subordinator_scaling", check_subordinator_scaling, {}, False),
+    ("paths.reproducibility", check_path_reproducibility, {}, False),
+    ("exponent.constant_oracle", check_constant_path_oracle, {}, False),
+    ("exponent.pathwise_bound", check_pathwise_bound, {"n_paths": 10_000}, False),
+    ("exponent.refinement_slope", check_refinement_slope, {}, False),
+    ("exponent.divergence_witness", check_divergence_witness, {}, False),
+    ("exponent.mollified_ladder", check_mollified_ladder, {}, False),
+    ("field.wick_mean_one", check_wick_mean_one, {"m": 64, "n_draws": 5000}, False),
+    ("field.conditional_variance", check_conditional_variance, {"n_draws": 100_000}, False),
+    ("chaos.term1_oracle", check_chaos_term1, {}, False),
+    ("chaos.dual_route", check_chaos_dual_route, {"n_samples": 200_000}, False),
+    ("chaos.existence_table", check_existence_table, {}, False),
+    ("chaos.bound_ratios", check_bound_ratios, {}, False),
+    ("fk.sko_mean_one", check_sko_mean_one, {}, False),
+    ("fk.sko_mean_multiplier", check_sko_mean_multiplier, {}, False),
+    ("fk.moment_ordering", check_moment_ordering, {"n_samples": 500}, False),
+    ("fk.strat_jensen", check_strat_jensen, {"n_samples": 5000}, False),
+    ("solver.heat_evolution", check_solver_heat_evolution, {}, False),
+    ("solver.truncation", check_solver_truncation, {}, False),
+    ("solver.splitting_order", check_splitting_order, {}, False),
+    ("solver.mean_floor", check_solver_mean_floor, {"n_real": 300}, False),
+    ("repro.bit_identical", check_reproducibility, {}, False),
+    ("solver.vs_fk_matched", check_solver_vs_fk, {}, True),
 ]
 
 
 def run_suite(quick=True):
-    """Run all checks; returns a list of ValidationResult."""
-    budget = "quick" if quick else "full"
-    results = []
-    for name, fn, takes_budget in _CHECKS:
-        results.append(_run(name, (lambda f=fn, b=budget: f(b)) if takes_budget else fn))
-    if not quick:
-        for name, fn, takes_budget in _FULL_ONLY:
-            results.append(_run(name, fn))
-    return results
+    """Run all checks, at their quick-tier or full-tier sizes; returns a list
+    of ValidationResult."""
+    return [_run(name, fn if quick else functools.partial(fn, **full))
+            for name, fn, full, full_only in _CHECKS if not (quick and full_only)]
 
 
 def format_table(results):

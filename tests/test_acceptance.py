@@ -41,7 +41,7 @@ def test_criterion_01_self_exponent_oracle():
 def test_criterion_02_chaos_term1_oracle():
     t0 = time.perf_counter()
     ok_closed, err_closed, tol_closed, _ = validation.check_chaos_term1()
-    ok_routes, gap, tol, _ = validation.check_chaos_dual_route("full", n_samples=150_000)
+    ok_routes, gap, tol, _ = validation.check_chaos_dual_route(n_samples=150_000)
     dt = time.perf_counter() - t0
     report(2, ok_closed and ok_routes, f"chaos term1 err {err_closed:.1e} <= {tol_closed:g}, "
                                        f"routes differ by {gap:.1e} <= {tol:.1e}", dt, 30.0)
@@ -83,7 +83,7 @@ def test_criterion_05_conditional_law_ladder():
     t0 = time.perf_counter()
     grid = TimeGrid.uniform(1.0, 128)
     path = sample_path(2.0, 1, grid, 0.0, RngStream(305, 0))
-    target = self_exponent(path, 1).value
+    target = self_exponent(path).value
     n = 4000
     ok = True
     inners, gaps = [], []
@@ -91,7 +91,7 @@ def test_criterion_05_conditional_law_ladder():
     for j, e in enumerate((0.1, 0.05, 0.025)):
         moll = MollifierParams(e, e)
         inner = mollified_inner(path, path, moll)
-        sampler = WickSampler([path], moll, 1)
+        sampler = WickSampler([path], moll)
         draws = np.array([sampler.sample(RngStream(305, 1000 * (j + 1) + i)).gaussians[0]
                           for i in range(n)])
         emp = float(draws.var(ddof=1))
@@ -113,7 +113,7 @@ def test_criterion_05_conditional_law_ladder():
 
 def test_criterion_06_moment_ordering_samplewise():
     t0 = time.perf_counter()
-    ok, _, _, _ = validation.check_moment_ordering("full", n_samples=400, seed=306)
+    ok, _, _, _ = validation.check_moment_ordering(n_samples=400, seed=306)
     dt = time.perf_counter() - t0
     report(6, ok, "strat >= sko holds sample-by-sample for p in {1,2,3} (exact)", dt, 120.0)
 

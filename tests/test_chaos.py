@@ -7,7 +7,6 @@ from sfheat.chaos import (MAX_CHAOS_ORDER, _inv_det_power, _sobol_times, _time_c
                           chaos_second_moment, chaos_term, existence_check,
                           holder_exponents, series_term_bound)
 from sfheat.errors import BudgetError, RegimeError
-from sfheat.params import InitialCondition
 
 TERM1_EXACT = 2.0 * math.sqrt(2.0) / (3.0 * math.sqrt(2.0 * math.pi))  # 0.3761263890
 
@@ -49,10 +48,6 @@ class TestChaosTerm:
         assert term.value == 1.0
         assert term.mc_error == 0.0
 
-    def test_n0_scales_with_constant(self):
-        term = chaos_term(0, 2.0, 1, 1.0, u0=InitialCondition.constant(2.0))
-        assert term.value == 4.0
-
     def test_n1_semigroup_oracle(self):
         term = chaos_term(1, 2.0, 1, 1.0)
         assert term.method == "closed_form_alpha2"
@@ -83,10 +78,6 @@ class TestChaosTerm:
     def test_budget_error(self):
         with pytest.raises(BudgetError):
             chaos_term(7, 2.0, 1, 1.0)
-
-    def test_nonconstant_u0_rejected(self):
-        with pytest.raises(ValueError):
-            chaos_term(1, 2.0, 1, 1.0, u0=InitialCondition.cosine(1.0))
 
     def test_fourier_d2_unsupported(self):
         with pytest.raises(NotImplementedError):

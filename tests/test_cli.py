@@ -51,8 +51,6 @@ class TestModelParams:
             ModelParams(alpha=1.0, d=0)
         with pytest.raises(ValueError):
             ModelParams(alpha=1.0, t_horizon=-1.0)
-        with pytest.raises(ValueError):
-            ModelParams(alpha=1.0, c_alpha=1.0)
 
     def test_defaults(self):
         pm = ModelParams(alpha=1.5, d=2)
@@ -201,8 +199,8 @@ class TestCli:
 
     def test_validate_records_reproduce(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(validation, "_CHECKS", [
-            ("kernel.mass", validation.check_kernel_mass, False),
-            ("paths.reproducibility", validation.check_path_reproducibility, False)])
+            ("kernel.mass", validation.check_kernel_mass, {}, False),
+            ("paths.reproducibility", validation.check_path_reproducibility, {}, False)])
         recs = []
         for name in ("a", "b"):
             out = tmp_path / f"{name}.json"

@@ -44,7 +44,7 @@ class TestDeterministicBound:
 class TestSelfExponent:
     def test_constant_path_oracle(self):
         grid = TimeGrid.uniform(1.0, 512)
-        ev = self_exponent(constant_path(grid), 1)
+        ev = self_exponent(constant_path(grid))
         assert ev.value == pytest.approx(EXACT_T1, abs=1e-3)
         assert ev.grid_steps == 512
         assert ev.scheme == "midpoint_exact_diagonal"
@@ -54,7 +54,7 @@ class TestSelfExponent:
         # value(t) / t^{3/2} equals the t = 1 constant for every horizon
         for t in (0.5, 2.0, 4.0):
             grid = TimeGrid.uniform(t, 4096)
-            val = self_exponent(constant_path(grid), 1).value
+            val = self_exponent(constant_path(grid)).value
             assert val / t ** 1.5 == pytest.approx(EXACT_T1, abs=1e-3)
 
     def test_pathwise_bound(self):
@@ -62,12 +62,12 @@ class TestSelfExponent:
         bound = deterministic_bound(1.0, 1)
         for i in range(50):
             p = sample_path(2.0, 1, grid, 0.0, RngStream(21, i))
-            assert self_exponent(p, 1).value <= bound
+            assert self_exponent(p).value <= bound
 
     def test_value_nonnegative(self):
         grid = TimeGrid.uniform(1.0, 64)
         p = sample_path(1.5, 1, grid, 0.0, RngStream(22, 0))
-        assert self_exponent(p, 1).value >= 0.0
+        assert self_exponent(p).value >= 0.0
 
     def test_refinement_convergence_slope(self):
         # scheme bias decays at least like step^{0.4} (measured on the
@@ -75,7 +75,7 @@ class TestSelfExponent:
         errs = []
         ns = [64, 128, 256, 512]
         for n in ns:
-            val = self_exponent(constant_path(TimeGrid.uniform(1.0, n)), 1).value
+            val = self_exponent(constant_path(TimeGrid.uniform(1.0, n))).value
             errs.append(abs(val - EXACT_T1))
         slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
         assert -slope >= 0.4
@@ -91,7 +91,7 @@ class TestSelfExponent:
         vals = []
         for _ in range(5):
             path = Path(TimeGrid(times), values[:, None])
-            vals.append(self_exponent(path, 1).value)
+            vals.append(self_exponent(path).value)
             mids = 0.5 * (times[:-1] + times[1:])
             bridge = (0.5 * (values[:-1] + values[1:])
                       + np.sqrt(0.25 * np.diff(times)) * gen.standard_normal(len(mids)))
@@ -109,7 +109,7 @@ class TestSelfExponent:
 
     def test_refinement_estimate_tracks_error(self):
         grid = TimeGrid.uniform(1.0, 256)
-        ev = self_exponent(constant_path(grid), 1)
+        ev = self_exponent(constant_path(grid))
         true_err = abs(ev.value - EXACT_T1)
         assert true_err <= 10 * ev.refinement_estimate
 
@@ -119,8 +119,8 @@ class TestSelfExponent:
             grid = TimeGrid.uniform(1.0, n)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DivergentExponentWarning)
-                vals_d2.append(self_exponent(constant_path(grid, d=2), 2).value)
-            vals_d1.append(self_exponent(constant_path(grid), 1).value)
+                vals_d2.append(self_exponent(constant_path(grid, d=2)).value)
+            vals_d1.append(self_exponent(constant_path(grid)).value)
         incr = np.diff(vals_d2)
         assert np.all(incr > 0)
         assert incr[-1] > 0.5 * incr[0]  # no plateau
@@ -130,7 +130,7 @@ class TestSelfExponent:
     def test_d2_warns(self):
         grid = TimeGrid.uniform(1.0, 32)
         with pytest.warns(DivergentExponentWarning):
-            self_exponent(constant_path(grid, d=2), 2)
+            self_exponent(constant_path(grid, d=2))
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -141,21 +141,21 @@ class TestCrossExponent:
     def test_equal_paths_is_self(self):
         grid = TimeGrid.uniform(1.0, 64)
         p = sample_path(2.0, 1, grid, 0.0, RngStream(23, 0))
-        assert cross_exponent(p, p, 1).value == pytest.approx(self_exponent(p, 1).value,
+        assert cross_exponent(p, p).value == pytest.approx(self_exponent(p).value,
                                                               rel=1e-14)
 
     def test_symmetry(self):
         grid = TimeGrid.uniform(1.0, 64)
         a = sample_path(2.0, 1, grid, 0.0, RngStream(24, 0))
         b = sample_path(2.0, 1, grid, 0.0, RngStream(24, 1))
-        assert cross_exponent(a, b, 1).value == pytest.approx(cross_exponent(b, a, 1).value,
+        assert cross_exponent(a, b).value == pytest.approx(cross_exponent(b, a).value,
                                                               abs=1e-12)
 
     def test_mismatched_grids_rejected(self):
         a = sample_path(2.0, 1, TimeGrid.uniform(1.0, 32), 0.0, RngStream(25, 0))
         b = sample_path(2.0, 1, TimeGrid.uniform(1.0, 64), 0.0, RngStream(25, 1))
         with pytest.raises(ValueError):
-            cross_exponent(a, b, 1)
+            cross_exponent(a, b)
 
     # alpha = 1.5 pairs from RngStream(43, d) on a non-uniform grid: off-band,
     # diagonal and adjacent cells, recorded bit-for-bit in each dimension
@@ -180,7 +180,7 @@ class TestCrossExponent:
         for i in range(n_pairs):
             a = sample_path(2.0, 1, grid, 0.0, RngStream(26, 2 * i))
             b = sample_path(2.0, 1, grid, 0.0, RngStream(26, 2 * i + 1))
-            vals[i] = cross_exponent(a, b, 1).value
+            vals[i] = cross_exponent(a, b).value
         se = vals.std(ddof=1) / math.sqrt(n_pairs)
         assert vals.mean() == pytest.approx(target, abs=3 * se)
 
@@ -188,7 +188,7 @@ class TestCrossExponent:
 def _one_shot_offband(times, pa, pb, d):
     """Test-only oracle: the off-band sum as one pass over the whole batch,
     holding one (B, n, n) array."""
-    h, _, p0, inv2tau = exponents._grid_tables(times, d)
+    h, p0, inv2tau = exponents._grid_tables(times, d)
     n = len(h)
     d2 = pa[:, :n, None, 0] - pb[:, None, :n, 0]
     np.multiply(d2, d2, out=d2)
@@ -210,7 +210,7 @@ class TestBlockedOffBand:
         for B in (block - 1, block + 3, 2 * block + 5):
             pos = sample_path_batch(2.0, d, grid, 0.0, RngStream(45, 10 * n + d), 2 * B)
             pa, pb = pos[:B], pos[B:]
-            _, _, p0, inv2tau = exponents._grid_tables(grid.times, d)
+            _, p0, inv2tau = exponents._grid_tables(grid.times, d)
             assert np.array_equal(exponents._offband_sum(pa, pb, p0, inv2tau),
                                   _one_shot_offband(grid.times, pa, pb, d)), B
 
@@ -220,7 +220,7 @@ class TestBlockedOffBand:
         # every block size from the floor up, in even and remainder-spread layouts
         grid = TimeGrid.uniform(1.0, n)
         pos = sample_path_batch(2.0, d, grid, 0.0, RngStream(52, 10 * n + d), 34)
-        _, _, p0, inv2tau = exponents._grid_tables(grid.times, d)
+        _, p0, inv2tau = exponents._grid_tables(grid.times, d)
         for size in range(exponents._MIN_BLOCK_SAMPLES, 9):
             for B in (2 * size, 2 * size + 1):
                 pa, pb = pos[:B], pos[17:17 + B]
@@ -254,7 +254,7 @@ class TestBlockedOffBand:
             # no band cell of X_5 is inf, so one pass raises no invalid flag
             pa[1, 5] = np.inf
             pb[1, 4:7] = np.nan
-        _, _, p0, inv2tau = exponents._grid_tables(grid.times, 1)
+        _, p0, inv2tau = exponents._grid_tables(grid.times, 1)
 
         def blocked():
             return exponents._offband_sum(pa, pb, p0, inv2tau, [0, 2, 4])
@@ -280,13 +280,13 @@ class TestBlockedOffBand:
         # a multi-threaded BLAS may split
         grid = TimeGrid.uniform(1.0, 512)
         pos = sample_path_batch(2.0, 2, grid, 0.0, RngStream(54, 0), 10)
-        _, _, p0, inv2tau = exponents._grid_tables(grid.times, 2)
+        _, p0, inv2tau = exponents._grid_tables(grid.times, 2)
         here = exponents._offband_sum(pos[:5], pos[5:], p0, inv2tau).tobytes().hex()
         script = ("from sfheat import exponents\n"
                   "from sfheat.paths import RngStream, TimeGrid, sample_path_batch\n"
                   "grid = TimeGrid.uniform(1.0, 512)\n"
                   "pos = sample_path_batch(2.0, 2, grid, 0.0, RngStream(54, 0), 10)\n"
-                  "_, _, p0, inv2tau = exponents._grid_tables(grid.times, 2)\n"
+                  "_, p0, inv2tau = exponents._grid_tables(grid.times, 2)\n"
                   "print(exponents._offband_sum(pos[:5], pos[5:], p0, inv2tau).tobytes().hex())\n")
         src = os.path.dirname(os.path.dirname(exponents.__file__))
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
@@ -430,7 +430,21 @@ class TestBatchShapes:
             if route == "cross":
                 cross_exponent_values(grid.times, pa, pb, 1)
             else:
-                mollified_inner_values(grid.times, pa, pb, MollifierParams(0.1, 0.1), 1)
+                mollified_inner_values(grid.times, pa, pb, MollifierParams(0.1, 0.1))
+
+    def test_mollified_rejects_d2_positions(self):
+        grid = TimeGrid.uniform(1.0, 16)
+        pos = sample_path_batch(2.0, 2, grid, 0.0, RngStream(46, 0), 4)
+        with pytest.raises(NotImplementedError):
+            mollified_inner_values(grid.times, pos[:2], pos[2:], MollifierParams(0.1, 0.1))
+
+    @pytest.mark.parametrize("d, shape", [(2, (4, 17, 1)), (2, (4, 17)), (1, (4, 17, 2))])
+    def test_cross_rejects_d_unlike_positions(self, d, shape):
+        # (B, n+1) positions are d = 1
+        grid = TimeGrid.uniform(1.0, 16)
+        pos = np.zeros(shape)
+        with pytest.raises(ValueError, match="differs from the positions"):
+            cross_exponent_values(grid.times, pos[:2], pos[2:], d)
 
 
 class TestMollifiedInner:
@@ -468,7 +482,7 @@ class TestMollifiedInner:
         grid = TimeGrid.uniform(1.0, 256)
         a = sample_path(2.0, 1, grid, 0.0, RngStream(28, 0))
         b = sample_path(2.0, 1, grid, 0.0, RngStream(28, 1))
-        target = cross_exponent(a, b, 1).value
+        target = cross_exponent(a, b).value
         ladder = [mollified_inner(a, b, MollifierParams(e, e))
                   for e in (0.2, 0.1, 0.05, 0.025)]
         gaps = [abs(target - v) for v in ladder]
@@ -478,7 +492,7 @@ class TestMollifiedInner:
         grid = TimeGrid.uniform(1.0, 16)
         cp = constant_path(grid, d=2)
         with pytest.raises(NotImplementedError):
-            mollified_inner(cp, cp, MollifierParams(0.1, 0.1), 2)
+            mollified_inner(cp, cp, MollifierParams(0.1, 0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +617,7 @@ class TestRectangleRouteOracle:
     def test_mollified_matches_oracle(self, kind, moll):
         pa, pb = _path_pairs(kind, _UNIFORM)
         for b in (pb, pa):
-            np.testing.assert_allclose(mollified_inner_values(_UNIFORM.times, pa, b, moll, 1),
+            np.testing.assert_allclose(mollified_inner_values(_UNIFORM.times, pa, b, moll),
                                        _oracle_mollified(_UNIFORM.times, pa, b, moll),
                                        rtol=1e-12, atol=0)
 
@@ -652,7 +666,7 @@ class TestXiRouteOracle:
         grid, moll = _XI_CASES[case]
         pa, pb = _path_pairs(kind, grid)
         for b in (pb, pa):  # cross and self pairs
-            np.testing.assert_allclose(mollified_inner_values(grid.times, pa, b, moll, 1),
+            np.testing.assert_allclose(mollified_inner_values(grid.times, pa, b, moll),
                                        _closed_form_mollified(grid.times, pa, b, moll),
                                        rtol=1e-12, atol=0)
 
@@ -672,7 +686,7 @@ class TestXiRouteOracle:
         zero = np.zeros((1, len(grid.times)))
         expected = _windowed_sum(grid.times, zero, zero, moll,  # a = 0 on every cell
                                  lambda i0, i1, j0, j1, a: _rect(K2, i0, i1, j0, j1)[None])
-        np.testing.assert_allclose(mollified_inner_values(grid.times, zero, zero, moll, 1),
+        np.testing.assert_allclose(mollified_inner_values(grid.times, zero, zero, moll),
                                    expected, rtol=1e-12, atol=0)
 
     def test_split_batch_agrees(self):
@@ -683,7 +697,7 @@ class TestXiRouteOracle:
         pa, pb = pos[:61], pos[61:]
         moll = MollifierParams(0.1, 1.0 / 64)
         routes = {"cross": lambda a, b: cross_exponent_values(grid.times, a, b, 1),
-                  "mollified": lambda a, b: mollified_inner_values(grid.times, a, b, moll, 1)}
+                  "mollified": lambda a, b: mollified_inner_values(grid.times, a, b, moll)}
         for name, route in routes.items():
             whole = route(pa, pb)
             for size in (5, 6, 10, 15, 20, 30):

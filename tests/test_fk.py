@@ -203,7 +203,7 @@ class TestSolutionSamplers:
         for e in range(n_ens):
             paths = [sample_path(2.0, 1, grid, 0.0, RngStream(17, 1000 * e + i))
                      for i in range(m)]
-            sampler = WickSampler(paths, moll, 1)
+            sampler = WickSampler(paths, moll)
             vals = [solution_value(paths, sampler.sample(RngStream(17, 1000 * e + m + w)),
                                    PM, "skorohod") ** 2
                     for w in range(n_w)]

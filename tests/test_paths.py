@@ -14,7 +14,6 @@ class TestTimeGrid:
         g = TimeGrid.uniform(2.0, 8)
         assert g.n_steps == 8
         assert g.t_horizon == 2.0
-        assert g.max_step == pytest.approx(0.25)
 
     def test_default_density(self):
         assert TimeGrid.default(1.0).n_steps == 256
@@ -320,3 +319,27 @@ class TestStreamReset:
             RngStream(-1)
         with pytest.raises(ValueError):
             RngStream(0, 2 ** 64)
+
+
+class TestSeedRule:
+    # every sampler takes an RngStream or an integer master seed, its stream 0
+    @pytest.mark.parametrize("alpha", [2.0, 1.5])
+    def test_integer_seed_draws_stream_zero(self, alpha):
+        grid = TimeGrid.uniform(1.0, 8)
+        assert np.array_equal(sample_increment(alpha, 2, 0.3, 17, size=5),
+                              sample_increment(alpha, 2, 0.3, RngStream(17), size=5))
+        assert np.array_equal(sample_path_batch(alpha, 1, grid, 0.0, [17, 18], 2),
+                              sample_path_batch(alpha, 1, grid, 0.0,
+                                                [RngStream(17), RngStream(18)], 2))
+
+    @pytest.mark.parametrize("rng", [np.random.default_rng(0), RngStream(0).generator(),
+                                     1.0, None, True])
+    def test_other_inputs_rejected(self, rng):
+        grid = TimeGrid.uniform(1.0, 8)
+        for dt in (0.3, 0.0):
+            with pytest.raises(TypeError):
+                sample_increment(1.5, 1, dt, rng)
+        with pytest.raises(TypeError):
+            sample_subordinator_increment(1.5, 0.3, rng)
+        with pytest.raises(TypeError):
+            sample_path(2.0, 1, grid, 0.0, rng)

@@ -104,6 +104,15 @@ class TestNoiseSlab:
         for r in range(7):
             assert np.array_equal(block[r], sampler.sample(rng.substream(r)))
 
+    def test_integer_seed_draws_stream_zero(self):
+        sampler = NoiseSlabSampler(TorusGrid.default(0.5, n_space=16, n_time=8), 0.1)
+        assert np.array_equal(sampler.sample(59), sampler.sample(RngStream(59)))
+        for rng in (RngStream(59).generator(), np.random.default_rng(59), 59.0):
+            with pytest.raises(TypeError):
+                sampler.sample(rng)
+            with pytest.raises(TypeError):
+                sampler.sample([RngStream(59), rng])
+
     def test_spatial_covariance_row(self):
         g = TorusGrid(half_length=4.0, n_space=32, n_time=1, t_horizon=0.5)
         eps = 0.1

@@ -15,12 +15,15 @@ def test_quick_suite_all_pass():
 
 
 def test_registry_lists_every_check_once():
-    rows = validation._CHECKS + validation._FULL_ONLY
-    names = [name for name, _, _ in rows]
+    rows = validation._CHECKS
+    names = [name for name, _, _, _ in rows]
     assert len(names) == len(set(names))
     defined = {fn for name, fn in inspect.getmembers(validation, inspect.isfunction)
                if name.startswith("check_") and fn.__module__ == validation.__name__}
-    assert defined == {fn for _, fn, _ in rows}
+    assert defined == {fn for _, fn, _, _ in rows}
+    for name, fn, full, _ in rows:  # full-tier sizes override the quick defaults
+        assert set(full) <= set(inspect.signature(fn).parameters), name
+    assert [name for name, _, _, full_only in rows if full_only] == ["solver.vs_fk_matched"]
 
 
 def test_format_table_shape():
