@@ -1,9 +1,9 @@
 """sfheat: numerical laboratory for the stochastic fractional heat equation
 driven by multiplicative Gaussian noise whose covariance is the heat kernel.
 
-Computes Stratonovich and Skorohod solutions and moments via Feynman-Kac
-Monte Carlo, cross-validated against a Wiener-chaos series oracle and a
-mollified-noise direct solver.
+Computes Stratonovich and Skorohod moments via Feynman-Kac Monte Carlo,
+cross-validated against a Wiener-chaos series oracle and a mollified-noise
+direct solver that realizes solutions on a torus.
 """
 
 __version__ = "0.1.0"
@@ -14,9 +14,8 @@ from .errors import BudgetError, FactorizationError, RegimeError
 from .exponents import (DivergentExponentWarning, ExponentValue, MollifierParams,
                         cross_exponent, deterministic_bound, mollified_inner,
                         self_exponent)
-from .field import WickSampler, WickWeights, conditional_I_sample
-from .fk import (MomentEstimate, SolutionSample, sko_mean_exact, sko_moment,
-                 sko_solution_sample, strat_moment, strat_solution_sample)
+from .field import WickSampler, conditional_I_sample
+from .fk import MomentEstimate, sko_mean_exact, sko_moment, strat_moment
 from .kernels import heat_kernel, stable_kernel
 from .params import InitialCondition, ModelParams, parse_u0
 from .paths import (Path, RngStream, TimeGrid, constant_path, sample_increment, sample_path,
@@ -28,14 +27,13 @@ __all__ = [
     "ExistenceReport", "ExponentValue", "FactorizationError", "FieldState",
     "InitialCondition", "ModelParams", "MollifierParams",
     "MomentEstimate", "NoiseSlabSampler", "Path", "RegimeError", "RngStream",
-    "SolutionSample", "TimeGrid", "TorusGrid", "WickSampler", "WickWeights",
+    "TimeGrid", "TorusGrid", "WickSampler",
     "chaos_second_moment", "chaos_term", "conditional_I_sample",
     "constant_path", "cross_exponent", "deterministic_bound", "ensemble_moment",
     "existence_check", "heat_kernel",
     "mollified_inner", "parse_u0",
     "sample_increment", "sample_path",
     "sample_subordinator_increment", "self_exponent",
-    "series_term_bound", "sko_mean_exact", "sko_moment", "sko_solution_sample",
+    "series_term_bound", "sko_mean_exact", "sko_moment",
     "stable_kernel", "step", "strat_moment",
-    "strat_solution_sample",
 ]

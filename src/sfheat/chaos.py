@@ -143,7 +143,7 @@ def _term_alpha2(n, d, t, seed):
         vals = (2.0 * np.pi) ** (-n * d / 2.0) * _inv_det_power(_time_covariance(u[:n], u[n:], t), d)
         means.append(t ** (2 * n) / fact * vals.mean())
     value = float(np.mean(means))
-    err = float(np.std(means) / math.sqrt(_QMC_REPLICATES))
+    err = float(np.std(means, ddof=1) / math.sqrt(_QMC_REPLICATES))
     return value, err
 
 
@@ -201,7 +201,7 @@ def _term_fourier_mc(n, alpha, t, seed, n_samples):
     vals = _stable_char(s, xi, alpha, t) * _stable_char(r, xi, alpha, t)
     z_t = (8.0 / 3.0) * t ** 1.5
     const = (z_t / math.sqrt(2.0 * math.pi)) ** n / math.factorial(n)
-    return const * float(vals.mean()), const * float(vals.std() / math.sqrt(n_samples))
+    return const * float(vals.mean()), const * float(vals.std(ddof=1) / math.sqrt(n_samples))
 
 
 def chaos_term(n, alpha, d, t, seed=0, method=None, n_samples=_FOURIER_SAMPLES) -> ChaosTerm:
@@ -210,7 +210,11 @@ def chaos_term(n, alpha, d, t, seed=0, method=None, n_samples=_FOURIER_SAMPLES) 
     ``method`` may force ``"closed_form_alpha2"`` or ``"fourier_mc"``; by
     default alpha = 2 takes the determinant route and alpha < 2 the Fourier
     route (d = 1 only -- the importance weights are integrable iff d < 2).
+    ``seed`` is an integer master seed, checked as ``RngStream`` checks one;
+    ``mc_error`` is the ddof = 1 standard error of the QMC replicate means or
+    of the Monte Carlo values.
     """
+    seed = RngStream(seed).master_seed
     if n < 0 or int(n) != n:
         raise ValueError("n must be a nonnegative integer")
     if n > MAX_CHAOS_ORDER:
@@ -296,15 +300,19 @@ def chaos_second_moment(alpha, d, t, n_max, seed=0,
     The tail multiplies the Gamma-ratio bound profile by the last computed
     term (the bound's absolute constant is not pinned, its decay profile is),
     so it is an order-of-magnitude device, reported separately of the value.
+    An ``n_max`` above MAX_CHAOS_ORDER raises BudgetError; nothing is clipped.
     """
+    seed = RngStream(seed).master_seed
     report = existence_check(alpha, d)
     if not report.exists:
         raise RegimeError(
             f"the chaos series diverges for alpha = {alpha}, d = {d}: "
             f"existence requires d < 2 + alpha", condition="d < 2 + alpha")
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    n_max = int(min(n_max, MAX_CHAOS_ORDER))
+    if n_max < 0 or int(n_max) != n_max:
+        raise ValueError("n_max must be a nonnegative integer")
+    if n_max > MAX_CHAOS_ORDER:
+        raise BudgetError(f"chaos series are budgeted up to n_max = {MAX_CHAOS_ORDER}, got {n_max}")
+    n_max = int(n_max)
     terms = tuple(chaos_term(n, alpha, d, t, seed=seed, n_samples=n_samples)
                   for n in range(n_max + 1))
     value = float(sum(term.value for term in terms))

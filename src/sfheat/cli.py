@@ -213,8 +213,8 @@ def _mollifier(cfg):
 
 def cmd_moment(cfg):
     params = _model_params(cfg)
-    grid = (TimeGrid.uniform(params.t_horizon, cfg["grid_steps"]) if cfg["grid_steps"]
-            else TimeGrid.default(params.t_horizon))
+    grid = (TimeGrid.default(params.t_horizon) if cfg["grid_steps"] is None
+            else TimeGrid.uniform(params.t_horizon, cfg["grid_steps"]))
     rng = RngStream(cfg["seed"])
     moll = _mollifier(cfg)
     keep = cfg["samples_csv"] is not None
@@ -247,8 +247,9 @@ def cmd_check(cfg):
 def cmd_solve(cfg):
     params = _model_params({**cfg, "x": "0", "d": 1})
     grid = solver.TorusGrid.default(params.t_horizon)
+    half_length = grid.half_length if cfg["half_length"] is None else cfg["half_length"]
     grid = dataclasses.replace(grid, n_space=cfg["n_space"], n_time=cfg["n_time"],
-                               half_length=cfg["half_length"] or grid.half_length)
+                               half_length=half_length)
     times = ([float(v) for v in cfg["snapshot_times"].split(",")]
              if cfg["snapshot_times"] else [params.t_horizon])
     outside = [s for s in times if not 0.0 < s <= params.t_horizon]

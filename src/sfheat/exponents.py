@@ -2,10 +2,11 @@
 
 The object of interest is V = int_0^t int_0^t p_{|s-r|}(X_s - X_r) dr ds for
 one path (self exponent) or two paths (cross exponent), plus its mollified
-version <A_eps_delta, A_eps_delta> used by the Wick-weight machinery.  The
-dimension d is read from the paths (``Path.d``) or from the last axis of the
-position arrays, where a (B, n+1) array means d = 1; ``cross_exponent_values``
-also takes d and rejects a d that differs from its positions'.
+version <A_eps_delta, A_eps_delta> used by the matched-mollification moments
+and the Wick Gram.  The dimension d is read from the paths (``Path.d``) or
+from the last axis of the position arrays, where a (B, n+1) array means
+d = 1; ``cross_exponent_values`` also takes d and rejects a d that differs
+from its positions'.
 
 Scheme ("midpoint_exact_diagonal"): paths are frozen on grid cells at their
 left node.  Cells overlapping the singular band |s - r| <= max step are
@@ -531,8 +532,7 @@ def mollified_inner_values(times, pos_a, pos_b, moll: MollifierParams):
     follows the largest |X_i - Y_j| in the batch; the node set, and so the
     last digits of each value, depend on the other paths in the batch.
     Only d = 1 is supported, and positions of any other d raise
-    NotImplementedError; the mollified machinery feeds the Wick-weight
-    sampler, which the solution formulas restrict to d = 1 anyway.
+    NotImplementedError.
     """
     pos_a, pos_b = _positions(times, pos_a, pos_b)
     if pos_a.shape[-1] != 1:

@@ -8,7 +8,6 @@ across the path expectation" is realized numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,14 +42,6 @@ def _factorize(matrix):
         f"min eigenvalue {min_eig:.3e}", min_eigenvalue=min_eig) from None
 
 
-@dataclass(frozen=True)
-class WickWeights:
-    """One joint draw of {W(A^{(m)})} over a path ensemble, plus its Gram matrix."""
-
-    gram: np.ndarray
-    gaussians: np.ndarray
-
-
 def wick_gram(paths, moll: MollifierParams):
     """Gram matrix of mollified inner products across a shared-grid ensemble.
 
@@ -81,19 +72,19 @@ def wick_gram(paths, moll: MollifierParams):
 class WickSampler:
     """Repeated joint Wick-weight draws for one fixed ensemble.
 
-    The Gram matrix and its factor are built once; each ``sample`` call is a
-    single matrix-vector product, which is what repeated-draw studies (e.g.
-    conditional-variance ladders) need.
+    The Gram matrix (``gram``) and its factor are built once; each
+    ``sample`` call is a single matrix-vector product returning the (m,)
+    vector of jointly Gaussian weights, which is what repeated-draw studies
+    (e.g. conditional-variance ladders) need.
     """
 
     def __init__(self, paths, moll: MollifierParams):
         self.gram = wick_gram(paths, moll)
         self._chol = _factorize(self.gram)
 
-    def sample(self, rng) -> WickWeights:
+    def sample(self, rng) -> np.ndarray:
         gen = _require_stream(rng).generator()
-        return WickWeights(gram=self.gram,
-                           gaussians=self._chol @ gen.standard_normal(len(self.gram)))
+        return self._chol @ gen.standard_normal(len(self.gram))
 
 
 def conditional_I_sample(path: Path, rng, size=None):

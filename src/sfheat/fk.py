@@ -12,7 +12,7 @@ exactly), never from averaging solution samples:
 with V_{jk} = int int p_{|s-r|}(X^{(j)}_s - X^{(k)}_r) ds dr the exponent
 quadratures.  Passing mollifier parameters swaps every V_{jk} for the
 mollified inner product at matched (eps, delta), which is the comparison
-target for the direct solver and the solution samplers.
+target for the direct solver.
 
 Each Monte Carlo sample owns one counter-based stream and draws p fresh
 paths, so the draws are independent of batching and an estimate is
@@ -41,12 +41,9 @@ import numpy as np
 from .errors import RegimeError
 from .chaos import existence_check
 from .exponents import MollifierParams, cross_exponent_values, mollified_inner_values
-from .field import WickSampler, WickWeights
 from .kernels import stable_kernel
 from .params import ModelParams
-from .paths import Path, TimeGrid, _require_stream, sample_path_batch
-
-DEFAULT_INNER_PATHS = 128
+from .paths import TimeGrid, _require_stream, sample_path_batch
 
 
 @dataclass(frozen=True)
@@ -61,14 +58,6 @@ class MomentEstimate:
     ess: float                # (sum |w|)^2 / sum w^2 over the per-sample weights w
     max_weight_share: float   # max |w| / sum |w|
     samples: np.ndarray = field(default=None, repr=False, compare=False)
-
-
-@dataclass(frozen=True)
-class SolutionSample:
-    value: float
-    inner_paths: int
-    moll: MollifierParams
-    flavor: str
 
 
 def _pair_exponents(times, pos, p, moll, include_diag):
@@ -229,50 +218,3 @@ def sko_mean_exact(params: ModelParams):
         -np.inf, np.inf, limit=400)
     return val
 
-
-# ---------------------------------------------------------------------------
-# solution-realization samplers (one shared noise draw across inner paths);
-# the Wick Gram of the m inner paths is one xi-route pass over the whole
-# ensemble (``field.wick_gram``), not m (m + 1) / 2 pair passes
-# ---------------------------------------------------------------------------
-
-
-def solution_value(paths, weights: WickWeights, params: ModelParams, flavor):
-    """Average of u0(X_t + x) exp(G_m [- gram_mm / 2]) over the inner ensemble."""
-    endpoints = np.stack([p.endpoint for p in paths]) + params.x_point
-    u0_vals = params.u0(endpoints)
-    expo = weights.gaussians.copy()
-    if flavor == "skorohod":
-        expo -= 0.5 * np.diag(weights.gram)
-    return float(np.mean(u0_vals * np.exp(expo)))
-
-
-def _solution_sample(params, m_inner, moll, grid, rng, flavor):
-    if params.d != 1:
-        raise RegimeError(
-            "the Feynman-Kac solution formulas are valid only for d = 1",
-            condition="d = 1")
-    rng = _require_stream(rng)
-    grid = grid or TimeGrid.default(params.t_horizon)
-    streams = [rng.substream(m) for m in range(m_inner)]
-    paths = [Path(grid, pos) for pos in sample_path_batch(params.alpha, 1, grid, 0.0, streams, 1)]
-    weights = WickSampler(paths, moll).sample(rng.substream(m_inner))
-    value = solution_value(paths, weights, params, flavor)
-    return SolutionSample(value=value, inner_paths=m_inner, moll=moll, flavor=flavor)
-
-
-def strat_solution_sample(params: ModelParams, m_inner=DEFAULT_INNER_PATHS,
-                          moll: MollifierParams = MollifierParams(0.05, 0.05),
-                          grid: TimeGrid = None, rng=0) -> SolutionSample:
-    """One approximate Stratonovich realization u^{eps,delta}(t, x) for a shared
-    noise draw: inner paths weighted by the plain exponential of their joint
-    Wick weights."""
-    return _solution_sample(params, m_inner, moll, grid, rng, "stratonovich")
-
-
-def sko_solution_sample(params: ModelParams, m_inner=DEFAULT_INNER_PATHS,
-                        moll: MollifierParams = MollifierParams(0.05, 0.05),
-                        grid: TimeGrid = None, rng=0) -> SolutionSample:
-    """One approximate Skorohod realization: as the Stratonovich sampler but
-    with the mean-one Wick normalization exp(G_m - gram_mm / 2)."""
-    return _solution_sample(params, m_inner, moll, grid, rng, "skorohod")

@@ -92,7 +92,7 @@ def test_criterion_05_conditional_law_ladder():
         moll = MollifierParams(e, e)
         inner = mollified_inner(path, path, moll)
         sampler = WickSampler([path], moll)
-        draws = np.array([sampler.sample(RngStream(305, 1000 * (j + 1) + i)).gaussians[0]
+        draws = np.array([sampler.sample(RngStream(305, 1000 * (j + 1) + i))[0]
                           for i in range(n)])
         emp = float(draws.var(ddof=1))
         se = inner * math.sqrt(2.0 / n)

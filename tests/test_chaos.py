@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sfheat.chaos import (MAX_CHAOS_ORDER, _inv_det_power, _sobol_times, _time_covariance,
-                          chaos_second_moment, chaos_term, existence_check,
+from sfheat.chaos import (MAX_CHAOS_ORDER, _QMC_REPLICATES, _inv_det_power, _sobol_times,
+                          _time_covariance, chaos_second_moment, chaos_term, existence_check,
                           holder_exponents, series_term_bound)
 from sfheat.errors import BudgetError, RegimeError
 
@@ -83,6 +83,32 @@ class TestChaosTerm:
         with pytest.raises(NotImplementedError):
             chaos_term(1, 1.5, 2, 1.0)
 
+    def test_alpha2_error_is_the_replicate_sample_sd(self):
+        # the replicate means recomputed from _sobol_times; the error is their
+        # ddof = 1 standard deviation over sqrt(replicates)
+        n, d, t, seed = 2, 1, 1.0, 4
+        means = []
+        for rep in range(_QMC_REPLICATES):
+            u = _sobol_times(n, t, seed, rep)
+            vals = (2.0 * np.pi) ** (-n * d / 2.0) * _inv_det_power(
+                _time_covariance(u[:n], u[n:], t), d)
+            means.append(t ** (2 * n) / math.factorial(n) * vals.mean())
+        term = chaos_term(n, 2.0, d, t, seed=seed)
+        assert term.value == float(np.mean(means))
+        assert term.mc_error == float(np.std(means, ddof=1) / math.sqrt(_QMC_REPLICATES))
+
+    @pytest.mark.parametrize("alpha", [2.0, 1.5], ids=["determinant", "fourier"])
+    @pytest.mark.parametrize("seed, error", [
+        (True, TypeError), ("3", TypeError), (3.0, TypeError),
+        (-1, ValueError), (2 ** 64, ValueError),
+    ], ids=["bool", "str", "float", "negative", "2**64"])
+    def test_seed_rule(self, alpha, seed, error):
+        # the master-seed rule of RngStream, on both routes and the series
+        with pytest.raises(error):
+            chaos_term(1, alpha, 1, 1.0, seed=seed, n_samples=10)
+        with pytest.raises(error):
+            chaos_second_moment(alpha, 1, 1.0, 1, seed=seed, n_samples=10)
+
 
 class TestCholeskyDeterminant:
     @pytest.mark.parametrize("n", range(1, MAX_CHAOS_ORDER + 1))
@@ -137,6 +163,15 @@ class TestSecondMoment:
     def test_existence_gate(self):
         with pytest.raises(RegimeError):
             chaos_second_moment(0.5, 3, 1.0, 2)
+
+    def test_nmax_above_the_cap_is_a_budget_error(self, monkeypatch):
+        # never clipped to the cap: the error comes before any term is computed
+        def no_terms(*args, **kwargs):
+            raise AssertionError("a term was computed")
+
+        monkeypatch.setattr("sfheat.chaos.chaos_term", no_terms)
+        with pytest.raises(BudgetError):
+            chaos_second_moment(2.0, 1, 1.0, MAX_CHAOS_ORDER + 1)
 
     def test_tail_shrinks_with_nmax(self):
         r2 = chaos_second_moment(2.0, 1, 1.0, 2)

@@ -110,9 +110,12 @@ class TestCli:
         ["chaos", "--t", "nan"],
         ["solve", "--epsilon", "inf"],
         ["solve", "--epsilon", "nan"],
+        ["moment", "--grid-steps", "0"],
+        ["solve", "--half-length", "0"],
     ], ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
     def test_non_finite_input_is_a_configuration_error(self, argv, capsys):
-        # rejected at the boundary, before any sampling
+        # rejected at the boundary, before any sampling; a zero step count or
+        # half-length reaches the grid as given, never replaced by a default
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -293,6 +296,16 @@ class TestCli:
         terms = rec["results"]["terms"]
         assert terms[0]["value"] == 1.0
         assert terms[1]["value"] == pytest.approx(0.3761, abs=2e-3)
+
+    def test_chaos_nmax_cap(self, tmp_path, capsys):
+        # above the order cap: exit 2 and no record, never a silent clip
+        out = tmp_path / "rec.json"
+        assert main(["chaos", "--nmax", "7", "--out", str(out)]) == 2
+        assert "n_max = 6, got 7" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["chaos", "--nmax", "6", "--out", str(out)]) == 0
+        rec = json.loads(out.read_text())
+        assert [term["n"] for term in rec["results"]["terms"]] == list(range(7))
 
     def test_solve_subcommand_with_snapshots(self, tmp_path):
         out = tmp_path / "rec.json"

@@ -27,7 +27,7 @@ class TestWickWeights:
         target = mollified_inner(p, p, moll)
         sampler = WickSampler([p], moll)
         n = 20_000
-        draws = np.array([sampler.sample(RngStream(35, 10 + i)).gaussians[0]
+        draws = np.array([sampler.sample(RngStream(35, 10 + i))[0]
                           for i in range(n)])
         se = target * math.sqrt(2.0 / n)
         assert draws.var(ddof=1) == pytest.approx(target, abs=3 * se)
@@ -38,7 +38,7 @@ class TestWickWeights:
         grid = TimeGrid.uniform(1.0, 32)
         p = sample_path(2.0, 1, grid, 0.0, RngStream(36, 0))
         w = WickSampler([p, p], MollifierParams(0.1, 0.1)).sample(RngStream(36, 1))
-        assert w.gaussians[0] == pytest.approx(w.gaussians[1], abs=1e-4)
+        assert w[0] == pytest.approx(w[1], abs=1e-4)
 
     def test_d2_paths_unsupported(self):
         # the mollified Wick weights exist in d = 1 only; the dimension is the paths'
@@ -65,9 +65,9 @@ class TestWickWeights:
         np.testing.assert_allclose(gram, expected, rtol=1e-12, atol=0)
 
     def test_gram_at_sampler_default(self):
-        # the solution samplers' ensemble: 128 paths of 256 steps, eps = delta
-        # = 0.05; the batch of self pairs spaces its xi nodes by the widest
-        # single path, the Gram by the whole ensemble
+        # 128 paths of 256 steps at eps = delta = 0.05; the batch of self
+        # pairs spaces its xi nodes by the widest single path, the Gram by
+        # the whole ensemble
         grid = TimeGrid.uniform(1.0, 256)
         paths = [sample_path(2.0, 1, grid, 0.0, RngStream(46, i)) for i in range(128)]
         moll = MollifierParams(0.05, 0.05)
@@ -91,10 +91,10 @@ class TestWickWeights:
     def test_gram_determinism(self):
         grid = TimeGrid.uniform(1.0, 32)
         paths = [sample_path(2.0, 1, grid, 0.0, RngStream(38, i)) for i in range(3)]
-        w1 = WickSampler(paths, MollifierParams(0.05, 0.05)).sample(RngStream(38, 50))
-        w2 = WickSampler(paths, MollifierParams(0.05, 0.05)).sample(RngStream(38, 50))
-        assert np.array_equal(w1.gaussians, w2.gaussians)
-        assert np.array_equal(w1.gram, w2.gram)
+        s1 = WickSampler(paths, MollifierParams(0.05, 0.05))
+        s2 = WickSampler(paths, MollifierParams(0.05, 0.05))
+        assert np.array_equal(s1.sample(RngStream(38, 50)), s2.sample(RngStream(38, 50)))
+        assert np.array_equal(s1.gram, s2.gram)
 
 
 class TestConditionalLaw:

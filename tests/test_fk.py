@@ -5,12 +5,10 @@ import pytest
 from scipy import integrate
 
 from sfheat.errors import RegimeError
-from sfheat.exponents import MollifierParams, deterministic_bound
-from sfheat.field import WickWeights
-from sfheat.fk import (sko_mean_exact, sko_moment, sko_solution_sample,
-                       solution_value, strat_moment, strat_solution_sample)
+from sfheat.exponents import deterministic_bound
+from sfheat.fk import sko_mean_exact, sko_moment, strat_moment
 from sfheat.params import InitialCondition, ModelParams
-from sfheat.paths import RngStream, TimeGrid, sample_path
+from sfheat.paths import TimeGrid
 
 PM = ModelParams(alpha=2.0, d=1, t_horizon=1.0)
 GRID = TimeGrid.uniform(1.0, 128)
@@ -120,95 +118,3 @@ class TestSkoMeanExact:
         exact = w / math.sqrt(w * w + t) * math.exp(-0.3 ** 2 / (2 * (w * w + t)))
         assert sko_mean_exact(pm) == pytest.approx(exact, abs=1e-8)
 
-
-class TestSolutionSamplers:
-    MOLL = MollifierParams(0.1, 0.1)
-    SGRID = TimeGrid.uniform(1.0, 64)
-
-    def test_positivity(self):
-        s = strat_solution_sample(PM, m_inner=16, moll=self.MOLL, grid=self.SGRID, rng=10)
-        assert s.value > 0
-
-    def test_sko_below_strat_shared_draw(self):
-        a = strat_solution_sample(PM, m_inner=16, moll=self.MOLL, grid=self.SGRID, rng=11)
-        b = sko_solution_sample(PM, m_inner=16, moll=self.MOLL, grid=self.SGRID, rng=11)
-        assert b.value < a.value
-
-    def test_zero_noise_degenerate(self):
-        # forcing the noise draw to zero leaves the plain endpoint average,
-        # which converges to the deterministic mean as the ensemble grows
-        pm = ModelParams(alpha=2.0, d=1, t_horizon=1.0,
-                         u0=InitialCondition.gaussian_bump(1.0, 0.6))
-        m = 4096
-        paths = [sample_path(2.0, 1, self.SGRID, 0.0, RngStream(12, i)) for i in range(m)]
-        silent = WickWeights(gram=np.zeros((m, m)), gaussians=np.zeros(m))
-        val = solution_value(paths, silent, pm, "stratonovich")
-        ends = np.array([p.endpoint[0] for p in paths])
-        mc_se = np.std(pm.u0(ends), ddof=1) / math.sqrt(m)
-        assert val == pytest.approx(sko_mean_exact(pm), abs=3 * mc_se)
-
-    def test_outer_mean_matches_matched_strat_moment(self):
-        # averaging solution realizations over noise draws reproduces the
-        # mollified p = 1 Stratonovich moment (grid-consistent on both sides)
-        grid = TimeGrid.uniform(1.0, 32)
-        n_outer = 120
-        vals = [strat_solution_sample(PM, m_inner=12, moll=self.MOLL,
-                                      grid=grid, rng=RngStream(13, 1000 * i)).value
-                for i in range(n_outer)]
-        vals = np.asarray(vals)
-        se = vals.std(ddof=1) / math.sqrt(n_outer)
-        ref = strat_moment(1, PM, 1500, grid=grid, rng=14, moll=self.MOLL)
-        tol = 3 * math.hypot(se, ref.std_error)
-        assert np.mean(vals) == pytest.approx(ref.value, abs=tol)
-
-    def test_sko_outer_mean_is_one(self):
-        grid = TimeGrid.uniform(1.0, 32)
-        n_outer = 120
-        vals = [sko_solution_sample(PM, m_inner=12, moll=self.MOLL,
-                                    grid=grid, rng=RngStream(15, 1000 * i)).value
-                for i in range(n_outer)]
-        vals = np.asarray(vals)
-        se = vals.std(ddof=1) / math.sqrt(n_outer)
-        assert np.mean(vals) == pytest.approx(1.0, abs=3 * se)
-
-    def test_values_match_recorded(self):
-        # recorded with one sample_path call per inner path; drawing the
-        # ensemble in one batch leaves every bit of the value in place
-        grid = TimeGrid.uniform(1.0, 32)
-        strat = strat_solution_sample(PM, m_inner=16, moll=self.MOLL, grid=grid,
-                                      rng=RngStream(5, 3))
-        sko = sko_solution_sample(ModelParams(alpha=1.3), m_inner=16, moll=self.MOLL,
-                                  grid=grid, rng=RngStream(6, 0))
-        assert strat.value == 2.7725349255504987
-        assert sko.value == 0.5163903190663173
-
-    def test_d2_rejected(self):
-        pm = ModelParams(alpha=2.0, d=2, t_horizon=1.0)
-        with pytest.raises(RegimeError):
-            strat_solution_sample(pm, m_inner=4, moll=self.MOLL, grid=self.SGRID, rng=16)
-
-    def test_sko_second_moment_tracks_chaos_series(self):
-        # empirical second moment of Skorohod realizations at small (eps,
-        # delta) sits on the chaos-series value within combined errors
-        from sfheat.chaos import chaos_second_moment
-        from sfheat.field import WickSampler
-        from sfheat.fk import solution_value
-
-        grid = TimeGrid.uniform(1.0, 64)
-        moll = MollifierParams(0.025, 0.025)
-        m = 12
-        n_ens = 50
-        n_w = 40
-        seconds = np.empty(n_ens)
-        for e in range(n_ens):
-            paths = [sample_path(2.0, 1, grid, 0.0, RngStream(17, 1000 * e + i))
-                     for i in range(m)]
-            sampler = WickSampler(paths, moll)
-            vals = [solution_value(paths, sampler.sample(RngStream(17, 1000 * e + m + w)),
-                                   PM, "skorohod") ** 2
-                    for w in range(n_w)]
-            seconds[e] = np.mean(vals)
-        se = seconds.std(ddof=1) / math.sqrt(n_ens)
-        series = chaos_second_moment(2.0, 1, 1.0, 3)
-        tol = 3 * math.hypot(se, series.mc_error) + series.tail_bound
-        assert seconds.mean() == pytest.approx(series.value, abs=tol)
