@@ -7,9 +7,10 @@ space.  Two independent numeric routes are provided:
   the Gaussian semigroup into a single multivariate normal density at 0,
   leaving a 2n-dimensional time integral evaluated by randomized
   quasi-Monte Carlo over [0, t]^{2n} (the ordering permutations are handled
-  analytically by the 1/n! weight).  The density's det^{-d/2} comes from an
-  explicit Cholesky factor of the n x n time covariance, built entry by
-  entry across all QMC points at once.
+  analytically by the 1/n! weight).  The points are an in-package scrambled
+  Sobol sequence, bit-identical to scipy.stats.qmc.Sobol's.  The density's
+  det^{-d/2} comes from an explicit Cholesky factor of the n x n time
+  covariance, built entry by entry across all QMC points at once.
 
 * ``fourier_mc``: for general alpha (d = 1) the Fourier-side representation
   is sampled by importance Monte Carlo: time pairs from the density
@@ -125,14 +126,69 @@ def _inv_det_power(sig, d):
     return diag ** -float(d)
 
 
+# Joe-Kuo direction numbers (Joe & Kuo, SIAM J. Sci. Comput. 30, 2008) of the
+# first 2 MAX_CHAOS_ORDER Sobol coordinates: the primitive polynomial with its
+# leading and trailing bits, and the initial m_k.  Coordinate 0 has every
+# m_k = 1 (the van der Corput sequence).
+_SOBOL_POLY = (1, 3, 7, 11, 13, 19, 25, 37, 41, 47, 55, 59)
+_SOBOL_MINIT = ((), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3), (1, 3, 5, 13),
+                (1, 1, 5, 5, 17), (1, 1, 5, 5, 5), (1, 1, 7, 11, 19), (1, 1, 5, 1, 1),
+                (1, 1, 1, 3, 11))
+_SOBOL_BITS = 30
+
+
+def _direction_numbers():
+    """(coordinates, bits) table of v_k = m_k 2^{bits-1-k}, the m_k continued by
+    the Bratley-Fox recurrence m_k = m_{k-s} ^ XOR_{i<=s} a_i 2^i m_{k-i}."""
+    rows = []
+    for poly, minit in zip(_SOBOL_POLY, _SOBOL_MINIT):
+        s = poly.bit_length() - 1
+        m = list(minit) if s else [1] * _SOBOL_BITS
+        for k in range(len(m), _SOBOL_BITS):
+            new = m[k - s]
+            for i in range(1, s + 1):
+                if poly >> (s - i) & 1:
+                    new ^= m[k - i] << i
+            m.append(new)
+        rows.append([mk << (_SOBOL_BITS - 1 - k) for k, mk in enumerate(m)])
+    return np.array(rows, dtype=np.int64)
+
+
+_SOBOL_V = _direction_numbers()
+_SOBOL_MSB = np.arange(_SOBOL_BITS - 1, -1, -1)
+
+
 def _sobol_times(n, t, seed, rep):
     """Replicate ``rep``'s scrambled Sobol points on [0, t]^{2n}, points-last:
-    rows 0..n-1 are the s coordinates and rows n..2n-1 the r coordinates."""
-    from scipy.stats import qmc  # scipy.stats is slow to import; only this route needs it
+    rows 0..n-1 are the s coordinates and rows n..2n-1 the r coordinates.
 
-    gen = np.random.default_rng(np.random.SeedSequence((seed, 1000 + n * 16 + rep)))
-    sob = qmc.Sobol(2 * n, scramble=True, seed=gen)
-    return np.ascontiguousarray(sob.random(_QMC_POINTS).T) * t
+    The first 2^13 Joe-Kuo Sobol points in Gray-code order under Matousek's
+    linear matrix scramble plus a digital shift (LMS + shift, J. Complexity
+    14, 1998), drawn with the generator calls scipy.stats.qmc.Sobol makes:
+    the points equal ``qmc.Sobol(2n, scramble=True, seed=gen).random(2**13).T``
+    bit for bit, without importing scipy.stats.
+    """
+    dim = 2 * n
+    if dim > len(_SOBOL_POLY):
+        raise ValueError(f"the Sobol table has {len(_SOBOL_POLY)} coordinates, {dim} asked")
+    # a scipy QMC engine draws from one spawned child of the generator it is given
+    parent = np.random.SeedSequence((seed, 1000 + n * 16 + rep))
+    gen = np.random.Generator(np.random.PCG64(parent.spawn(1)[0]))
+    shift = gen.integers(2, size=(dim, _SOBOL_BITS), dtype=np.uint32) @ (1 << np.arange(_SOBOL_BITS))
+    ltm = np.tril(gen.integers(2, size=(dim, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    ltm[:, np.arange(_SOBOL_BITS), np.arange(_SOBOL_BITS)] = 1
+    # v_k -> L v_k over GF(2) on the bits, most significant first; the float
+    # product of 0/1 entries is exact
+    bits = ((_SOBOL_V[:dim, :, None] >> _SOBOL_MSB) & 1).astype(float)
+    v = (((bits @ ltm.transpose(0, 2, 1)) % 2.0) @ 2.0 ** _SOBOL_MSB).astype(np.int64)
+    # Gray-code order: point i is point i - 1 with v_k flipped in, k the
+    # trailing zeros of i (the exponent of its lowest set bit)
+    i = np.arange(1, _QMC_POINTS)
+    words = np.empty((dim, _QMC_POINTS), dtype=np.int64)
+    words[:, 0] = shift
+    np.take(v, np.frexp(i & -i)[1] - 1, axis=1, out=words[:, 1:])
+    np.bitwise_xor.accumulate(words, axis=1, out=words)
+    return words * (2.0 ** -_SOBOL_BITS * t)
 
 
 def _term_alpha2(n, d, t, seed):

@@ -250,8 +250,14 @@ def cmd_solve(cfg):
     half_length = grid.half_length if cfg["half_length"] is None else cfg["half_length"]
     grid = dataclasses.replace(grid, n_space=cfg["n_space"], n_time=cfg["n_time"],
                                half_length=half_length)
-    times = ([float(v) for v in cfg["snapshot_times"].split(",")]
-             if cfg["snapshot_times"] else [params.t_horizon])
+    if cfg["snapshot_times"] is None:
+        times = [params.t_horizon]
+    else:
+        entries = cfg["snapshot_times"].split(",")
+        if not all(v.strip() for v in entries):
+            raise ConfigError(f"snapshot times must be a comma-separated list of times, "
+                              f"got {cfg['snapshot_times']!r}")
+        times = [float(v) for v in entries]
     outside = [s for s in times if not 0.0 < s <= params.t_horizon]
     if outside:
         raise ConfigError(f"snapshot times must lie in (0, t = {params.t_horizon}], got {outside}")

@@ -281,15 +281,16 @@ def _band_sum(pos_a, pos_b, h, d):
     """Cells of the diagonal and the two adjacent diagonals, per sample."""
     n = len(h)
     a_diag = 0.5 * ((pos_a[:, :n] - pos_b[:, :n]) ** 2).sum(axis=-1)
-    a_shared = 0.5 * ((pos_a[:, 1:n] - pos_b[:, 1:n]) ** 2).sum(axis=-1)
+    a_shared = a_diag[:, 1:]  # the separation at the node two adjacent cells share
     if d == 1:
         # _rect corners of the diagonal and the two adjacent cells, K2(0) = 0 dropped
-        band = 2.0 * _heat_K2(a_diag)(h[None, :]).sum(axis=1)
+        k_diag = _heat_K2(a_diag)(h[None, :])
+        band = 2.0 * k_diag.sum(axis=1)
         if n > 1:
             K2 = _heat_K2(a_shared)
-            k_lo = K2(h[None, :-1])
-            # equal adjacent widths (any uniform grid) give K2(h_hi) = K2(h_lo)
-            k_hi = k_lo if np.array_equal(h[:-1], h[1:]) else K2(h[None, 1:])
+            k_hi = k_diag[:, 1:]  # K2 at a_shared and h[1:]
+            # equal adjacent widths (any uniform grid) give K2(h_lo) = K2(h_hi)
+            k_lo = k_hi if np.array_equal(h[:-1], h[1:]) else K2(h[None, :-1])
             adjacent = K2(h[None, :-1] + h[None, 1:]) - k_lo - k_hi
             band = band + 2.0 * adjacent.sum(axis=1)
     else:

@@ -70,7 +70,7 @@ class TorusGrid:
     @classmethod
     def default(cls, t_horizon, n_space=64, n_time=None):
         """L = 8 sqrt(t): Gaussian tail mass beyond the boundary is < 1e-6."""
-        n_time = n_time or n_space
+        n_time = n_space if n_time is None else n_time
         return cls(half_length=8.0 * math.sqrt(t_horizon), n_space=n_space,
                    n_time=n_time, t_horizon=t_horizon)
 

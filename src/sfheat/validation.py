@@ -92,14 +92,26 @@ def check_increment_ecf(n=10_000):
     return err <= 3 * se, err, 3 * se, "ECF of the alpha = 1 increment at xi = 1"
 
 
-def check_subordinator_scaling():
-    from scipy import stats  # slow to import; the CLI's other commands never need it
+def _ks_statistic(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic: the largest |F_a - F_b| of the
+    empirical distribution functions over the pooled sample, taken in integer
+    counts and reported as the fraction h / lcm(n_a, n_b), as scipy's exact
+    ks_2samp reports it."""
+    a, b = np.sort(a), np.sort(b)
+    pooled = np.concatenate([a, b])
+    gap = np.abs(np.searchsorted(a, pooled, side="right") * len(b)
+                 - np.searchsorted(b, pooled, side="right") * len(a)).max()
+    g = math.gcd(len(a), len(b))
+    h = int(gap) // g
+    return h / (len(a) // g * len(b))
 
+
+def check_subordinator_scaling():
     n = 10_000
     dt = 0.3
     s_dt = sample_subordinator_increment(1.2, dt, RngStream(7, 1), size=n)
     s_1 = sample_subordinator_increment(1.2, 1.0, RngStream(7, 2), size=n)
-    stat = stats.ks_2samp(s_dt / dt ** (2.0 / 1.2), s_1).statistic
+    stat = _ks_statistic(s_dt / dt ** (2.0 / 1.2), s_1)
     return stat < 0.02, stat, 0.02, "self-similarity of the subordinator law"
 
 

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from sfheat.chaos import (MAX_CHAOS_ORDER, _QMC_REPLICATES, _inv_det_power, _sobol_times,
-                          _time_covariance, chaos_second_moment, chaos_term, existence_check,
-                          holder_exponents, series_term_bound)
+from scipy.stats import qmc
+
+from sfheat.chaos import (_QMC_POINTS, _QMC_REPLICATES, _SOBOL_POLY, MAX_CHAOS_ORDER,
+                          _inv_det_power, _sobol_times, _time_covariance, chaos_second_moment,
+                          chaos_term, existence_check, holder_exponents, series_term_bound)
 from sfheat.errors import BudgetError, RegimeError
 
 TERM1_EXACT = 2.0 * math.sqrt(2.0) / (3.0 * math.sqrt(2.0 * math.pi))  # 0.3761263890
@@ -108,6 +110,22 @@ class TestChaosTerm:
             chaos_term(1, alpha, 1, 1.0, seed=seed, n_samples=10)
         with pytest.raises(error):
             chaos_second_moment(alpha, 1, 1.0, 1, seed=seed, n_samples=10)
+
+
+class TestSobol:
+    @pytest.mark.parametrize("n", range(1, MAX_CHAOS_ORDER + 1))
+    @pytest.mark.parametrize("seed, rep, t", [(0, 0, 1.0), (4, 7, 1.0), (2 ** 40 + 3, 3, 2.5)])
+    def test_equals_scipy_scrambled_sobol(self, n, seed, rep, t):
+        # scipy stays the oracle: the generator the route seeds, handed to qmc.Sobol
+        gen = np.random.default_rng(np.random.SeedSequence((seed, 1000 + n * 16 + rep)))
+        ref = qmc.Sobol(2 * n, scramble=True, seed=gen).random(_QMC_POINTS)
+        assert np.array_equal(_sobol_times(n, t, seed, rep), ref.T * t)
+
+    def test_table_covers_the_order_cap(self):
+        # raising MAX_CHAOS_ORDER needs more Joe-Kuo rows
+        assert len(_SOBOL_POLY) >= 2 * MAX_CHAOS_ORDER
+        with pytest.raises(ValueError, match="Sobol table"):
+            _sobol_times(len(_SOBOL_POLY) // 2 + 1, 1.0, 0, 0)
 
 
 class TestCholeskyDeterminant:

@@ -129,6 +129,14 @@ class TestCli:
         assert "snapshot times must lie in (0, t = 0.25]" in capsys.readouterr().err
         assert not snap.exists()
 
+    @pytest.mark.parametrize("times", ["", "0.25,", ",0.25", "0.125,,0.25", " "])
+    def test_empty_snapshot_times_rejected(self, times, tmp_path, capsys):
+        # an empty list or entry is an error, never the default snapshot at t
+        snap = tmp_path / "snap.csv"
+        assert main(_SOLVE + ["--snapshot-csv", str(snap), "--snapshot-times", times]) == 2
+        assert "snapshot times must be a comma-separated list" in capsys.readouterr().err
+        assert not snap.exists()
+
     def test_exit_code_config(self, capsys, tmp_path):
         bad = tmp_path / "cfg"
         bad.write_text("frobnicate=1\n")
@@ -335,11 +343,25 @@ def _run_then_list_loaded(code):
 
 @pytest.mark.parametrize("module", _DEFERRED)
 def test_cli_import_leaves_scipy_stats_unloaded(module):
-    # scipy.stats takes about half a second to import and only the chaos
-    # alpha = 2 route and one validate check use it; scipy.special and
-    # scipy.integrate load with the unmollified band, the numeric stable
-    # kernel, the exact Skorohod mean and the quadrature checks
+    # scipy.stats takes about half a second to import and no sfheat code path
+    # uses it; scipy.special and scipy.integrate load with the unmollified
+    # band, the numeric stable kernel, the exact Skorohod mean and the
+    # quadrature checks
     assert module not in _run_then_list_loaded("import sfheat.cli")[-1]
+
+
+def test_alpha2_chaos_and_subordinator_check_leave_scipy_stats_unloaded():
+    # the chaos QMC points come from the in-package Sobol generator and the
+    # subordinator check takes its KS statistic from numpy
+    code = ("import contextlib, io, json\n"
+            "from sfheat.cli import main\n"
+            "from sfheat.validation import check_subordinator_scaling\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['chaos', '--alpha', '2', '--d', '1', '--t', '1', '--nmax', '2'])\n"
+            "print(json.dumps([code, bool(check_subordinator_scaling()[0])]))")
+    codes, loaded = _run_then_list_loaded(code)
+    assert codes == [0, True]
+    assert "scipy.stats" not in loaded
 
 
 def test_solve_and_mollified_moment_leave_scipy_submodules_unloaded():

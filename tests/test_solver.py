@@ -53,6 +53,12 @@ class TestTorusGrid:
         assert g.dt == pytest.approx(0.5 / 64)
         assert g.xs[g.n_space // 2] == 0.0
 
+    def test_default_rejects_zero_time_slabs(self):
+        # n_time = 0 reaches the grid check, never replaced by n_space
+        with pytest.raises(ValueError, match="n_time must be positive"):
+            TorusGrid.default(1.0, 64, 0)
+        assert TorusGrid.default(1.0, 64, None).n_time == 64
+
     def test_power_of_two_required(self):
         with pytest.raises(ValueError):
             TorusGrid(half_length=4.0, n_space=48, n_time=8, t_horizon=0.5)

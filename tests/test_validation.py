@@ -1,7 +1,12 @@
 import inspect
 import time
 
+import numpy as np
+import pytest
+from scipy import stats
+
 from sfheat import validation
+from sfheat.paths import RngStream, sample_subordinator_increment
 
 
 def test_quick_suite_all_pass():
@@ -34,3 +39,22 @@ def test_format_table_shape():
     assert "PASS" in lines[1]
     assert "FAIL" in lines[2]
     assert lines[-1].endswith("1 failure(s)")
+
+
+@pytest.mark.parametrize("case", ["ties", "unequal sizes with ties"])
+def test_ks_statistic_matches_scipy(case):
+    rng = np.random.default_rng(3)
+    if case == "ties":
+        a, b = rng.integers(0, 5, 300).astype(float), rng.integers(0, 6, 300).astype(float)
+    else:
+        a, b = np.round(rng.standard_normal(97), 1), np.round(rng.standard_normal(211) + 0.2, 1)
+    assert validation._ks_statistic(a, b) == stats.ks_2samp(a, b).statistic
+
+
+def test_subordinator_check_reports_the_scipy_ks_statistic():
+    # the samples check_subordinator_scaling compares
+    s_dt = sample_subordinator_increment(1.2, 0.3, RngStream(7, 1), size=10_000)
+    s_1 = sample_subordinator_increment(1.2, 1.0, RngStream(7, 2), size=10_000)
+    passed, stat, tol, _ = validation.check_subordinator_scaling()
+    assert stat == stats.ks_2samp(s_dt / 0.3 ** (2.0 / 1.2), s_1).statistic
+    assert passed and stat < tol
