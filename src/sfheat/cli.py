@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -279,7 +280,10 @@ def cmd_validate(cfg):
     return results
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and shared by every ``main``
+    call: parsing leaves it unchanged, so it must not be modified."""
     parser = argparse.ArgumentParser(prog="sfheat", description=__doc__)
     parser.add_argument("--version", action="version", version=f"sfheat {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -307,8 +311,7 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
         cfg = _resolve(args.subcommand, args)

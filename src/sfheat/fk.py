@@ -107,6 +107,13 @@ def _require_order(p):
     return int(p)
 
 
+def _require_samples(n):
+    """A standard error needs at least two samples; reject fewer at the boundary."""
+    if n < 2:
+        raise ValueError(f"the sample count must be positive, and at least 2 for a "
+                         f"standard error; got {n}")
+
+
 def _weight_diagnostics(values):
     """Effective sample size and largest weight share of per-sample weights.
 
@@ -132,7 +139,7 @@ def _finalize(values, p, flavor, seed, grid_steps, keep_samples):
     diagnostics = _weight_diagnostics(values)  # rejects an empty sample first
     n = len(values)
     value = float(np.sum(values) / n)
-    se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    se = float(np.std(values, ddof=1) / math.sqrt(n))
     return MomentEstimate(value=value, std_error=se, n_samples=n, p_order=p,
                           flavor=flavor, seed=seed, grid_steps=grid_steps,
                           **diagnostics, samples=values if keep_samples else None)
@@ -151,6 +158,7 @@ def _moment(p, params, n_samples, grid, rng, flavor, moll, keep_samples):
                               p_order=1, flavor="skorohod", seed=rng.master_seed,
                               grid_steps=grid.n_steps, **_weight_diagnostics(values),
                               samples=values if keep_samples else None)
+    _require_samples(n_samples)
     values = _moment_samples(p, params, n_samples, grid, rng, flavor, moll)
     return _finalize(values, p, flavor, rng.master_seed, grid.n_steps, keep_samples)
 

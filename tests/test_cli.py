@@ -208,6 +208,24 @@ class TestCli:
         assert record_fingerprint(recs[0]) == record_fingerprint(recs[1])
         assert snaps[0] == snaps[1]
 
+    def test_in_process_calls_match_separate_processes(self, tmp_path):
+        # main reuses one parser per process; a config file or an earlier
+        # subcommand must leave nothing behind for the next call
+        cfg = tmp_path / "cfg"
+        cfg.write_text("p=2\nt=0.25\ngrid_steps=16\nn_samples=20\nseed=4\n")
+        calls = [["moment", "--config", str(cfg)],
+                 ["moment", "--p", "2", "--t", "0.25", "--n-samples", "20", "--grid-steps", "8"],
+                 ["check", "--alpha", "1"],
+                 _SOLVE]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        for i, argv in enumerate(calls):
+            here, alone = tmp_path / f"here{i}.json", tmp_path / f"alone{i}.json"
+            assert main(argv + ["--out", str(here)]) == 0
+            subprocess.run([sys.executable, "-m", "sfheat.cli", *argv, "--out", str(alone)],
+                           check=True, env=env)
+            assert (record_fingerprint(json.loads(here.read_text()))
+                    == record_fingerprint(json.loads(alone.read_text())))
+
     def test_validate_records_reproduce(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(validation, "_CHECKS", [
             ("kernel.mass", validation.check_kernel_mass, {}, False),
@@ -278,6 +296,25 @@ class TestCli:
     def test_zero_samples_is_a_configuration_error(self, argv, capsys):
         assert main(argv) == 2
         assert "sample count must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["moment", "--grid-steps", "4", "--p", "2", "--n-samples", "1"],
+        ["solve", "--n-space", "16", "--n-time", "4", "--n-realizations", "1"],
+    ], ids=["moment", "solve"])
+    def test_one_sample_is_a_configuration_error(self, argv, capsys, tmp_path):
+        # one sample has no standard error; a record with 0.0 would call it exact
+        out = tmp_path / "rec.json"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "at least 2 for a standard error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_sample_exact_shortcut(self, tmp_path):
+        # p = 1 Skorohod with constant data is exact: SE 0 is the true value
+        out = tmp_path / "rec.json"
+        assert main(["moment", "--flavor", "sko", "--p", "1", "--n-samples", "1",
+                     "--out", str(out)]) == 0
+        res = json.loads(out.read_text())["results"]
+        assert (res["value"], res["std_error"]) == (1.0, 0.0)
 
     def test_weight_diagnostics_plain_case(self, tmp_path):
         out = tmp_path / "rec.json"

@@ -22,6 +22,16 @@ class TestSkoMoment:
         assert est.flavor == "skorohod"
         assert (est.ess, est.max_weight_share) == (500.0, 1.0 / 500)
 
+    def test_one_sample_keeps_the_exact_shortcut(self):
+        est = sko_moment(1, PM, 1, grid=GRID, rng=1)
+        assert (est.value, est.std_error, est.n_samples) == (1.0, 0.0, 1)
+
+    @pytest.mark.parametrize("moment", [sko_moment, strat_moment])
+    def test_one_sample_is_rejected(self, moment):
+        # one sample has no standard error; reporting 0.0 would call it exact
+        with pytest.raises(ValueError, match="at least 2"):
+            moment(2, PM, 1, grid=TimeGrid.uniform(1.0, 4), rng=1)
+
     def test_p1_gaussian_bump_matches_convolution(self):
         pm = ModelParams(alpha=2.0, d=1, t_horizon=1.0,
                          u0=InitialCondition.gaussian_bump(1.0, 0.6))

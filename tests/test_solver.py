@@ -224,7 +224,45 @@ class TestStep:
         assert abs(outs[0] - outs[1]) < 1e-6
 
 
+class TestMergedStrangLoop:
+    """``evolve`` merges consecutive half steps; ``step`` is the one-slab reference."""
+
+    PM = ModelParams(alpha=1.5, d=1, t_horizon=0.5, u0=InitialCondition.gaussian_bump(1.0, 0.5))
+
+    @pytest.mark.parametrize("batch", [(), (5,)], ids=["unbatched", "batched"])
+    def test_evolve_matches_successive_steps(self, batch):
+        g = TorusGrid.default(0.5, n_space=32, n_time=12)
+        noise = RngStream(70, 0).generator().standard_normal(batch + (g.n_time, g.n_space))
+        state, shots = evolve(g, self.PM, noise, snapshot_times=[0.2, 0.5])
+        mult = solver._half_multiplier(g, self.PM.alpha, g.dt)
+        ref = FieldState(values=np.broadcast_to(self.PM.u0(g.xs), batch + (g.n_space,)),
+                         time=0.0)
+        ref_shots = []
+        for i in range(g.n_time):
+            ref = step(ref, noise[..., i, :], self.PM.alpha, g.dt, g, half_multiplier=mult)
+            if i in (4, g.n_time - 1):  # 0.2 falls in slab 4; t ends the last
+                ref_shots.append((ref.time, ref.values))
+        assert state.time == ref.time
+        assert state.values.shape == batch + (g.n_space,)
+        scale = np.abs(ref.values).max()
+        assert np.abs(state.values - ref.values).max() <= 1e-13 * scale
+        assert [t for t, _ in shots] == [t for t, _ in ref_shots]
+        for (_, got), (_, want) in zip(shots, ref_shots):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_noise_shape_must_match_the_grid(self):
+        g = TorusGrid.default(0.5, n_space=16, n_time=8)
+        with pytest.raises(ValueError, match="n_time, n_space"):
+            evolve(g, PM_CONST, np.zeros((g.n_time - 1, g.n_space)))
+
+
 class TestEnsembleMoment:
+    def test_one_realization_is_rejected(self):
+        # one sample has no standard error; reporting 0.0 would call it exact
+        g = TorusGrid.default(0.25, n_space=16, n_time=4)
+        with pytest.raises(ValueError, match="at least 2"):
+            ensemble_moment(g, PM_CONST, 0.1, 1, 1)
+
     def test_d2_is_a_regime_error(self):
         g = TorusGrid.default(0.25, n_space=16, n_time=16)
         with pytest.raises(RegimeError) as info:
