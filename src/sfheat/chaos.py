@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, RegimeError
-from .params import C_ALPHA
+from .params import C_ALPHA, _require_alpha_d
 from .paths import RngStream
 
 MAX_CHAOS_ORDER = 6
@@ -76,10 +76,7 @@ def holder_exponents(alpha):
 def existence_check(alpha, d) -> ExistenceReport:
     """Classify (alpha, d) by the three proof conditions; their conjunction
     is equivalent to d < 2 + alpha."""
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
-    if d < 1 or int(d) != d:
-        raise ValueError(f"d must be a positive integer, got {d}")
+    _require_alpha_d(alpha, d)
     p, q = holder_exponents(alpha)
     c1 = d < 2.0 * q
     c2 = d < 4.0 * p * q * alpha / (4.0 * q + p * alpha)
@@ -268,7 +265,9 @@ def chaos_term(n, alpha, d, t, seed=0, method=None, n_samples=_FOURIER_SAMPLES) 
     route (d = 1 only -- the importance weights are integrable iff d < 2).
     ``seed`` is an integer master seed, checked as ``RngStream`` checks one;
     ``mc_error`` is the ddof = 1 standard error of the QMC replicate means or
-    of the Monte Carlo values.
+    of the Monte Carlo values.  Every input is checked before any route runs,
+    the n = 0 term included: alpha in (0, 2], d a positive integer, a known
+    ``method``, and at least 2 samples on the Fourier route.
     """
     seed = RngStream(seed).master_seed
     if n < 0 or int(n) != n:
@@ -277,8 +276,14 @@ def chaos_term(n, alpha, d, t, seed=0, method=None, n_samples=_FOURIER_SAMPLES) 
         raise BudgetError(f"chaos terms are budgeted up to n = {MAX_CHAOS_ORDER}, got {n}")
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
+    _require_alpha_d(alpha, d)
     if method is None:
         method = "closed_form_alpha2" if alpha == 2.0 else "fourier_mc"
+    if method not in ("closed_form_alpha2", "fourier_mc"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "fourier_mc" and n_samples < 2:
+        raise ValueError(f"the Fourier route needs at least 2 samples for a standard "
+                         f"error; got {n_samples}")
     if n == 0:
         # |(g_alpha(t,.) * u0)(x)|^2 with mass-one kernel
         return ChaosTerm(0, 1.0, 0.0, method)
@@ -286,14 +291,12 @@ def chaos_term(n, alpha, d, t, seed=0, method=None, n_samples=_FOURIER_SAMPLES) 
         if alpha != 2.0:
             raise ValueError("the semigroup-collapse route requires alpha = 2")
         value, err = _term_alpha2(int(n), d, t, seed)
-    elif method == "fourier_mc":
+    else:
         if d != 1:
             raise NotImplementedError(
                 "the Fourier Monte Carlo route is implemented for d = 1 "
                 "(importance weights are integrable iff d < 2)")
         value, err = _term_fourier_mc(int(n), alpha, t, seed, n_samples)
-    else:
-        raise ValueError(f"unknown method {method!r}")
     return ChaosTerm(int(n), value, err, method)
 
 

@@ -28,7 +28,7 @@ from . import __version__, chaos, exponents, fk, solver, validation
 from .errors import BudgetError, FactorizationError, RegimeError
 from .exponents import MollifierParams
 from .params import ModelParams, parse_u0
-from .paths import RngStream, TimeGrid
+from .paths import RngStream
 
 SEED_ENV_VAR = "SFHEAT_SEED"
 
@@ -134,6 +134,9 @@ def _resolve(subcommand, args):
             cfg[option.name] = flag_val
         elif option.name in file_vals:
             cfg[option.name] = _parse(option, file_vals[option.name])
+            if option.choices and cfg[option.name] not in option.choices:
+                raise ConfigError(f"config key {option.name} must be one of "
+                                  f"{list(option.choices)}, got {cfg[option.name]!r}")
         else:
             cfg[option.name] = option.default
     if cfg["seed"] is None:
@@ -214,20 +217,11 @@ def _mollifier(cfg):
 
 def cmd_moment(cfg):
     params = _model_params(cfg)
-    grid = (TimeGrid.default(params.t_horizon) if cfg["grid_steps"] is None
-            else TimeGrid.uniform(params.t_horizon, cfg["grid_steps"]))
-    rng = RngStream(cfg["seed"])
-    moll = _mollifier(cfg)
     keep = cfg["samples_csv"] is not None
-    flavor = cfg["flavor"].lower()
-    if flavor in ("strat", "stratonovich"):
-        est = fk.strat_moment(cfg["p"], params, cfg["n_samples"], grid=grid,
-                              rng=rng, moll=moll, keep_samples=keep)
-    elif flavor in ("sko", "skorohod"):
-        est = fk.sko_moment(cfg["p"], params, cfg["n_samples"], grid=grid,
-                            rng=rng, moll=moll, keep_samples=keep)
-    else:
-        raise ConfigError(f"unknown flavor {cfg['flavor']!r} (use strat or sko)")
+    moment = {"strat": fk.strat_moment, "stratonovich": fk.strat_moment,
+              "sko": fk.sko_moment, "skorohod": fk.sko_moment}[cfg["flavor"]]
+    est = moment(cfg["p"], params, cfg["n_samples"], grid_steps=cfg["grid_steps"],
+                 rng=RngStream(cfg["seed"]), moll=_mollifier(cfg), keep_samples=keep)
     if keep and est.samples is not None:
         with open(cfg["samples_csv"], "w") as fh:
             fh.write("sample_index,value\n")

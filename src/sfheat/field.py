@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import FactorizationError, RegimeError
-from .exponents import MollifierParams, _xi_transforms, self_exponent
+from .exponents import MollifierParams, _xi_transforms, cross_exponent_values
 from .paths import Path, _require_stream
 
 JITTER_SCALE = 1e-12       # first shot: 1e-12 * trace / N on the diagonal
@@ -98,6 +98,8 @@ def conditional_I_sample(path: Path, rng, size=None):
             "the conditional variance of I_{t,x} is finite only for d = 1",
             condition="d = 1")
     gen = _require_stream(rng).generator()
-    var = self_exponent(path).value
+    # self_exponent's fine quadrature alone: its coarse refinement pass is not needed
+    pos = path.positions[None]
+    var = float(cross_exponent_values(path.grid.times, pos, pos, 1)[0])
     return math.sqrt(var) * gen.standard_normal() if size is None \
         else math.sqrt(var) * gen.standard_normal(size)

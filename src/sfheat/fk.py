@@ -18,7 +18,9 @@ Each Monte Carlo sample owns one counter-based stream and draws p fresh
 paths, so the draws are independent of batching and an estimate is
 reproducible bit-for-bit for a given configuration.  Every estimator takes
 ``rng`` as an RngStream or an integer master seed (its stream 0), and the
-exponents take their dimension from the sampled positions.  Samples run in
+exponents take their dimension from the sampled positions.  The time grid is
+built on ``params.t_horizon``: ``grid_steps`` uniform steps, or
+``TimeGrid.default`` when ``grid_steps`` is None.  Samples run in
 batches of 4e6 / n^2 (n grid steps; an eighth of that when mollified).  One
 ``sample_path_batch`` call takes a batch's streams and fills one block of
 draws, and ``cross_exponent_values`` splits the batch's pair quadrature
@@ -145,12 +147,13 @@ def _finalize(values, p, flavor, seed, grid_steps, keep_samples):
                           **diagnostics, samples=values if keep_samples else None)
 
 
-def _moment(p, params, n_samples, grid, rng, flavor, moll, keep_samples):
+def _moment(p, params, n_samples, grid_steps, rng, flavor, moll, keep_samples):
     """Feynman-Kac moment estimate shared by strat_moment and sko_moment,
     which gate the regime first."""
     p = _require_order(p)
     rng = _require_stream(rng)
-    grid = grid or TimeGrid.default(params.t_horizon)
+    grid = (TimeGrid.default(params.t_horizon) if grid_steps is None
+            else TimeGrid.uniform(params.t_horizon, grid_steps))
     if flavor == "skorohod" and p == 1 and params.u0.tag == "constant":
         c = params.u0.params[0]
         values = np.full(n_samples, float(c))
@@ -163,7 +166,7 @@ def _moment(p, params, n_samples, grid, rng, flavor, moll, keep_samples):
     return _finalize(values, p, flavor, rng.master_seed, grid.n_steps, keep_samples)
 
 
-def strat_moment(p, params: ModelParams, n_samples, grid: TimeGrid = None, rng=0,
+def strat_moment(p, params: ModelParams, n_samples, grid_steps=None, rng=0,
                  moll: MollifierParams = None, keep_samples=False) -> MomentEstimate:
     """p-th Stratonovich moment at (t_horizon, x_point); requires d = 1.
 
@@ -176,10 +179,10 @@ def strat_moment(p, params: ModelParams, n_samples, grid: TimeGrid = None, rng=0
         raise RegimeError(
             "Stratonovich moments require d = 1: the exponential moment of the "
             "self exponent is finite iff d = 1", condition="d = 1")
-    return _moment(p, params, n_samples, grid, rng, "stratonovich", moll, keep_samples)
+    return _moment(p, params, n_samples, grid_steps, rng, "stratonovich", moll, keep_samples)
 
 
-def sko_moment(p, params: ModelParams, n_samples, grid: TimeGrid = None, rng=0,
+def sko_moment(p, params: ModelParams, n_samples, grid_steps=None, rng=0,
                moll: MollifierParams = None, keep_samples=False) -> MomentEstimate:
     """p-th Skorohod moment at (t_horizon, x_point); requires d < 2 + alpha.
 
@@ -192,7 +195,7 @@ def sko_moment(p, params: ModelParams, n_samples, grid: TimeGrid = None, rng=0,
         raise RegimeError(
             f"no Skorohod solution for alpha = {params.alpha}, d = {params.d}: "
             "existence requires d < 2 + alpha", condition="d < 2 + alpha")
-    return _moment(p, params, n_samples, grid, rng, "skorohod", moll, keep_samples)
+    return _moment(p, params, n_samples, grid_steps, rng, "skorohod", moll, keep_samples)
 
 
 def sko_mean_exact(params: ModelParams):
@@ -217,12 +220,12 @@ def sko_mean_exact(params: ModelParams):
     if u0.tag == "cosine":
         k = u0.params[0]
         # g is even, so the sine component of the shifted cosine integrates to 0
-        half, _ = integrate.quad(lambda y: stable_kernel(alpha, t, y, 1), 0.0, np.inf,
+        half, _ = integrate.quad(lambda y: stable_kernel(alpha, t, y), 0.0, np.inf,
                                  weight="cos", wvar=k, limit=400)
         return 2.0 * half * math.cos(k * x)
     amp, width = u0.params
     val, _ = integrate.quad(
-        lambda y: stable_kernel(alpha, t, x - y, 1) * amp * math.exp(-y * y / (2 * width ** 2)),
+        lambda y: stable_kernel(alpha, t, x - y) * amp * math.exp(-y * y / (2 * width ** 2)),
         -np.inf, np.inf, limit=400)
     return val
 

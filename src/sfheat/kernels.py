@@ -9,6 +9,9 @@ quadratures in this module include that factor explicitly.
 The stable density g_alpha(t, .) has F g_alpha(t, xi) = exp(-t |xi|^alpha / 2)
 (normalisation pinned to 1/2), so g_2(t, x) = p_t(x) exactly and g_1(t, .) is
 the Cauchy density with scale t/2.
+
+Each kernel reads d from its point's length; only the radial inversion
+``_stable_kernel_numeric`` takes d, since a distance carries none.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ TWO_PI = 2.0 * math.pi
 STABLE_INVERSION_ABS_TOL = 1e-8
 
 
-def heat_kernel(t, x, d=None):
+def heat_kernel(t, x):
     """Gaussian heat kernel p_t(x) = (2 pi t)^{-d/2} exp(-|x|^2 / 2t).
 
     Parameters
@@ -34,24 +37,20 @@ def heat_kernel(t, x, d=None):
         Strictly positive time; the kernel (and the noise covariance built
         from it) is singular on the time diagonal, so t = 0 is a hard error.
     x : float or array
-        Point in R^d; arrays are treated as a single d-vector unless ``d``
-        says otherwise.
-    d : int, optional
-        Dimension. Defaults to the length of ``x``.
+        One point in R^d; d is its length, and a scalar is a point of R^1.
     """
     if t <= 0:
         raise ValueError(f"heat_kernel requires t > 0, got t={t}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if d is None:
-        d = x.size
     sq = float((x ** 2).sum())
-    return (TWO_PI * t) ** (-d / 2.0) * math.exp(-sq / (2.0 * t))
+    return (TWO_PI * t) ** (-x.size / 2.0) * math.exp(-sq / (2.0 * t))
 
 
-def _cauchy_kernel(t, x, d):
+def _cauchy_kernel(t, x):
     """Isotropic Cauchy density with scale t/2 (the alpha = 1 stable kernel)."""
     scale = 0.5 * t
-    sq = float((np.atleast_1d(np.asarray(x, float)) ** 2).sum())
+    x = np.atleast_1d(np.asarray(x, float))
+    d, sq = x.size, float((x ** 2).sum())
     c_d = math.gamma((d + 1) / 2.0) / math.pi ** ((d + 1) / 2.0)
     return c_d * scale / (scale ** 2 + sq) ** ((d + 1) / 2.0)
 
@@ -85,8 +84,9 @@ def _stable_kernel_numeric(alpha, t, r, d):
     return (TWO_PI) ** (-d / 2.0) * r ** (1.0 - d / 2.0) * val
 
 
-def stable_kernel(alpha, t, x, d=None):
-    """Transition density g_alpha(t, x) of the isotropic alpha-stable semigroup.
+def stable_kernel(alpha, t, x):
+    """Transition density g_alpha(t, x) of the isotropic alpha-stable semigroup;
+    d is the length of the point ``x``, a scalar being a point of R^1.
 
     alpha = 2 and alpha = 1 use closed forms (heat kernel, Cauchy); other
     alpha fall back to numeric Fourier inversion with absolute error below
@@ -97,14 +97,12 @@ def stable_kernel(alpha, t, x, d=None):
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if d is None:
-        d = x.size
     if alpha == 2.0:
-        return heat_kernel(t, x, d)
+        return heat_kernel(t, x)
     if alpha == 1.0:
-        return _cauchy_kernel(t, x, d)
+        return _cauchy_kernel(t, x)
     r = math.sqrt(float((x ** 2).sum()))
-    return _stable_kernel_numeric(alpha, t, r, d)
+    return _stable_kernel_numeric(alpha, t, r, x.size)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,13 @@ def parse_u0(text):
     raise ValueError(f"bad initial condition descriptor {text!r}")
 
 
+def _require_alpha_d(alpha, d):
+    if not 0.0 < alpha <= 2.0:
+        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
+    if d < 1 or int(d) != d:
+        raise ValueError(f"d must be a positive integer, got {d}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Everything that pins down one (t, x) evaluation of the model."""
@@ -97,10 +104,7 @@ class ModelParams:
     u0: InitialCondition = field(default_factory=InitialCondition.constant)
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 2.0:
-            raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if self.d < 1 or int(self.d) != self.d:
-            raise ValueError(f"d must be a positive integer, got {self.d}")
+        _require_alpha_d(self.alpha, self.d)
         if not 0.0 < self.t_horizon < np.inf:
             raise ValueError(f"t_horizon must be positive and finite, got {self.t_horizon}")
         x = np.zeros(self.d) if self.x_point is None else np.atleast_1d(np.asarray(self.x_point, float))

@@ -29,6 +29,8 @@ realization, with no covariance matrix and no factorization.
 Smooth-noise ordinary-product solutions carry Stratonovich statistics, so
 ensembles here cross-validate the matched mollified Feynman-Kac estimators.
 d = 1 only: it is the single regime where that target exists.
+``evolve`` rejects a grid whose horizon is not ``params.t_horizon``, and
+``ensemble_moment``, which reads u at x = 0, any other ``params.x_point``.
 """
 
 from __future__ import annotations
@@ -224,6 +226,9 @@ def evolve(grid: TorusGrid, params: ModelParams, noise, snapshot_times=()):
     ``step`` repeated n_time times in exact arithmetic, with two transforms
     per slab instead of four.
     """
+    if grid.t_horizon != params.t_horizon:
+        raise ValueError(f"grid horizon {grid.t_horizon} is not the model's "
+                         f"t = {params.t_horizon}")
     noise = np.asarray(noise, dtype=float)
     n = grid.n_space
     if noise.shape[-2:] != (grid.n_time, n):
@@ -267,6 +272,8 @@ def ensemble_moment(grid: TorusGrid, params: ModelParams, epsilon, p,
     """
     if params.d != 1:
         raise RegimeError("the direct solver is one-dimensional", condition="d = 1")
+    if params.x_point[0] != 0.0:
+        raise ValueError(f"the ensemble is read at x = 0, got x = {params.x_point[0]}")
     p = _require_order(p)
     _require_samples(n_realizations)
     rng = _require_stream(rng)

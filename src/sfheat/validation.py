@@ -55,7 +55,7 @@ def check_kernel_mass():
     from scipy import integrate
 
     t = 0.7
-    val, _ = integrate.quad(lambda x: kernels.heat_kernel(t, x, 1), -np.inf, np.inf)
+    val, _ = integrate.quad(lambda x: kernels.heat_kernel(t, x), -np.inf, np.inf)
     err = abs(val - 1.0)
     return err <= 1e-6, err, 1e-6, "heat kernel integrates to one"
 
@@ -64,16 +64,16 @@ def check_semigroup():
     from scipy import integrate
 
     s, t, x = 0.3, 0.5, 0.7
-    val, _ = integrate.quad(lambda y: kernels.heat_kernel(s, x - y, 1) * kernels.heat_kernel(t, y, 1),
+    val, _ = integrate.quad(lambda y: kernels.heat_kernel(s, x - y) * kernels.heat_kernel(t, y),
                             -np.inf, np.inf)
-    err = abs(val - kernels.heat_kernel(s + t, x, 1))
+    err = abs(val - kernels.heat_kernel(s + t, x))
     return err <= 1e-6, err, 1e-6, "Chapman-Kolmogorov at (0.3, 0.5, 0.7)"
 
 
 def check_stable_mass():
     from scipy import integrate
 
-    val, _ = integrate.quad(lambda x: kernels.stable_kernel(1.5, 0.7, x, 1), -np.inf, np.inf,
+    val, _ = integrate.quad(lambda x: kernels.stable_kernel(1.5, 0.7, x), -np.inf, np.inf,
                             limit=200)
     err = abs(val - 1.0)
     return err <= 1e-6, err, 1e-6, "numeric stable kernel mass, alpha = 1.5"
@@ -281,12 +281,11 @@ def check_sko_mean_multiplier():
 
 
 def check_moment_ordering(n_samples=100, seed=77):
-    grid = TimeGrid.uniform(1.0, 128)
     pm = ModelParams(alpha=2.0, d=1, t_horizon=1.0)
     ok = True
     for p in (1, 2, 3):
-        s = fk.strat_moment(p, pm, n_samples, grid=grid, rng=seed, keep_samples=True)
-        k = fk.sko_moment(p, pm, n_samples, grid=grid, rng=seed, keep_samples=True)
+        s = fk.strat_moment(p, pm, n_samples, grid_steps=128, rng=seed, keep_samples=True)
+        k = fk.sko_moment(p, pm, n_samples, grid_steps=128, rng=seed, keep_samples=True)
         if not np.all(s.samples >= k.samples):
             ok = False
     return ok, 0.0 if ok else 1.0, 0.0, "strat >= sko sample-by-sample on shared paths"
@@ -295,9 +294,8 @@ def check_moment_ordering(n_samples=100, seed=77):
 def check_strat_jensen(n_samples=1000):
     from scipy import integrate
 
-    grid = TimeGrid.uniform(1.0, 128)
     pm = ModelParams(alpha=2.0, d=1, t_horizon=1.0)
-    est = fk.strat_moment(1, pm, n_samples, grid=grid, rng=101)
+    est = fk.strat_moment(1, pm, n_samples, grid_steps=128, rng=101)
     # E[V_self] for alpha = 2: E p_tau(X_s - X_r) = p_{2 tau}(0); reduce the
     # square to the diagonal offset tau with weight 2(1 - tau)
     mean_self, _ = integrate.quad(
@@ -372,8 +370,7 @@ def check_solver_vs_fk(n_realizations=300, n_fk=1500, seed_direct=51, seed_fk=52
     grid = solver.TorusGrid.default(0.5, n_space=64, n_time=64)
     direct = solver.ensemble_moment(grid, pm, 0.1, 1, n_realizations, rng=seed_direct)
     moll = MollifierParams(0.1, grid.dt)
-    fkest = fk.strat_moment(1, pm, n_fk, grid=TimeGrid.uniform(0.5, 128), rng=seed_fk,
-                            moll=moll)
+    fkest = fk.strat_moment(1, pm, n_fk, grid_steps=128, rng=seed_fk, moll=moll)
     tol = 3 * math.hypot(direct.std_error, fkest.std_error)
     err = abs(direct.value - fkest.value)
     return err <= tol, err, tol, f"direct {direct.value:.4f} vs FK {fkest.value:.4f}"
@@ -381,9 +378,8 @@ def check_solver_vs_fk(n_realizations=300, n_fk=1500, seed_direct=51, seed_fk=52
 
 def check_reproducibility():
     pm = ModelParams(alpha=2.0, d=1, t_horizon=1.0)
-    grid = TimeGrid.uniform(1.0, 64)
-    a = fk.sko_moment(2, pm, 50, grid=grid, rng=5)
-    b = fk.sko_moment(2, pm, 50, grid=grid, rng=5)
+    a = fk.sko_moment(2, pm, 50, grid_steps=64, rng=5)
+    b = fk.sko_moment(2, pm, 50, grid_steps=64, rng=5)
     ok = a.value == b.value and a.std_error == b.std_error
     return ok, 0.0 if ok else 1.0, 0.0, "identical config, bit-identical estimate"
 

@@ -50,7 +50,7 @@ def test_criterion_02_chaos_term1_oracle():
 def test_criterion_03_cross_method_second_moment():
     t0 = time.perf_counter()
     pm = ModelParams(alpha=2.0, d=1, t_horizon=1.0)
-    est = sko_moment(2, pm, 100_000, grid=TimeGrid.uniform(1.0, 256), rng=303)
+    est = sko_moment(2, pm, 100_000, grid_steps=256, rng=303)
     series = chaos_second_moment(2.0, 1, 1.0, 4)
     gap = abs(est.value - series.value)
     tol = 3 * math.hypot(est.std_error, series.mc_error) + series.tail_bound
@@ -69,7 +69,7 @@ def test_criterion_04_skorohod_mean_identities():
     k, t = 1.5, 1.0
     for alpha in (1.0, 2.0):
         pm = ModelParams(alpha=alpha, d=1, t_horizon=t, u0=InitialCondition.cosine(k))
-        est = sko_moment(1, pm, 20_000, grid=TimeGrid.uniform(t, 128), rng=305)
+        est = sko_moment(1, pm, 20_000, grid_steps=128, rng=305)
         closed = math.exp(-t * k ** alpha / 2.0)
         gap = abs(est.value - closed)
         ok = ok and gap <= 3 * est.std_error

@@ -85,6 +85,27 @@ class TestChaosTerm:
         with pytest.raises(NotImplementedError):
             chaos_term(1, 1.5, 2, 1.0)
 
+    @pytest.mark.parametrize("alpha", [5.0, -1.0, 0.0])
+    def test_alpha_outside_the_range_is_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            chaos_term(1, alpha, 1, 1.0)
+
+    @pytest.mark.parametrize("d", [1.5, 0, -1])
+    def test_d_must_be_a_positive_integer(self, d):
+        with pytest.raises(ValueError, match="d must be a positive integer"):
+            chaos_term(1, 2.0, d, 1.0)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_unknown_method_is_rejected(self, n):
+        with pytest.raises(ValueError, match="unknown method"):
+            chaos_term(n, 2.0, 1, 1.0, method="bogus")
+
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_fourier_route_needs_two_samples(self, n_samples):
+        # one sample has no standard error and none has a value
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            chaos_term(1, 1.5, 1, 1.0, n_samples=n_samples)
+
     def test_alpha2_error_is_the_replicate_sample_sd(self):
         # the replicate means recomputed from _sobol_times; the error is their
         # ddof = 1 standard deviation over sqrt(replicates)

@@ -183,6 +183,17 @@ class TestCli:
         assert main(["moment", "--config", str(cfg), "--n-samples", "5"]) == 2
         assert "workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spelling", ["Strat", "STRATONOVICH"])
+    def test_config_value_outside_choices_rejected(self, spelling, tmp_path, capsys):
+        # a file value obeys the choices of its flag, which argparse enforces
+        with pytest.raises(SystemExit) as info:
+            main(["moment", "--flavor", spelling, "--n-samples", "5"])
+        assert info.value.code == 2
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"flavor={spelling}\n")
+        assert main(["moment", "--config", str(cfg), "--n-samples", "5"]) == 2
+        assert "config key flavor must be one of" in capsys.readouterr().err
+
     @pytest.mark.parametrize("base, file_text, flags", [
         (_MOMENT, "grid_steps=16\n", ["--grid-steps", "16"]),
         (_MOMENT, "seed=9\n", ["--seed", "9"]),

@@ -374,7 +374,7 @@ class TestParallelRanges:
         samples = []
         for workers in (1, 2):
             monkeypatch.setattr(exponents, "_WORKERS", workers)
-            est = moment(2, pm, 40, grid=TimeGrid.uniform(0.7, 64), rng=48, keep_samples=True)
+            est = moment(2, pm, 40, grid_steps=64, rng=48, keep_samples=True)
             samples.append(est.samples)
         assert np.array_equal(samples[0], samples[1])
 

@@ -110,6 +110,13 @@ class TestConditionalLaw:
         sd = math.sqrt(self_exponent(cp).value)
         assert abs(draws.mean()) < 3 * sd / math.sqrt(n)
 
+    def test_draws_scale_normals_by_the_self_exponent(self):
+        # one fine quadrature gives V bit for bit as self_exponent's value
+        cp = constant_path(TimeGrid.uniform(1.0, 64))
+        draws = conditional_I_sample(cp, RngStream(43, 0), size=5)
+        normals = RngStream(43, 0).generator().standard_normal(5)
+        assert np.array_equal(draws, math.sqrt(self_exponent(cp).value) * normals)
+
     def test_t_scaling(self):
         n = 100_000
         v1 = conditional_I_sample(constant_path(TimeGrid.uniform(1.0, 128)),

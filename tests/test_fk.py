@@ -11,31 +11,40 @@ from sfheat.params import InitialCondition, ModelParams
 from sfheat.paths import TimeGrid
 
 PM = ModelParams(alpha=2.0, d=1, t_horizon=1.0)
-GRID = TimeGrid.uniform(1.0, 128)
 
 
 class TestSkoMoment:
     def test_p1_constant_is_exact(self):
-        est = sko_moment(1, PM, 500, grid=GRID, rng=1)
+        est = sko_moment(1, PM, 500, grid_steps=128, rng=1)
         assert est.value == 1.0
         assert est.std_error == 0.0
         assert est.flavor == "skorohod"
         assert (est.ess, est.max_weight_share) == (500.0, 1.0 / 500)
 
     def test_one_sample_keeps_the_exact_shortcut(self):
-        est = sko_moment(1, PM, 1, grid=GRID, rng=1)
+        est = sko_moment(1, PM, 1, grid_steps=128, rng=1)
         assert (est.value, est.std_error, est.n_samples) == (1.0, 0.0, 1)
 
     @pytest.mark.parametrize("moment", [sko_moment, strat_moment])
     def test_one_sample_is_rejected(self, moment):
         # one sample has no standard error; reporting 0.0 would call it exact
         with pytest.raises(ValueError, match="at least 2"):
-            moment(2, PM, 1, grid=TimeGrid.uniform(1.0, 4), rng=1)
+            moment(2, PM, 1, grid_steps=4, rng=1)
+
+    def test_grid_steps_are_taken_on_the_model_horizon(self):
+        # pinned: the value on TimeGrid.uniform(1.0, 32), the model's own horizon
+        est = sko_moment(2, PM, 400, grid_steps=32, rng=3)
+        assert (est.value, est.grid_steps) == (1.497736959332785, 32)
+
+    def test_default_grid_and_no_second_horizon(self):
+        assert sko_moment(2, PM, 4, rng=3).grid_steps == TimeGrid.default(1.0).n_steps
+        with pytest.raises(TypeError):
+            sko_moment(2, PM, 4, grid=TimeGrid.uniform(0.5, 32), rng=3)
 
     def test_p1_gaussian_bump_matches_convolution(self):
         pm = ModelParams(alpha=2.0, d=1, t_horizon=1.0,
                          u0=InitialCondition.gaussian_bump(1.0, 0.6))
-        est = sko_moment(1, pm, 20_000, grid=GRID, rng=2)
+        est = sko_moment(1, pm, 20_000, grid_steps=128, rng=2)
         exact = sko_mean_exact(pm)
         assert est.value == pytest.approx(exact, abs=3 * est.std_error)
 
@@ -46,7 +55,7 @@ class TestSkoMoment:
 
     def test_alpha2_d3_allowed(self):
         pm = ModelParams(alpha=2.0, d=3, t_horizon=0.5)
-        est = sko_moment(2, pm, 50, grid=TimeGrid.uniform(0.5, 32), rng=3)
+        est = sko_moment(2, pm, 50, grid_steps=32, rng=3)
         assert np.isfinite(est.value) and est.value > 0
 
 
@@ -58,7 +67,7 @@ class TestStratMoment:
 
     def test_small_t_continuity(self):
         pm = ModelParams(alpha=2.0, d=1, t_horizon=0.01)
-        est = strat_moment(1, pm, 500, grid=TimeGrid.uniform(0.01, 16), rng=4)
+        est = strat_moment(1, pm, 500, grid_steps=16, rng=4)
         assert 1.0 <= est.value <= 1.2
 
     def test_jensen_floor(self):
@@ -66,24 +75,24 @@ class TestStratMoment:
         # oracle E p_tau(X_s - X_r) = p_{2 tau}(0), reduced to the offset form
         mean_v, _ = integrate.quad(
             lambda tau: 2.0 * (1.0 - tau) * (4 * math.pi * tau) ** -0.5, 0, 1)
-        est = strat_moment(1, PM, 2000, grid=GRID, rng=5)
+        est = strat_moment(1, PM, 2000, grid_steps=128, rng=5)
         assert est.value + 3 * est.std_error >= math.exp(0.5 * mean_v)
 
     def test_exponential_integrability_bound(self):
         # pathwise: every sample weight is below exp(deterministic bound / 2)
-        est = strat_moment(1, PM, 500, grid=GRID, rng=6, keep_samples=True)
+        est = strat_moment(1, PM, 500, grid_steps=128, rng=6, keep_samples=True)
         cap = math.exp(0.5 * deterministic_bound(1.0, 1))
         assert np.all(est.samples <= cap)
 
     def test_ordering_samplewise(self):
         for p in (1, 2, 3):
-            s = strat_moment(p, PM, 200, grid=GRID, rng=7, keep_samples=True)
-            k = sko_moment(p, PM, 200, grid=GRID, rng=7, keep_samples=True)
+            s = strat_moment(p, PM, 200, grid_steps=128, rng=7, keep_samples=True)
+            k = sko_moment(p, PM, 200, grid_steps=128, rng=7, keep_samples=True)
             assert np.all(s.samples >= k.samples)
 
     def test_seed_determinism(self):
-        a = strat_moment(2, PM, 100, grid=GRID, rng=8)
-        b = strat_moment(2, PM, 100, grid=GRID, rng=8)
+        a = strat_moment(2, PM, 100, grid_steps=128, rng=8)
+        b = strat_moment(2, PM, 100, grid_steps=128, rng=8)
         assert a.value == b.value and a.std_error == b.std_error
 
     def test_small_t_expansion(self):
@@ -91,8 +100,7 @@ class TestStratMoment:
         from sfheat.chaos import chaos_term
 
         pm = ModelParams(alpha=2.0, d=1, t_horizon=0.25)
-        grid = TimeGrid.uniform(0.25, 64)
-        est = sko_moment(2, pm, 40_000, grid=grid, rng=9)
+        est = sko_moment(2, pm, 40_000, grid_steps=64, rng=9)
         term1 = chaos_term(1, 2.0, 1, 0.25).value
         assert est.value - 1.0 == pytest.approx(term1, rel=0.10)
 
@@ -102,7 +110,7 @@ class TestStratMoment:
         from sfheat.chaos import chaos_second_moment
 
         pm = ModelParams(alpha=1.5, d=1, t_horizon=0.7)
-        est = sko_moment(2, pm, 30_000, grid=TimeGrid.uniform(0.7, 180), rng=77)
+        est = sko_moment(2, pm, 30_000, grid_steps=180, rng=77)
         series = chaos_second_moment(1.5, 1, 0.7, 4, n_samples=300_000)
         tol = 3 * math.hypot(est.std_error, series.mc_error) + series.tail_bound
         assert est.value == pytest.approx(series.value, abs=tol)

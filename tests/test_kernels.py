@@ -12,42 +12,55 @@ from test_exponents import _shifted_heat_K2  # the closed-form mollifier oracle
 
 class TestHeatKernel:
     def test_point_values(self):
-        assert heat_kernel(1.0, 0.0, 1) == pytest.approx((2 * math.pi) ** -0.5)
-        assert heat_kernel(2.0, 0.0, 1) == pytest.approx((4 * math.pi) ** -0.5)
-        assert heat_kernel(1.0, np.zeros(2), 2) == pytest.approx(1.0 / (2 * math.pi))
+        assert heat_kernel(1.0, 0.0) == pytest.approx((2 * math.pi) ** -0.5)
+        assert heat_kernel(2.0, 0.0) == pytest.approx((4 * math.pi) ** -0.5)
+        assert heat_kernel(1.0, np.zeros(2)) == pytest.approx(1.0 / (2 * math.pi))
+
+    def test_dimension_is_the_point_length(self):
+        # a 2-D point is read as one point of R^2, never as two 1-D points
+        assert heat_kernel(1.0, [0.3, 0.4]) == pytest.approx(math.exp(-1 / 8) / (2 * math.pi),
+                                                             rel=1e-15)
+
+    @pytest.mark.parametrize("kernel", [lambda *a: heat_kernel(1.0, 0.5, *a),
+                                        lambda *a: stable_kernel(1.5, 1.0, 0.5, *a)])
+    def test_d_is_not_an_argument(self, kernel):
+        with pytest.raises(TypeError):
+            kernel(1)
+        with pytest.raises(TypeError):
+            kernel(d=1)
 
     def test_t_zero_is_an_error(self):
         with pytest.raises(ValueError):
-            heat_kernel(0.0, 0.0, 1)
+            heat_kernel(0.0, 0.0)
         with pytest.raises(ValueError):
-            heat_kernel(-1.0, 0.0, 1)
+            heat_kernel(-1.0, 0.0)
 
     @pytest.mark.parametrize("t", [0.1, 0.5, 2.0])
     def test_unit_mass(self, t):
-        val, _ = integrate.quad(lambda x: heat_kernel(t, x, 1), -np.inf, np.inf)
+        val, _ = integrate.quad(lambda x: heat_kernel(t, x), -np.inf, np.inf)
         assert val == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("s,t,x", [(0.3, 0.5, 0.7), (1.0, 0.25, -0.4), (0.05, 0.05, 0.0)])
     def test_semigroup_identity(self, s, t, x):
-        val, _ = integrate.quad(lambda y: heat_kernel(s, x - y, 1) * heat_kernel(t, y, 1),
+        val, _ = integrate.quad(lambda y: heat_kernel(s, x - y) * heat_kernel(t, y),
                                 -np.inf, np.inf)
-        assert val == pytest.approx(heat_kernel(s + t, x, 1), abs=1e-6)
+        assert val == pytest.approx(heat_kernel(s + t, x), abs=1e-6)
 
 
 class TestStableKernel:
     def test_alpha2_is_heat(self):
-        assert stable_kernel(2.0, 1.0, 0.0, 1) == pytest.approx(heat_kernel(1.0, 0.0, 1))
+        assert stable_kernel(2.0, 1.0, 0.0) == pytest.approx(heat_kernel(1.0, 0.0))
 
     def test_cauchy_closed_form(self):
         # F^{-1} of exp(-|xi|/2) at 0 is 2/pi
-        assert stable_kernel(1.0, 1.0, 0.0, 1) == pytest.approx(2.0 / math.pi)
+        assert stable_kernel(1.0, 1.0, 0.0) == pytest.approx(2.0 / math.pi)
         # generic point: scale t/2 Cauchy density
         t, x = 0.6, 0.9
         expected = (0.5 * t / math.pi) / ((0.5 * t) ** 2 + x ** 2)
-        assert stable_kernel(1.0, t, x, 1) == pytest.approx(expected, rel=1e-12)
+        assert stable_kernel(1.0, t, x) == pytest.approx(expected, rel=1e-12)
 
     def test_numeric_inversion_mass(self):
-        val, _ = integrate.quad(lambda x: stable_kernel(1.5, 0.7, x, 1), -np.inf, np.inf,
+        val, _ = integrate.quad(lambda x: stable_kernel(1.5, 0.7, x), -np.inf, np.inf,
                                 limit=200)
         assert val == pytest.approx(1.0, abs=1e-6)
 
@@ -55,16 +68,16 @@ class TestStableKernel:
         # run the quadrature path at alpha just off the closed form and compare
         # against the exact Cauchy at alpha = 1 via continuity in alpha
         num = kernels._stable_kernel_numeric(1.0, 0.8, 0.5, 1)
-        assert num == pytest.approx(stable_kernel(1.0, 0.8, 0.5, 1), abs=1e-8)
+        assert num == pytest.approx(stable_kernel(1.0, 0.8, 0.5), abs=1e-8)
 
     def test_d2_cauchy_closed_form_matches_numeric(self):
-        exact = stable_kernel(1.0, 0.9, np.array([0.3, -0.4]), 2)
+        exact = stable_kernel(1.0, 0.9, np.array([0.3, -0.4]))
         num = kernels._stable_kernel_numeric(1.0, 0.9, 0.5, 2)
         assert num == pytest.approx(exact, abs=1e-7)
 
     def test_t_zero_is_an_error(self):
         with pytest.raises(ValueError):
-            stable_kernel(1.5, 0.0, 0.0, 1)
+            stable_kernel(1.5, 0.0, 0.0)
 
 
 def _dblquad_rect(k, i0, i1, j0, j1):
@@ -85,7 +98,7 @@ def _dblquad_rect(k, i0, i1, j0, j1):
 
 def _gauss_K2(tau):
     """Second antiderivative of p_tau: K2(z) = z Phi(z / sqrt(tau)) + tau p_tau(z)."""
-    return lambda z: z * special.ndtr(z / math.sqrt(tau)) + tau * heat_kernel(tau, z, 1)
+    return lambda z: z * special.ndtr(z / math.sqrt(tau)) + tau * heat_kernel(tau, z)
 
 
 def _band_kernel(a, shift):
@@ -93,7 +106,7 @@ def _band_kernel(a, shift):
 
 
 _K2_CASES = {
-    "gaussian": (lambda tau: heat_kernel(0.3, tau, 1),
+    "gaussian": (lambda tau: heat_kernel(0.3, tau),
                  lambda *iv: kernels._rect(_gauss_K2(0.3), *iv)),
     "exponential": (lambda tau: math.exp(-1.7 * tau),
                     lambda *iv: kernels._exp_time_pair_integral(*iv, 1.7)),

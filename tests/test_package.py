@@ -1,4 +1,8 @@
+import importlib
 import inspect
+import pathlib
+import pkgutil
+import re
 
 import sfheat
 
@@ -18,3 +22,39 @@ def test_exports_are_the_imported_names():
     imported = {name for name, value in vars(sfheat).items()
                 if not name.startswith("_") and not inspect.ismodule(value)}
     assert set(sfheat.__all__) == imported
+
+
+_README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+# a backticked call such as `chaos_term(n, alpha, d, t, seed=0)` or
+# `RngStream.generator(reuse)`; `.sample(rng)` names no callable and is skipped
+_SIGNATURE = re.compile(r"`([A-Za-z_][\w.]*)\(([^`]*)\)`")
+
+
+def _resolve(dotted):
+    """The sfheat callable a README name denotes: a name exported by the
+    package or defined in one of its modules, then attributes down the dots."""
+    head, *rest = dotted.split(".")
+    modules = [sfheat] + [importlib.import_module(f"sfheat.{m.name}")
+                          for m in pkgutil.iter_modules(sfheat.__path__)]
+    owner = next((vars(m)[head] for m in modules if head in vars(m)), None)
+    assert owner is not None, f"{dotted} names nothing in sfheat"
+    for attr in rest:
+        owner = getattr(owner, attr)
+    return owner
+
+
+def _parameter_names(obj, dotted):
+    names = list(inspect.signature(obj).parameters)
+    if "." in dotted and names[:1] == ["self"]:
+        names = names[1:]  # Class.method is written without self
+    return names
+
+
+def test_readme_signatures_match_the_code():
+    # parameter names in order; defaults and ... are not compared
+    found = _SIGNATURE.findall(_README.read_text())
+    assert len(found) >= 15
+    for dotted, args in found:
+        written = [a.split("=")[0].strip() for a in args.split(",")
+                   if a.strip() not in ("", "...")]
+        assert _parameter_names(_resolve(dotted), dotted) == written, dotted

@@ -250,6 +250,11 @@ class TestMergedStrangLoop:
         for (_, got), (_, want) in zip(shots, ref_shots):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+    def test_grid_horizon_must_be_the_model_horizon(self):
+        g = TorusGrid.default(0.25, n_space=16, n_time=8)
+        with pytest.raises(ValueError, match="horizon"):
+            evolve(g, PM_CONST, np.zeros((g.n_time, g.n_space)))
+
     def test_noise_shape_must_match_the_grid(self):
         g = TorusGrid.default(0.5, n_space=16, n_time=8)
         with pytest.raises(ValueError, match="n_time, n_space"):
@@ -262,6 +267,18 @@ class TestEnsembleMoment:
         g = TorusGrid.default(0.25, n_space=16, n_time=4)
         with pytest.raises(ValueError, match="at least 2"):
             ensemble_moment(g, PM_CONST, 0.1, 1, 1)
+
+    def test_grid_horizon_must_be_the_model_horizon(self):
+        g = TorusGrid.default(0.25, n_space=16, n_time=4)
+        with pytest.raises(ValueError, match="horizon"):
+            ensemble_moment(g, PM_CONST, 0.1, 1, 2)
+
+    def test_point_must_be_the_origin(self):
+        # the ensemble reads u at x = 0 and cannot answer for another point
+        g = TorusGrid.default(0.5, n_space=16, n_time=4)
+        pm = ModelParams(alpha=2.0, d=1, t_horizon=0.5, x_point=[0.3])
+        with pytest.raises(ValueError, match="x = 0"):
+            ensemble_moment(g, pm, 0.1, 1, 2)
 
     def test_d2_is_a_regime_error(self):
         g = TorusGrid.default(0.25, n_space=16, n_time=16)
@@ -291,13 +308,13 @@ class TestEnsembleMoment:
         assert est.value >= 1.0 - 3 * est.std_error
 
     def test_determinism(self):
-        g = TorusGrid.default(0.25, n_space=16, n_time=16)
+        g = TorusGrid.default(0.5, n_space=16, n_time=16)
         a = ensemble_moment(g, PM_CONST, 0.1, 1, 20, rng=69)
         b = ensemble_moment(g, PM_CONST, 0.1, 1, 20, rng=69)
         assert a.value == b.value
 
     def test_block_size_does_not_change_values(self, monkeypatch):
-        g = TorusGrid.default(0.25, n_space=16, n_time=16)
+        g = TorusGrid.default(0.5, n_space=16, n_time=16)
         ests = []
         for per_block in (1, 7, 64):
             monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", per_block * g.n_time * g.n_space)
