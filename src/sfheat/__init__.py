@@ -11,9 +11,8 @@ __version__ = "0.1.0"
 from .chaos import (ChaosTerm, ExistenceReport, chaos_second_moment, chaos_term,
                     existence_check, series_term_bound)
 from .errors import BudgetError, FactorizationError, RegimeError
-from .exponents import (DivergentExponentWarning, ExponentValue, MollifierParams,
-                        cross_exponent, deterministic_bound, mollified_inner,
-                        self_exponent)
+from .exponents import (DivergentExponentWarning, MollifierParams, cross_exponent,
+                        deterministic_bound, mollified_inner, self_exponent)
 from .field import WickSampler, conditional_I_sample
 from .fk import MomentEstimate, sko_mean_exact, sko_moment, strat_moment
 from .kernels import heat_kernel, stable_kernel
@@ -24,7 +23,7 @@ from .solver import FieldState, NoiseSlabSampler, TorusGrid, ensemble_moment, st
 
 __all__ = [
     "BudgetError", "ChaosTerm", "DivergentExponentWarning",
-    "ExistenceReport", "ExponentValue", "FactorizationError", "FieldState",
+    "ExistenceReport", "FactorizationError", "FieldState",
     "InitialCondition", "ModelParams", "MollifierParams",
     "MomentEstimate", "NoiseSlabSampler", "Path", "RegimeError", "RngStream",
     "TimeGrid", "TorusGrid", "WickSampler",

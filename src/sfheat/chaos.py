@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, RegimeError
-from .params import C_ALPHA, _require_alpha_d
+from .params import C_ALPHA, _require_alpha_d, _require_count
 from .paths import RngStream
 
 MAX_CHAOS_ORDER = 6
@@ -270,8 +270,7 @@ def chaos_term(n, alpha, d, t, seed=0, method=None, n_samples=_FOURIER_SAMPLES) 
     ``method``, and at least 2 samples on the Fourier route.
     """
     seed = RngStream(seed).master_seed
-    if n < 0 or int(n) != n:
-        raise ValueError("n must be a nonnegative integer")
+    n = _require_count(n, "n", 0)
     if n > MAX_CHAOS_ORDER:
         raise BudgetError(f"chaos terms are budgeted up to n = {MAX_CHAOS_ORDER}, got {n}")
     if not 0.0 < t < math.inf:
@@ -281,23 +280,23 @@ def chaos_term(n, alpha, d, t, seed=0, method=None, n_samples=_FOURIER_SAMPLES) 
         method = "closed_form_alpha2" if alpha == 2.0 else "fourier_mc"
     if method not in ("closed_form_alpha2", "fourier_mc"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "fourier_mc" and n_samples < 2:
-        raise ValueError(f"the Fourier route needs at least 2 samples for a standard "
-                         f"error; got {n_samples}")
+    if method == "fourier_mc":
+        n_samples = _require_count(n_samples, "the sample count", 2,
+                                   " samples on the Fourier route")
     if n == 0:
         # |(g_alpha(t,.) * u0)(x)|^2 with mass-one kernel
         return ChaosTerm(0, 1.0, 0.0, method)
     if method == "closed_form_alpha2":
         if alpha != 2.0:
             raise ValueError("the semigroup-collapse route requires alpha = 2")
-        value, err = _term_alpha2(int(n), d, t, seed)
+        value, err = _term_alpha2(n, d, t, seed)
     else:
         if d != 1:
             raise NotImplementedError(
                 "the Fourier Monte Carlo route is implemented for d = 1 "
                 "(importance weights are integrable iff d < 2)")
-        value, err = _term_fourier_mc(int(n), alpha, t, seed, n_samples)
-    return ChaosTerm(int(n), value, err, method)
+        value, err = _term_fourier_mc(n, alpha, t, seed, n_samples)
+    return ChaosTerm(n, value, err, method)
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +366,9 @@ def chaos_second_moment(alpha, d, t, n_max, seed=0,
         raise RegimeError(
             f"the chaos series diverges for alpha = {alpha}, d = {d}: "
             f"existence requires d < 2 + alpha", condition="d < 2 + alpha")
-    if n_max < 0 or int(n_max) != n_max:
-        raise ValueError("n_max must be a nonnegative integer")
+    n_max = _require_count(n_max, "n_max", 0)
     if n_max > MAX_CHAOS_ORDER:
         raise BudgetError(f"chaos series are budgeted up to n_max = {MAX_CHAOS_ORDER}, got {n_max}")
-    n_max = int(n_max)
     terms = tuple(chaos_term(n, alpha, d, t, seed=seed, n_samples=n_samples)
                   for n in range(n_max + 1))
     value = float(sum(term.value for term in terms))

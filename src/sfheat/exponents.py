@@ -15,7 +15,7 @@ corner on the diagonal (where it vanishes for the self exponent), and the
 remaining integral of |s-r|^{-1/2} exp(-a/|s-r|) is exact.  All other cells
 use the time midpoint.  Midpoint under-estimates the convex kernel, so the
 quadrature never exceeds the exact deterministic bound; the accepted bias is
-O(step^{1/2}) and is measured by the refinement estimate.
+O(step^{1/2}) and is measured by the ``exponent.refinement_slope`` check.
 
 The off-band cells need every difference X_i - Y_j of the two paths' left
 nodes.  Per component, the n x n differences are the matrix product of
@@ -67,8 +67,6 @@ from .paths import Path
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-SCHEME = "midpoint_exact_diagonal"
-
 
 class DivergentExponentWarning(UserWarning):
     """The d >= 2 self exponent has no finite continuum limit."""
@@ -85,14 +83,6 @@ class MollifierParams:
         if not (0.0 < self.epsilon < math.inf and 0.0 < self.delta < math.inf):
             raise ValueError("mollifier parameters must be positive and finite, "
                              f"got epsilon = {self.epsilon}, delta = {self.delta}")
-
-
-@dataclass(frozen=True)
-class ExponentValue:
-    value: float
-    grid_steps: int
-    scheme: str = SCHEME
-    refinement_estimate: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -358,17 +348,18 @@ def cross_exponent_values(times, pos_a, pos_b, d):
     return out
 
 
-def _coarsen_indices(n_nodes):
-    idx = np.arange(0, n_nodes, 2)
-    if idx[-1] != n_nodes - 1:
-        idx = np.append(idx, n_nodes - 1)
-    return idx
+def _shared_grid(paths):
+    """The time grid all of ``paths`` are sampled on; ValueError if they differ."""
+    if not paths:
+        raise ValueError("need at least one path")
+    times = paths[0].grid.times
+    if not all(np.array_equal(p.grid.times, times) for p in paths[1:]):
+        raise ValueError("paths must share a time grid")
+    return times
 
 
 def _exponent(path_a: Path, path_b: Path):
-    if path_a.grid.times.shape != path_b.grid.times.shape or \
-            not np.array_equal(path_a.grid.times, path_b.grid.times):
-        raise ValueError("paths must share a time grid")
+    times = _shared_grid([path_a, path_b])
     d = path_a.d
     # only the self exponent diverges for d >= 2; couplings of distinct paths
     # are finite a.s. in the existence region
@@ -377,22 +368,16 @@ def _exponent(path_a: Path, path_b: Path):
             f"the d={d} self exponent diverges as the grid refines (finite only for d=1); "
             "reported value is grid-dependent",
             DivergentExponentWarning, stacklevel=3)
-    times = path_a.grid.times
-    pa = path_a.positions[None]
-    pb = path_b.positions[None]
-    value = float(cross_exponent_values(times, pa, pb, d)[0])
-    idx = _coarsen_indices(len(times))
-    coarse = float(cross_exponent_values(times[idx], pa[:, idx], pb[:, idx], d)[0])
-    return ExponentValue(value=value, grid_steps=path_a.grid.n_steps,
-                         refinement_estimate=abs(value - coarse))
+    return float(cross_exponent_values(times, path_a.positions[None],
+                                       path_b.positions[None], d)[0])
 
 
-def self_exponent(path: Path) -> ExponentValue:
+def self_exponent(path: Path) -> float:
     """Quadrature of Var[I_{t,x} | X] = int int p_{|s-r|}(X_s - X_r) dr ds."""
     return _exponent(path, path)
 
 
-def cross_exponent(path_j: Path, path_k: Path) -> ExponentValue:
+def cross_exponent(path_j: Path, path_k: Path) -> float:
     """Quadrature of the two-path coupling int int p_{|s-r|}(X^j_s - X^k_r) ds dr."""
     return _exponent(path_j, path_k)
 
@@ -563,8 +548,6 @@ def mollified_inner(path_j: Path, path_k: Path, moll: MollifierParams):
     Nonsingular for eps > 0 (the time covariance is shifted by 2 eps) and
     converges to the cross exponent as (eps, delta) -> 0.
     """
-    if path_j.grid.times.shape != path_k.grid.times.shape or \
-            not np.array_equal(path_j.grid.times, path_k.grid.times):
-        raise ValueError("paths must share a time grid")
-    return float(mollified_inner_values(path_j.grid.times, path_j.positions[None],
+    times = _shared_grid([path_j, path_k])
+    return float(mollified_inner_values(times, path_j.positions[None],
                                         path_k.positions[None], moll)[0])

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import FactorizationError, RegimeError
-from .exponents import MollifierParams, _xi_transforms, cross_exponent_values
+from .exponents import MollifierParams, _shared_grid, _xi_transforms, self_exponent
 from .paths import Path, _require_stream
 
 JITTER_SCALE = 1e-12       # first shot: 1e-12 * trace / N on the diagonal
@@ -53,12 +53,7 @@ def wick_gram(paths, moll: MollifierParams):
     F_a,i R_b,i is (F w) @ conj(R)^T on the real views, and the Gram
     (G + G^T) / pi is exactly symmetric.  Only d = 1 paths are supported;
     others raise NotImplementedError."""
-    if not paths:
-        raise ValueError("need at least one path")
-    times = paths[0].grid.times
-    for p in paths[1:]:
-        if not np.array_equal(p.grid.times, times):
-            raise ValueError("all paths must share a time grid")
+    times = _shared_grid(paths)
     if any(p.d != 1 for p in paths):
         raise NotImplementedError("mollified inner products are implemented for d = 1 only")
     m = len(paths)
@@ -98,8 +93,6 @@ def conditional_I_sample(path: Path, rng, size=None):
             "the conditional variance of I_{t,x} is finite only for d = 1",
             condition="d = 1")
     gen = _require_stream(rng).generator()
-    # self_exponent's fine quadrature alone: its coarse refinement pass is not needed
-    pos = path.positions[None]
-    var = float(cross_exponent_values(path.grid.times, pos, pos, 1)[0])
+    var = self_exponent(path)
     return math.sqrt(var) * gen.standard_normal() if size is None \
         else math.sqrt(var) * gen.standard_normal(size)

@@ -44,7 +44,7 @@ from .errors import RegimeError
 from .chaos import existence_check
 from .exponents import MollifierParams, cross_exponent_values, mollified_inner_values
 from .kernels import stable_kernel
-from .params import ModelParams
+from .params import ModelParams, _require_count
 from .paths import TimeGrid, _require_stream, sample_path_batch
 
 
@@ -103,28 +103,14 @@ def _moment_samples(p, params: ModelParams, n_samples, grid, rng, flavor, moll):
     return out
 
 
-def _require_order(p):
-    if p < 1 or int(p) != p:
-        raise ValueError("p must be a positive integer")
-    return int(p)
-
-
-def _require_samples(n):
-    """A standard error needs at least two samples; reject fewer at the boundary."""
-    if n < 2:
-        raise ValueError(f"the sample count must be positive, and at least 2 for a "
-                         f"standard error; got {n}")
-
-
 def _weight_diagnostics(values):
     """Effective sample size and largest weight share of per-sample weights.
 
     Computed on |w| / max|w|, so large weights cannot overflow the squares;
     all-zero weights count as equal weights.  One dominant sample gives an
     ess near 1 and a share near 1, where mean +- SE is not to be trusted.
+    Every caller has checked its sample count, so ``values`` is not empty.
     """
-    if len(values) == 0:
-        raise ValueError("no samples to reduce: the sample count must be positive")
     w = np.abs(values)
     top = w.max()
     if top == 0:
@@ -138,30 +124,31 @@ def _weight_diagnostics(values):
 
 def _finalize(values, p, flavor, seed, grid_steps, keep_samples):
     """Monte Carlo mean, standard error and weight diagnostics of per-sample values."""
-    diagnostics = _weight_diagnostics(values)  # rejects an empty sample first
     n = len(values)
     value = float(np.sum(values) / n)
     se = float(np.std(values, ddof=1) / math.sqrt(n))
     return MomentEstimate(value=value, std_error=se, n_samples=n, p_order=p,
                           flavor=flavor, seed=seed, grid_steps=grid_steps,
-                          **diagnostics, samples=values if keep_samples else None)
+                          **_weight_diagnostics(values),
+                          samples=values if keep_samples else None)
 
 
 def _moment(p, params, n_samples, grid_steps, rng, flavor, moll, keep_samples):
     """Feynman-Kac moment estimate shared by strat_moment and sko_moment,
     which gate the regime first."""
-    p = _require_order(p)
+    p = _require_count(p, "p", 1)
     rng = _require_stream(rng)
     grid = (TimeGrid.default(params.t_horizon) if grid_steps is None
             else TimeGrid.uniform(params.t_horizon, grid_steps))
     if flavor == "skorohod" and p == 1 and params.u0.tag == "constant":
+        n_samples = _require_count(n_samples, "the sample count", 1)
         c = params.u0.params[0]
         values = np.full(n_samples, float(c))
         return MomentEstimate(value=float(c), std_error=0.0, n_samples=n_samples,
                               p_order=1, flavor="skorohod", seed=rng.master_seed,
                               grid_steps=grid.n_steps, **_weight_diagnostics(values),
                               samples=values if keep_samples else None)
-    _require_samples(n_samples)
+    n_samples = _require_count(n_samples, "the sample count", 2, " for a standard error")
     values = _moment_samples(p, params, n_samples, grid, rng, flavor, moll)
     return _finalize(values, p, flavor, rng.master_seed, grid.n_steps, keep_samples)
 

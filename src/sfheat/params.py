@@ -93,6 +93,19 @@ def _require_alpha_d(alpha, d):
         raise ValueError(f"d must be a positive integer, got {d}")
 
 
+def _require_count(value, name, floor, why=""):
+    """``value`` as an int: it must be integral (2.0 passes as 2) and at least ``floor``."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != value or count < floor:
+        at_least = f", at least {floor}" if floor > 1 else ""
+        raise ValueError(f"{name} must be {'positive' if floor else 'nonnegative'} and "
+                         f"integral{at_least}{why}; got {value!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Everything that pins down one (t, x) evaluation of the model."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import C_ALPHA
+from .params import C_ALPHA, _require_count
 
 DEFAULT_STEPS_PER_UNIT = 256
 
@@ -100,9 +100,7 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, t_horizon, n_steps):
-        if n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-        return cls(np.linspace(0.0, t_horizon, n_steps + 1))
+        return cls(np.linspace(0.0, t_horizon, _require_count(n_steps, "n_steps", 1) + 1))
 
     @classmethod
     def default(cls, t_horizon):

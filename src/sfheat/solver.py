@@ -29,8 +29,9 @@ realization, with no covariance matrix and no factorization.
 Smooth-noise ordinary-product solutions carry Stratonovich statistics, so
 ensembles here cross-validate the matched mollified Feynman-Kac estimators.
 d = 1 only: it is the single regime where that target exists.
-``evolve`` rejects a grid whose horizon is not ``params.t_horizon``, and
-``ensemble_moment``, which reads u at x = 0, any other ``params.x_point``.
+``evolve`` and ``ensemble_moment`` (before it draws any noise) reject a
+grid whose horizon is not ``params.t_horizon``, and ``ensemble_moment``,
+which reads u at x = 0, any other ``params.x_point``.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ import numpy as np
 
 from .field import _factorize  # noqa: F401  # perfbench/spans.py patches this attribute by name
 from .errors import RegimeError
-from .fk import MomentEstimate, _finalize, _require_order, _require_samples
-from .params import C_ALPHA, ModelParams
+from .fk import MomentEstimate, _finalize
+from .params import C_ALPHA, ModelParams, _require_count
 from .paths import _generators, _require_stream
 
 # aliases whose weight is below float64 resolution of their mode's largest
@@ -211,6 +212,12 @@ def step(state: FieldState, noise_row, alpha, dt, grid: TorusGrid,
     return FieldState(values=u, time=state.time + dt)
 
 
+def _require_horizon(grid: TorusGrid, params: ModelParams):
+    if grid.t_horizon != params.t_horizon:
+        raise ValueError(f"grid horizon {grid.t_horizon} is not the model's "
+                         f"t = {params.t_horizon}")
+
+
 def evolve(grid: TorusGrid, params: ModelParams, noise, snapshot_times=()):
     """Run the splitting integrator across all slabs of the noise.
 
@@ -226,9 +233,7 @@ def evolve(grid: TorusGrid, params: ModelParams, noise, snapshot_times=()):
     ``step`` repeated n_time times in exact arithmetic, with two transforms
     per slab instead of four.
     """
-    if grid.t_horizon != params.t_horizon:
-        raise ValueError(f"grid horizon {grid.t_horizon} is not the model's "
-                         f"t = {params.t_horizon}")
+    _require_horizon(grid, params)
     noise = np.asarray(noise, dtype=float)
     n = grid.n_space
     if noise.shape[-2:] != (grid.n_time, n):
@@ -274,9 +279,11 @@ def ensemble_moment(grid: TorusGrid, params: ModelParams, epsilon, p,
         raise RegimeError("the direct solver is one-dimensional", condition="d = 1")
     if params.x_point[0] != 0.0:
         raise ValueError(f"the ensemble is read at x = 0, got x = {params.x_point[0]}")
-    p = _require_order(p)
-    _require_samples(n_realizations)
+    p = _require_count(p, "p", 1)
+    n_realizations = _require_count(n_realizations, "the sample count", 2,
+                                    " for a standard error")
     rng = _require_stream(rng)
+    _require_horizon(grid, params)  # before any noise is drawn
     sampler = NoiseSlabSampler(grid, epsilon)
     center = grid.n_space // 2  # x = 0 lies on the grid by construction
     block = max(1, _BLOCK_ELEMENTS // (grid.n_time * grid.n_space))

@@ -130,7 +130,7 @@ def check_path_reproducibility():
 
 def check_constant_path_oracle():
     grid = TimeGrid.uniform(1.0, 512)
-    val = exponents.self_exponent(constant_path(grid)).value
+    val = exponents.self_exponent(constant_path(grid))
     err = abs(val - EXACT_SELF_T1)
     return err <= 1e-3, err, 1e-3, "512-step quadrature vs (8/3)(2 pi)^{-1/2}"
 
@@ -153,8 +153,7 @@ def check_pathwise_bound(n_paths=1000):
 def check_refinement_slope():
     grid_ns = [64, 128, 256, 512]
     # measured on the constant path, where the scheme bias is isolated
-    cvals = [exponents.self_exponent(constant_path(TimeGrid.uniform(1.0, n))).value
-             for n in grid_ns]
+    cvals = [exponents.self_exponent(constant_path(TimeGrid.uniform(1.0, n))) for n in grid_ns]
     errs = [abs(v - EXACT_SELF_T1) for v in cvals]
     slope = np.polyfit(np.log(grid_ns), np.log(errs), 1)[0]
     return -slope >= 0.4, -slope, 0.4, f"log-log error slope {-slope:.2f} over {grid_ns}"
@@ -168,8 +167,8 @@ def check_divergence_witness():
         cp2 = constant_path(grid, 0.0, d=2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", exponents.DivergentExponentWarning)
-            vals_d2.append(exponents.self_exponent(cp2).value)
-        vals_d1.append(exponents.self_exponent(constant_path(grid)).value)
+            vals_d2.append(exponents.self_exponent(cp2))
+        vals_d1.append(exponents.self_exponent(constant_path(grid)))
     incr = np.diff(vals_d2)
     grow = np.all(incr > 0) and incr[-1] > 0.5 * incr[0]
     d1_gaps = np.abs(np.diff(vals_d1))
@@ -212,7 +211,7 @@ def check_conditional_variance(n_draws=20_000, n_steps=256, seed=29):
     grid = TimeGrid.uniform(1.0, n_steps)
     cp = constant_path(grid)
     draws = field.conditional_I_sample(cp, RngStream(seed, 0), size=n_draws)
-    target = exponents.self_exponent(cp).value
+    target = exponents.self_exponent(cp)
     emp = float(np.var(draws, ddof=1))
     se = target * math.sqrt(2.0 / n_draws)
     err = abs(emp - target)

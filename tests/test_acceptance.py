@@ -83,7 +83,7 @@ def test_criterion_05_conditional_law_ladder():
     t0 = time.perf_counter()
     grid = TimeGrid.uniform(1.0, 128)
     path = sample_path(2.0, 1, grid, 0.0, RngStream(305, 0))
-    target = self_exponent(path).value
+    target = self_exponent(path)
     n = 4000
     ok = True
     inners, gaps = [], []

@@ -72,6 +72,15 @@ class TestChaosTerm:
         hi = chaos_term(1, 2.0, 1, 1.0)
         assert lo.value < hi.value
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_alpha2_terms_scale_exactly_in_t(self, d):
+        # the QMC points scale with t, so for a fixed seed term_n(t) is
+        # t^{n (2 - d/2)} term_n(1) up to rounding
+        t = 2.5
+        for n in range(1, 5):
+            expected = t ** (n * (2.0 - d / 2.0)) * chaos_term(n, 2.0, d, 1.0, seed=5).value
+            assert chaos_term(n, 2.0, d, t, seed=5).value == pytest.approx(expected, rel=1e-12)
+
     def test_terms_nonnegative_and_eventually_decreasing(self):
         vals = [chaos_term(n, 2.0, 1, 1.0).value for n in range(5)]
         assert all(v >= 0 for v in vals)

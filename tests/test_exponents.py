@@ -15,6 +15,7 @@ from sfheat import exponents
 from sfheat.exponents import (DivergentExponentWarning, MollifierParams, _moments,
                               cross_exponent, cross_exponent_values, deterministic_bound,
                               mollified_inner, mollified_inner_values, self_exponent)
+from sfheat.field import WickSampler, wick_gram
 from sfheat.fk import sko_moment, strat_moment
 from sfheat.kernels import _rect
 from sfheat.params import ModelParams
@@ -44,17 +45,13 @@ class TestDeterministicBound:
 class TestSelfExponent:
     def test_constant_path_oracle(self):
         grid = TimeGrid.uniform(1.0, 512)
-        ev = self_exponent(constant_path(grid))
-        assert ev.value == pytest.approx(EXACT_T1, abs=1e-3)
-        assert ev.grid_steps == 512
-        assert ev.scheme == "midpoint_exact_diagonal"
-        assert np.isfinite(ev.refinement_estimate)
+        assert self_exponent(constant_path(grid)) == pytest.approx(EXACT_T1, abs=1e-3)
 
     def test_t_scaling_constant_path(self):
         # value(t) / t^{3/2} equals the t = 1 constant for every horizon
         for t in (0.5, 2.0, 4.0):
             grid = TimeGrid.uniform(t, 4096)
-            val = self_exponent(constant_path(grid)).value
+            val = self_exponent(constant_path(grid))
             assert val / t ** 1.5 == pytest.approx(EXACT_T1, abs=1e-3)
 
     def test_pathwise_bound(self):
@@ -62,12 +59,12 @@ class TestSelfExponent:
         bound = deterministic_bound(1.0, 1)
         for i in range(50):
             p = sample_path(2.0, 1, grid, 0.0, RngStream(21, i))
-            assert self_exponent(p).value <= bound
+            assert self_exponent(p) <= bound
 
     def test_value_nonnegative(self):
         grid = TimeGrid.uniform(1.0, 64)
         p = sample_path(1.5, 1, grid, 0.0, RngStream(22, 0))
-        assert self_exponent(p).value >= 0.0
+        assert self_exponent(p) >= 0.0
 
     def test_refinement_convergence_slope(self):
         # scheme bias decays at least like step^{0.4} (measured on the
@@ -75,7 +72,7 @@ class TestSelfExponent:
         errs = []
         ns = [64, 128, 256, 512]
         for n in ns:
-            val = self_exponent(constant_path(TimeGrid.uniform(1.0, n))).value
+            val = self_exponent(constant_path(TimeGrid.uniform(1.0, n)))
             errs.append(abs(val - EXACT_T1))
         slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
         assert -slope >= 0.4
@@ -91,7 +88,7 @@ class TestSelfExponent:
         vals = []
         for _ in range(5):
             path = Path(TimeGrid(times), values[:, None])
-            vals.append(self_exponent(path).value)
+            vals.append(self_exponent(path))
             mids = 0.5 * (times[:-1] + times[1:])
             bridge = (0.5 * (values[:-1] + values[1:])
                       + np.sqrt(0.25 * np.diff(times)) * gen.standard_normal(len(mids)))
@@ -107,20 +104,14 @@ class TestSelfExponent:
         slope = np.polyfit(np.log(ns), np.log(diffs), 1)[0]
         assert -slope >= 0.4
 
-    def test_refinement_estimate_tracks_error(self):
-        grid = TimeGrid.uniform(1.0, 256)
-        ev = self_exponent(constant_path(grid))
-        true_err = abs(ev.value - EXACT_T1)
-        assert true_err <= 10 * ev.refinement_estimate
-
     def test_divergence_witness_d2_vs_d1(self):
         vals_d2, vals_d1 = [], []
         for n in (64, 128, 256, 512):
             grid = TimeGrid.uniform(1.0, n)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DivergentExponentWarning)
-                vals_d2.append(self_exponent(constant_path(grid, d=2)).value)
-            vals_d1.append(self_exponent(constant_path(grid)).value)
+                vals_d2.append(self_exponent(constant_path(grid, d=2)))
+            vals_d1.append(self_exponent(constant_path(grid)))
         incr = np.diff(vals_d2)
         assert np.all(incr > 0)
         assert incr[-1] > 0.5 * incr[0]  # no plateau
@@ -141,21 +132,39 @@ class TestCrossExponent:
     def test_equal_paths_is_self(self):
         grid = TimeGrid.uniform(1.0, 64)
         p = sample_path(2.0, 1, grid, 0.0, RngStream(23, 0))
-        assert cross_exponent(p, p).value == pytest.approx(self_exponent(p).value,
-                                                              rel=1e-14)
+        assert cross_exponent(p, p) == pytest.approx(self_exponent(p), rel=1e-14)
 
     def test_symmetry(self):
         grid = TimeGrid.uniform(1.0, 64)
         a = sample_path(2.0, 1, grid, 0.0, RngStream(24, 0))
         b = sample_path(2.0, 1, grid, 0.0, RngStream(24, 1))
-        assert cross_exponent(a, b).value == pytest.approx(cross_exponent(b, a).value,
-                                                              abs=1e-12)
+        assert cross_exponent(a, b) == pytest.approx(cross_exponent(b, a), abs=1e-12)
 
-    def test_mismatched_grids_rejected(self):
+    @pytest.mark.parametrize("route", [
+        cross_exponent,
+        lambda a, b: mollified_inner(a, b, MollifierParams(0.1, 0.1)),
+        lambda a, b: wick_gram([a, b], MollifierParams(0.1, 0.1)),
+        lambda a, b: WickSampler([a, b], MollifierParams(0.1, 0.1)),
+    ], ids=["cross_exponent", "mollified_inner", "wick_gram", "WickSampler"])
+    def test_mismatched_grids_rejected(self, route):
+        # every Path entry point checks the grid through one rule, one message
         a = sample_path(2.0, 1, TimeGrid.uniform(1.0, 32), 0.0, RngStream(25, 0))
         b = sample_path(2.0, 1, TimeGrid.uniform(1.0, 64), 0.0, RngStream(25, 1))
-        with pytest.raises(ValueError):
-            cross_exponent(a, b)
+        with pytest.raises(ValueError, match="paths must share a time grid"):
+            route(a, b)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_single_path_calls_are_the_batch_of_one(self, d):
+        # a plain float, bit for bit the one-sample batch quadrature
+        grid = TimeGrid(np.array([0.0, 0.1, 0.35, 0.5, 1.0]))
+        a, b = (sample_path(1.5, d, grid, 0.0, RngStream(45, i)) for i in range(2))
+        times, pa, pb = grid.times, a.positions[None], b.positions[None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DivergentExponentWarning)  # the d = 2 self exponent
+            pairs = [(self_exponent(a), cross_exponent_values(times, pa, pa, d)[0]),
+                     (cross_exponent(a, b), cross_exponent_values(times, pa, pb, d)[0])]
+        for value, batch in pairs:
+            assert type(value) is float and value == batch
 
     # alpha = 1.5 pairs from RngStream(43, d) on a non-uniform grid: off-band,
     # diagonal and adjacent cells, recorded bit-for-bit in each dimension
@@ -180,7 +189,7 @@ class TestCrossExponent:
         for i in range(n_pairs):
             a = sample_path(2.0, 1, grid, 0.0, RngStream(26, 2 * i))
             b = sample_path(2.0, 1, grid, 0.0, RngStream(26, 2 * i + 1))
-            vals[i] = cross_exponent(a, b).value
+            vals[i] = cross_exponent(a, b)
         se = vals.std(ddof=1) / math.sqrt(n_pairs)
         assert vals.mean() == pytest.approx(target, abs=3 * se)
 
@@ -482,7 +491,7 @@ class TestMollifiedInner:
         grid = TimeGrid.uniform(1.0, 256)
         a = sample_path(2.0, 1, grid, 0.0, RngStream(28, 0))
         b = sample_path(2.0, 1, grid, 0.0, RngStream(28, 1))
-        target = cross_exponent(a, b).value
+        target = cross_exponent(a, b)
         ladder = [mollified_inner(a, b, MollifierParams(e, e))
                   for e in (0.2, 0.1, 0.05, 0.025)]
         gaps = [abs(target - v) for v in ladder]

@@ -107,7 +107,7 @@ class TestConditionalLaw:
         cp = constant_path(grid)
         n = 100_000
         draws = conditional_I_sample(cp, RngStream(40, 0), size=n)
-        sd = math.sqrt(self_exponent(cp).value)
+        sd = math.sqrt(self_exponent(cp))
         assert abs(draws.mean()) < 3 * sd / math.sqrt(n)
 
     def test_draws_scale_normals_by_the_self_exponent(self):
@@ -115,7 +115,7 @@ class TestConditionalLaw:
         cp = constant_path(TimeGrid.uniform(1.0, 64))
         draws = conditional_I_sample(cp, RngStream(43, 0), size=5)
         normals = RngStream(43, 0).generator().standard_normal(5)
-        assert np.array_equal(draws, math.sqrt(self_exponent(cp).value) * normals)
+        assert np.array_equal(draws, math.sqrt(self_exponent(cp)) * normals)
 
     def test_t_scaling(self):
         n = 100_000

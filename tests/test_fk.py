@@ -4,13 +4,50 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from sfheat.chaos import chaos_second_moment, chaos_term
 from sfheat.errors import RegimeError
 from sfheat.exponents import deterministic_bound
 from sfheat.fk import sko_mean_exact, sko_moment, strat_moment
 from sfheat.params import InitialCondition, ModelParams
 from sfheat.paths import TimeGrid
+from sfheat.solver import TorusGrid, ensemble_moment
 
 PM = ModelParams(alpha=2.0, d=1, t_horizon=1.0)
+
+
+_TORUS, _PM_TORUS = TorusGrid.default(0.25, n_space=16, n_time=4), ModelParams(2.0, t_horizon=0.25)
+
+
+def _fourier_term(k):
+    chaos_term(1, 1.5, 1, 1.0, n_samples=k)  # a ChaosTerm does not carry its sample count
+
+
+# each entry point with a count, as a call of that count returning the count
+# its record carries (None where the record does not carry it), and its floor
+_COUNTS = {
+    "p": (lambda k: sko_moment(k, PM, 4, grid_steps=4).p_order, 1),
+    "n_samples": (lambda k: strat_moment(1, PM, k, grid_steps=4).n_samples, 2),
+    "n_samples_exact_p1": (lambda k: sko_moment(1, PM, k, grid_steps=4).n_samples, 1),
+    "grid_steps": (lambda k: sko_moment(2, PM, 4, grid_steps=k).grid_steps, 1),
+    "n_steps": (lambda k: TimeGrid.uniform(1.0, k).n_steps, 1),
+    "ensemble_p": (lambda k: ensemble_moment(_TORUS, _PM_TORUS, 0.1, k, 2).p_order, 1),
+    "n_realizations": (lambda k: ensemble_moment(_TORUS, _PM_TORUS, 0.1, 1, k).n_samples, 2),
+    "chaos_n": (lambda k: chaos_term(k, 2.0, 1, 1.0).n, 0),
+    "chaos_n_samples": (_fourier_term, 2),
+    "n_max": (lambda k: len(chaos_second_moment(2.0, 1, 1.0, k).terms) - 1, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(_COUNTS))
+def test_counts_are_checked_at_the_boundary(name):
+    # one rule: an integral value passes as an int, anything else or a value
+    # below the floor is a ValueError before numpy sees it
+    call, floor = _COUNTS[name]
+    for bad in (floor + 0.5, floor - 1, str(floor), math.nan, math.inf):
+        with pytest.raises(ValueError, match="and integral"):
+            call(bad)
+    carried = call(float(floor + 1))
+    assert carried is None or (type(carried) is int and carried == floor + 1)
 
 
 class TestSkoMoment:

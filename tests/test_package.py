@@ -1,8 +1,10 @@
+import ast
 import importlib
 import inspect
 import pathlib
 import pkgutil
 import re
+import sys
 
 import sfheat
 
@@ -58,3 +60,35 @@ def test_readme_signatures_match_the_code():
         written = [a.split("=")[0].strip() for a in args.split(",")
                    if a.strip() not in ("", "...")]
         assert _parameter_names(_resolve(dotted), dotted) == written, dotted
+
+
+_PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_perfbench_hooks_resolve(monkeypatch):
+    # the benchmark's tracer replaces names through owner.__dict__ and its
+    # scaling sweep imports names by hand: a rename must fail here, not only
+    # in a traced benchmark run
+    monkeypatch.syspath_prepend(str(_PERFBENCH))
+    monkeypatch.delitem(sys.modules, "spans", raising=False)
+    import spans
+
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, _, _ in spans._PATCHES
+               if attr not in vars(owner)]
+    assert not missing, missing
+    originals = [vars(owner)[attr] for owner, attr, _, _ in spans._PATCHES]
+    with spans.installed(spans.Tracer()):
+        assert all(vars(owner)[attr] is not original for (owner, attr, _, _), original
+                   in zip(spans._PATCHES, originals))
+    assert all(vars(owner)[attr] is original for (owner, attr, _, _), original
+               in zip(spans._PATCHES, originals))
+
+    sweep = next(node for node in ast.walk(ast.parse((_PERFBENCH / "worker.py").read_text()))
+                 if isinstance(node, ast.FunctionDef) and node.name == "scaling_sweep")
+    for node in ast.walk(sweep):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("sfheat"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+    assert list(inspect.signature(sfheat.exponents.cross_exponent_values).parameters) == [
+        "times", "pos_a", "pos_b", "d"]

@@ -268,10 +268,15 @@ class TestEnsembleMoment:
         with pytest.raises(ValueError, match="at least 2"):
             ensemble_moment(g, PM_CONST, 0.1, 1, 1)
 
-    def test_grid_horizon_must_be_the_model_horizon(self):
-        g = TorusGrid.default(0.25, n_space=16, n_time=4)
+    def test_grid_horizon_must_be_the_model_horizon(self, monkeypatch):
+        # rejected before a sampler is built or any noise is drawn
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("a noise sampler was built for a mismatched horizon")
+
+        monkeypatch.setattr(solver, "NoiseSlabSampler", unbuilt)
+        g = TorusGrid.default(0.25, n_space=256, n_time=256)
         with pytest.raises(ValueError, match="horizon"):
-            ensemble_moment(g, PM_CONST, 0.1, 1, 2)
+            ensemble_moment(g, PM_CONST, 1e-4, 1, 2)
 
     def test_point_must_be_the_origin(self):
         # the ensemble reads u at x = 0 and cannot answer for another point
