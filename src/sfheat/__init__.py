@@ -13,7 +13,6 @@ from .chaos import (ChaosTerm, ExistenceReport, chaos_second_moment, chaos_term,
 from .errors import BudgetError, FactorizationError, RegimeError
 from .exponents import (DivergentExponentWarning, MollifierParams, cross_exponent,
                         deterministic_bound, mollified_inner, self_exponent)
-from .field import WickSampler, conditional_I_sample
 from .fk import MomentEstimate, sko_mean_exact, sko_moment, strat_moment
 from .kernels import heat_kernel, stable_kernel
 from .params import InitialCondition, ModelParams, parse_u0
@@ -26,8 +25,8 @@ __all__ = [
     "ExistenceReport", "FactorizationError", "FieldState",
     "InitialCondition", "ModelParams", "MollifierParams",
     "MomentEstimate", "NoiseSlabSampler", "Path", "RegimeError", "RngStream",
-    "TimeGrid", "TorusGrid", "WickSampler",
-    "chaos_second_moment", "chaos_term", "conditional_I_sample",
+    "TimeGrid", "TorusGrid",
+    "chaos_second_moment", "chaos_term",
     "constant_path", "cross_exponent", "deterministic_bound", "ensemble_moment",
     "existence_check", "heat_kernel",
     "mollified_inner", "parse_u0",

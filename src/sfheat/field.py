@@ -1,8 +1,8 @@
-"""Finite-dimensional Gaussian machinery for Wick weights and the conditional law.
+"""Finite-dimensional Gaussian machinery for Wick weights.
 
-Wick weights W(A^{(m)}) for a path ensemble are sampled jointly from the
-Gram matrix of mollified inner products, which is how "one shared noise
-across the path expectation" is realized numerically.
+Wick weights W(A^{(m)}) for a path ensemble are drawn jointly as the
+factor of the Gram matrix of mollified inner products times normals, which
+is how "one shared noise across the path expectation" is realized numerically.
 """
 
 from __future__ import annotations
@@ -11,9 +11,8 @@ import math
 
 import numpy as np
 
-from .errors import FactorizationError, RegimeError
-from .exponents import MollifierParams, _shared_grid, _xi_transforms, self_exponent
-from .paths import Path, _require_stream
+from .errors import FactorizationError
+from .exponents import MollifierParams, _shared_grid, _xi_transforms
 
 JITTER_SCALE = 1e-12       # first shot: 1e-12 * trace / N on the diagonal
 PSD_TOLERANCE = 1e-10      # matrices are acceptable down to min eig >= -1e-10 * trace
@@ -63,36 +62,3 @@ def wick_gram(paths, moll: MollifierParams):
         G += (F * weight).view(float).reshape(m, -1) @ R.conj().view(float).reshape(m, -1).T
     return (G + G.T) / math.pi
 
-
-class WickSampler:
-    """Repeated joint Wick-weight draws for one fixed ensemble.
-
-    The Gram matrix (``gram``) and its factor are built once; each
-    ``sample`` call is a single matrix-vector product returning the (m,)
-    vector of jointly Gaussian weights, which is what repeated-draw studies
-    (e.g. conditional-variance ladders) need.
-    """
-
-    def __init__(self, paths, moll: MollifierParams):
-        self.gram = wick_gram(paths, moll)
-        self._chol = _factorize(self.gram)
-
-    def sample(self, rng) -> np.ndarray:
-        gen = _require_stream(rng).generator()
-        return self._chol @ gen.standard_normal(len(self.gram))
-
-
-def conditional_I_sample(path: Path, rng, size=None):
-    """Draw from the conditional law of I_{t,x} given the path: N(0, V(path)).
-
-    Only d = 1 carries a finite conditional variance, so paths of other
-    dimensions are rejected.
-    """
-    if path.d != 1:
-        raise RegimeError(
-            "the conditional variance of I_{t,x} is finite only for d = 1",
-            condition="d = 1")
-    gen = _require_stream(rng).generator()
-    var = self_exponent(path)
-    return math.sqrt(var) * gen.standard_normal() if size is None \
-        else math.sqrt(var) * gen.standard_normal(size)

@@ -142,12 +142,13 @@ def _moment(p, params, n_samples, grid_steps, rng, flavor, moll, keep_samples):
             else TimeGrid.uniform(params.t_horizon, grid_steps))
     if flavor == "skorohod" and p == 1 and params.u0.tag == "constant":
         n_samples = _require_count(n_samples, "the sample count", 1)
-        c = params.u0.params[0]
-        values = np.full(n_samples, float(c))
-        return MomentEstimate(value=float(c), std_error=0.0, n_samples=n_samples,
+        c = float(params.u0.params[0])
+        # equal weights: ess = n and share = 1/n, known without the samples
+        return MomentEstimate(value=c, std_error=0.0, n_samples=n_samples,
                               p_order=1, flavor="skorohod", seed=rng.master_seed,
-                              grid_steps=grid.n_steps, **_weight_diagnostics(values),
-                              samples=values if keep_samples else None)
+                              grid_steps=grid.n_steps, ess=float(n_samples),
+                              max_weight_share=1.0 / n_samples,
+                              samples=np.full(n_samples, c) if keep_samples else None)
     n_samples = _require_count(n_samples, "the sample count", 2, " for a standard error")
     values = _moment_samples(p, params, n_samples, grid, rng, flavor, moll)
     return _finalize(values, p, flavor, rng.master_seed, grid.n_steps, keep_samples)

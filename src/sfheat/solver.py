@@ -68,10 +68,11 @@ class TorusGrid:
     def __post_init__(self):
         if not (0.0 < self.half_length < math.inf and 0.0 < self.t_horizon < math.inf):
             raise ValueError("half_length and t_horizon must be positive and finite")
-        if self.n_space < 2 or self.n_space & (self.n_space - 1):
+        n_space = _require_count(self.n_space, "n_space", 2)
+        if n_space & (n_space - 1):
             raise ValueError("n_space must be a power of two")
-        if self.n_time < 1:
-            raise ValueError("n_time must be positive")
+        object.__setattr__(self, "n_space", n_space)
+        object.__setattr__(self, "n_time", _require_count(self.n_time, "n_time", 1))
 
     @classmethod
     def default(cls, t_horizon, n_space=64, n_time=None):

@@ -18,7 +18,7 @@ from sfheat.chaos import chaos_second_moment
 from sfheat.cli import main as cli_main
 from sfheat.cli import record_fingerprint
 from sfheat.exponents import MollifierParams, mollified_inner, self_exponent
-from sfheat.field import WickSampler
+from sfheat.field import _factorize, wick_gram
 from sfheat.fk import sko_moment
 from sfheat.params import InitialCondition, ModelParams
 from sfheat.paths import RngStream, TimeGrid, sample_path
@@ -91,9 +91,9 @@ def test_criterion_05_conditional_law_ladder():
     for j, e in enumerate((0.1, 0.05, 0.025)):
         moll = MollifierParams(e, e)
         inner = mollified_inner(path, path, moll)
-        sampler = WickSampler([path], moll)
-        draws = np.array([sampler.sample(RngStream(305, 1000 * (j + 1) + i))[0]
-                          for i in range(n)])
+        chol = _factorize(wick_gram([path], moll))
+        draws = np.array([(chol @ RngStream(305, 1000 * (j + 1) + i).generator()
+                           .standard_normal(1))[0] for i in range(n)])
         emp = float(draws.var(ddof=1))
         se = inner * math.sqrt(2.0 / n)
         ok = ok and abs(emp - inner) <= 3 * se

@@ -15,7 +15,7 @@ from sfheat import exponents
 from sfheat.exponents import (DivergentExponentWarning, MollifierParams, _moments,
                               cross_exponent, cross_exponent_values, deterministic_bound,
                               mollified_inner, mollified_inner_values, self_exponent)
-from sfheat.field import WickSampler, wick_gram
+from sfheat.field import wick_gram
 from sfheat.fk import sko_moment, strat_moment
 from sfheat.kernels import _rect
 from sfheat.params import ModelParams
@@ -144,8 +144,7 @@ class TestCrossExponent:
         cross_exponent,
         lambda a, b: mollified_inner(a, b, MollifierParams(0.1, 0.1)),
         lambda a, b: wick_gram([a, b], MollifierParams(0.1, 0.1)),
-        lambda a, b: WickSampler([a, b], MollifierParams(0.1, 0.1)),
-    ], ids=["cross_exponent", "mollified_inner", "wick_gram", "WickSampler"])
+    ], ids=["cross_exponent", "mollified_inner", "wick_gram"])
     def test_mismatched_grids_rejected(self, route):
         # every Path entry point checks the grid through one rule, one message
         a = sample_path(2.0, 1, TimeGrid.uniform(1.0, 32), 0.0, RngStream(25, 0))

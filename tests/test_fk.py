@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ _COUNTS = {
     "n_samples_exact_p1": (lambda k: sko_moment(1, PM, k, grid_steps=4).n_samples, 1),
     "grid_steps": (lambda k: sko_moment(2, PM, 4, grid_steps=k).grid_steps, 1),
     "n_steps": (lambda k: TimeGrid.uniform(1.0, k).n_steps, 1),
+    "torus_n_time": (lambda k: TorusGrid(8.0, 64, k, 1.0).n_time, 1),
     "ensemble_p": (lambda k: ensemble_moment(_TORUS, _PM_TORUS, 0.1, k, 2).p_order, 1),
     "n_realizations": (lambda k: ensemble_moment(_TORUS, _PM_TORUS, 0.1, 1, k).n_samples, 2),
     "chaos_n": (lambda k: chaos_term(k, 2.0, 1, 1.0).n, 0),
@@ -57,6 +59,22 @@ class TestSkoMoment:
         assert est.std_error == 0.0
         assert est.flavor == "skorohod"
         assert (est.ess, est.max_weight_share) == (500.0, 1.0 / 500)
+
+    def test_p1_constant_builds_no_sample_array(self):
+        # the equal-weight diagnostics are known without the samples
+        sko_moment(1, PM, 4, grid_steps=8)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            est = sko_moment(1, PM, 2_000_000, grid_steps=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert (est.value, est.std_error, est.n_samples, est.p_order, est.flavor, est.seed,
+                est.grid_steps, est.ess, est.max_weight_share, est.samples) == (
+            1.0, 0.0, 2_000_000, 1, "skorohod", 0, 8, 2e6, 5e-7, None)
+        kept = sko_moment(1, PM, 3, grid_steps=8, keep_samples=True).samples
+        assert np.array_equal(kept, np.ones(3))
 
     def test_one_sample_keeps_the_exact_shortcut(self):
         est = sko_moment(1, PM, 1, grid_steps=128, rng=1)

@@ -63,6 +63,16 @@ class TestTorusGrid:
         with pytest.raises(ValueError):
             TorusGrid(half_length=4.0, n_space=48, n_time=8, t_horizon=0.5)
 
+    def test_n_space_follows_the_count_rule(self):
+        # a fractional, short, text or non-finite count is a ValueError here,
+        # never a numpy TypeError at the first draw; 64.0 passes as the int 64
+        # (n_time is in test_fk's table of counts)
+        for bad in (2.5, 1, "64", math.nan, math.inf):
+            with pytest.raises(ValueError, match="n_space must be positive and integral"):
+                TorusGrid(half_length=8.0, n_space=bad, n_time=4, t_horizon=1.0)
+        n_space = TorusGrid(half_length=8.0, n_space=64.0, n_time=4, t_horizon=1.0).n_space
+        assert type(n_space) is int and n_space == 64
+
 
 class TestNoiseSlab:
     @pytest.mark.parametrize("grid, eps", [

@@ -58,3 +58,19 @@ def test_subordinator_check_reports_the_scipy_ks_statistic():
     passed, stat, tol, _ = validation.check_subordinator_scaling()
     assert stat == stats.ks_2samp(s_dt / 0.3 ** (2.0 / 1.2), s_1).statistic
     assert passed and stat < tol
+
+
+@pytest.mark.parametrize("n_samples", [400, 4000], ids=["quick", "full"])
+def test_alpha2_time_scaling_check_passes_at_its_bound(n_samples):
+    # sampler, off-band pass and band together: exact t^{3/2} up to rounding
+    passed, worst, tol, _ = validation.check_alpha2_time_scaling(n_samples)
+    assert passed and worst <= tol == 1e-12
+
+
+def test_alpha2_time_scaling_check_can_fail(monkeypatch):
+    # paths a factor (1 + t / 100) too wide break the t^{3/2} law
+    batch = validation.sample_path_batch
+    monkeypatch.setattr(validation, "sample_path_batch", lambda alpha, d, grid, *args:
+                        batch(alpha, d, grid, *args) * (1.0 + grid.times[-1] / 100))
+    passed, worst, _, _ = validation.check_alpha2_time_scaling()
+    assert not passed and worst > 1e-3
