@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, RegimeError
-from .params import C_ALPHA, _require_alpha_d, _require_count
+from .params import C_ALPHA, _require_alpha_d, _require_count, _require_positive
 from .paths import RngStream
 
 MAX_CHAOS_ORDER = 6
@@ -84,6 +84,13 @@ def existence_check(alpha, d) -> ExistenceReport:
     return ExistenceReport(alpha=alpha, d=int(d), p_choice=p, q_choice=q,
                            cond_d_lt_2q=c1, cond_d_lt_4pqa=c2, cond_d_lt_pa2=c3,
                            exists=c1 and c2 and c3)
+
+
+def _require_existence(alpha, d):
+    """RegimeError unless d < 2 + alpha, the gate of a Skorohod solution and its chaos series."""
+    if not existence_check(alpha, d).exists:
+        raise RegimeError(f"no Skorohod solution, nor chaos series, for alpha = {alpha}, "
+                          f"d = {d}: existence requires d < 2 + alpha", condition="d < 2 + alpha")
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +280,7 @@ def chaos_term(n, alpha, d, t, seed=0, method=None, n_samples=_FOURIER_SAMPLES) 
     n = _require_count(n, "n", 0)
     if n > MAX_CHAOS_ORDER:
         raise BudgetError(f"chaos terms are budgeted up to n = {MAX_CHAOS_ORDER}, got {n}")
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"t must be positive and finite, got {t}")
+    t = _require_positive(t, "t")
     _require_alpha_d(alpha, d)
     if method is None:
         method = "closed_form_alpha2" if alpha == 2.0 else "fourier_mc"
@@ -326,6 +332,7 @@ def series_term_bound(n, alpha, d, t):
     meaningful for ratios and tail shapes, never as a ground-truth value.
     Raises on the Gamma pole (violated middle condition).
     """
+    n, t = _require_count(n, "n", 0), _require_positive(t, "t")
     report = existence_check(alpha, d)
     p, q, theta, kappa = _bound_ingredients(alpha, d)
     if not report.cond_d_lt_2q or kappa >= 1.0:
@@ -361,11 +368,7 @@ def chaos_second_moment(alpha, d, t, n_max, seed=0,
     An ``n_max`` above MAX_CHAOS_ORDER raises BudgetError; nothing is clipped.
     """
     seed = RngStream(seed).master_seed
-    report = existence_check(alpha, d)
-    if not report.exists:
-        raise RegimeError(
-            f"the chaos series diverges for alpha = {alpha}, d = {d}: "
-            f"existence requires d < 2 + alpha", condition="d < 2 + alpha")
+    _require_existence(alpha, d)
     n_max = _require_count(n_max, "n_max", 0)
     if n_max > MAX_CHAOS_ORDER:
         raise BudgetError(f"chaos series are budgeted up to n_max = {MAX_CHAOS_ORDER}, got {n_max}")

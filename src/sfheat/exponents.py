@@ -63,6 +63,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernels import _exp_time_pair_integral
+from .params import _require_positive
 from .paths import Path
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -80,9 +81,8 @@ class MollifierParams:
     delta: float
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < math.inf and 0.0 < self.delta < math.inf):
-            raise ValueError("mollifier parameters must be positive and finite, "
-                             f"got epsilon = {self.epsilon}, delta = {self.delta}")
+        for name in ("epsilon", "delta"):
+            object.__setattr__(self, name, _require_positive(getattr(self, name), name))
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +214,12 @@ def _layout(B, n, workers):
             return split
 
 
-def _offband_sum(pos_a, pos_b, p0, inv2tau, bounds=None):
+def _offband_sum(pos_a, pos_b, p0, inv2tau, bounds):
     """Off-band cells of samples bounds[0]:bounds[-1]: midpoint in time,
     increments frozen at left corners.
 
-    The blocks between consecutive ``bounds`` (by default the one-range
-    ``_layout`` of the whole batch) run through one reused buffer (two for
-    d > 1), so the elementwise passes work on about a MB instead of B n^2
+    The blocks between consecutive ``bounds`` run through one reused buffer
+    (two for d > 1), so the elementwise passes work on about a MB, not B n^2
     doubles; squared distances are summed one component at a time in place.
     Each component's differences X_i - Y_j are one matmul of [X_i, 1] by
     [1, -Y_j], both built once per call; the module docstring shows the
@@ -231,8 +230,6 @@ def _offband_sum(pos_a, pos_b, p0, inv2tau, bounds=None):
     (0 * inf) or of its threads.
     """
     n = len(p0)
-    if bounds is None:
-        bounds = _layout(len(pos_a), n, 1)[0]
     first = bounds[0]
     X = pos_a[first:bounds[-1], :n].transpose(0, 2, 1)
     Y = pos_b[first:bounds[-1], :n].transpose(0, 2, 1)
@@ -385,8 +382,7 @@ def cross_exponent(path_j: Path, path_k: Path) -> float:
 def deterministic_bound(t, d):
     """Pathwise bound int int (2 pi |s-r|)^{-d/2}: (8/3)(2 pi)^{-1/2} t^{3/2} for
     d = 1, infinite for d >= 2 (finiteness holds iff d = 1)."""
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"t must be positive and finite, got {t}")
+    t = _require_positive(t, "t")
     if d == 1:
         return (8.0 / 3.0) / SQRT_2PI * t ** 1.5
     return math.inf

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RegimeError
-from .chaos import existence_check
+from .chaos import _require_existence
 from .exponents import MollifierParams, cross_exponent_values, mollified_inner_values
 from .kernels import stable_kernel
 from .params import ModelParams, _require_count
@@ -178,11 +178,7 @@ def sko_moment(p, params: ModelParams, n_samples, grid_steps=None, rng=0,
     the self terms).  p = 1 with constant initial data is deterministic and
     short-circuits to the exact value with zero standard error.
     """
-    report = existence_check(params.alpha, params.d)
-    if not report.exists:
-        raise RegimeError(
-            f"no Skorohod solution for alpha = {params.alpha}, d = {params.d}: "
-            "existence requires d < 2 + alpha", condition="d < 2 + alpha")
+    _require_existence(params.alpha, params.d)
     return _moment(p, params, n_samples, grid_steps, rng, "skorohod", moll, keep_samples)
 
 

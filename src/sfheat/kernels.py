@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .params import C_ALPHA
+from .params import C_ALPHA, _require_alpha_d, _require_positive
 
 TWO_PI = 2.0 * math.pi
 
@@ -34,13 +34,12 @@ def heat_kernel(t, x):
     Parameters
     ----------
     t : float
-        Strictly positive time; the kernel (and the noise covariance built
+        Positive, finite time; the kernel (and the noise covariance built
         from it) is singular on the time diagonal, so t = 0 is a hard error.
     x : float or array
         One point in R^d; d is its length, and a scalar is a point of R^1.
     """
-    if t <= 0:
-        raise ValueError(f"heat_kernel requires t > 0, got t={t}")
+    t = _require_positive(t, "t")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     sq = float((x ** 2).sum())
     return (TWO_PI * t) ** (-x.size / 2.0) * math.exp(-sq / (2.0 * t))
@@ -92,11 +91,9 @@ def stable_kernel(alpha, t, x):
     alpha fall back to numeric Fourier inversion with absolute error below
     ``STABLE_INVERSION_ABS_TOL``.
     """
-    if t <= 0:
-        raise ValueError(f"stable_kernel requires t > 0, got t={t}")
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
+    t = _require_positive(t, "t")
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    _require_alpha_d(alpha, x.size)
     if alpha == 2.0:
         return heat_kernel(t, x)
     if alpha == 1.0:

@@ -10,6 +10,7 @@ kernel exactly.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,14 +34,14 @@ class InitialCondition:
     def __post_init__(self):
         if self.tag not in self._TAGS:
             raise ValueError(f"unknown initial condition tag {self.tag!r}")
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         n_expected = {"constant": 1, "gaussian_bump": 2, "cosine": 1}[self.tag]
         if len(self.params) != n_expected:
             raise ValueError(f"{self.tag} takes {n_expected} parameter(s), got {len(self.params)}")
+        if self.tag == "gaussian_bump":
+            _require_positive(self.params[1], "gaussian_bump width")
+        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         if not np.all(np.isfinite(self.params)):
             raise ValueError(f"{self.tag} parameters must be finite, got {self.params}")
-        if self.tag == "gaussian_bump" and self.params[1] <= 0:
-            raise ValueError("gaussian_bump width must be positive")
 
     @classmethod
     def constant(cls, c=1.0):
@@ -87,7 +88,7 @@ def parse_u0(text):
 
 
 def _require_alpha_d(alpha, d):
-    if not 0.0 < alpha <= 2.0:
+    if not isinstance(alpha, numbers.Real) or not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
     if d < 1 or int(d) != d:
         raise ValueError(f"d must be a positive integer, got {d}")
@@ -106,6 +107,17 @@ def _require_count(value, name, floor, why=""):
     return count
 
 
+def _require_positive(value, name):
+    """``value`` as a float: it must equal its own float() (1 passes as 1.0) and lie in (0, inf)."""
+    try:
+        real = float(value)
+    except (TypeError, ValueError, OverflowError):
+        real = None
+    if real is None or real != value or not 0.0 < real < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return real
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Everything that pins down one (t, x) evaluation of the model."""
@@ -118,8 +130,7 @@ class ModelParams:
 
     def __post_init__(self):
         _require_alpha_d(self.alpha, self.d)
-        if not 0.0 < self.t_horizon < np.inf:
-            raise ValueError(f"t_horizon must be positive and finite, got {self.t_horizon}")
+        object.__setattr__(self, "t_horizon", _require_positive(self.t_horizon, "t_horizon"))
         x = np.zeros(self.d) if self.x_point is None else np.atleast_1d(np.asarray(self.x_point, float))
         if x.shape != (self.d,):
             raise ValueError(f"x_point must be a {self.d}-vector, got shape {x.shape}")

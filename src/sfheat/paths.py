@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import C_ALPHA, _require_count
+from .params import C_ALPHA, _require_alpha_d, _require_count, _require_positive
 
 DEFAULT_STEPS_PER_UNIT = 256
 
@@ -100,13 +100,13 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, t_horizon, n_steps):
-        return cls(np.linspace(0.0, t_horizon, _require_count(n_steps, "n_steps", 1) + 1))
+        return cls(np.linspace(0.0, _require_positive(t_horizon, "t_horizon"),
+                               _require_count(n_steps, "n_steps", 1) + 1))
 
     @classmethod
     def default(cls, t_horizon):
         """Uniform grid at DEFAULT_STEPS_PER_UNIT steps per unit time."""
-        if not 0.0 < t_horizon < np.inf:
-            raise ValueError(f"t_horizon must be positive and finite, got {t_horizon}")
+        t_horizon = _require_positive(t_horizon, "t_horizon")
         return cls.uniform(t_horizon, max(1, int(np.ceil(DEFAULT_STEPS_PER_UNIT * t_horizon))))
 
     @property
@@ -232,20 +232,18 @@ def sample_subordinator_increment(alpha, dt, rng, size=None):
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"subordination requires alpha in (0, 2), got {alpha}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    u, e, _ = _draws(_generators([rng]), alpha, (1,) if size is None else (1, size), 0)
+    dt = _require_positive(dt, "dt")
+    shape = (1,) if size is None else (1, _require_count(size, "size", 1))
+    u, e, _ = _draws(_generators([rng]), alpha, shape, 0)
     return _subordinator(alpha, dt, u[0], e[0])
 
 
 def sample_increment(alpha, d, dt, rng, size=None):
     """One (or ``size``) increments with characteristic function exp(-dt |xi|^alpha / 2)."""
-    if dt < 0:
-        raise ValueError(f"dt must be nonnegative, got {dt}")
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
+    dt = 0.0 if dt == 0 else _require_positive(dt, "dt")  # dt = 0 is the zero increment
+    _require_alpha_d(alpha, d)
     rng = _require_stream(rng)  # also where dt = 0 draws nothing
-    shape = () if size is None else (size,)
+    shape = () if size is None else (_require_count(size, "size", 1),)
     if dt == 0:
         return np.zeros(shape + (d,))
     draws = _draws(_generators([rng]), alpha, (1,) + shape, d)

@@ -44,7 +44,7 @@ import numpy as np
 from .field import _factorize  # noqa: F401  # perfbench/spans.py patches this attribute by name
 from .errors import RegimeError
 from .fk import MomentEstimate, _finalize
-from .params import C_ALPHA, ModelParams, _require_count
+from .params import C_ALPHA, ModelParams, _require_count, _require_positive
 from .paths import _generators, _require_stream
 
 # aliases whose weight is below float64 resolution of their mode's largest
@@ -66,8 +66,8 @@ class TorusGrid:
     t_horizon: float
 
     def __post_init__(self):
-        if not (0.0 < self.half_length < math.inf and 0.0 < self.t_horizon < math.inf):
-            raise ValueError("half_length and t_horizon must be positive and finite")
+        for name in ("half_length", "t_horizon"):
+            object.__setattr__(self, name, _require_positive(getattr(self, name), name))
         n_space = _require_count(self.n_space, "n_space", 2)
         if n_space & (n_space - 1):
             raise ValueError("n_space must be a power of two")
@@ -78,8 +78,8 @@ class TorusGrid:
     def default(cls, t_horizon, n_space=64, n_time=None):
         """L = 8 sqrt(t): Gaussian tail mass beyond the boundary is < 1e-6."""
         n_time = n_space if n_time is None else n_time
-        return cls(half_length=8.0 * math.sqrt(t_horizon), n_space=n_space,
-                   n_time=n_time, t_horizon=t_horizon)
+        return cls(half_length=8.0 * math.sqrt(_require_positive(t_horizon, "t_horizon")),
+                   n_space=n_space, n_time=n_time, t_horizon=t_horizon)
 
     @property
     def dt(self):
@@ -127,10 +127,8 @@ class NoiseSlabSampler:
     """
 
     def __init__(self, grid: TorusGrid, epsilon):
-        if not 0.0 < epsilon < math.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
         self.grid = grid
-        self.epsilon = float(epsilon)
+        self.epsilon = _require_positive(epsilon, "epsilon")
         n, dx = grid.n_space, grid.dx
         # every kept alias has |k/n + q| <= 1/2 + sqrt(cut / eps) dx / (2 pi)
         q_max = 2 + math.ceil(math.sqrt(_LOG_RESOLUTION / self.epsilon) * dx / (2.0 * math.pi))

@@ -94,7 +94,7 @@ class TestChaosTerm:
         with pytest.raises(NotImplementedError):
             chaos_term(1, 1.5, 2, 1.0)
 
-    @pytest.mark.parametrize("alpha", [5.0, -1.0, 0.0])
+    @pytest.mark.parametrize("alpha", [5.0, -1.0, 0.0, "2"])
     def test_alpha_outside_the_range_is_rejected(self, alpha):
         with pytest.raises(ValueError, match="alpha must lie in"):
             chaos_term(1, alpha, 1, 1.0)

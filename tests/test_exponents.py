@@ -219,7 +219,8 @@ class TestBlockedOffBand:
             pos = sample_path_batch(2.0, d, grid, 0.0, RngStream(45, 10 * n + d), 2 * B)
             pa, pb = pos[:B], pos[B:]
             _, p0, inv2tau = exponents._grid_tables(grid.times, d)
-            assert np.array_equal(exponents._offband_sum(pa, pb, p0, inv2tau),
+            bounds = exponents._layout(B, n, 1)[0]
+            assert np.array_equal(exponents._offband_sum(pa, pb, p0, inv2tau, bounds),
                                   _one_shot_offband(grid.times, pa, pb, d)), B
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -289,13 +290,16 @@ class TestBlockedOffBand:
         grid = TimeGrid.uniform(1.0, 512)
         pos = sample_path_batch(2.0, 2, grid, 0.0, RngStream(54, 0), 10)
         _, p0, inv2tau = exponents._grid_tables(grid.times, 2)
-        here = exponents._offband_sum(pos[:5], pos[5:], p0, inv2tau).tobytes().hex()
+        bounds = exponents._layout(5, 512, 1)[0]
+        here = exponents._offband_sum(pos[:5], pos[5:], p0, inv2tau, bounds).tobytes().hex()
         script = ("from sfheat import exponents\n"
                   "from sfheat.paths import RngStream, TimeGrid, sample_path_batch\n"
                   "grid = TimeGrid.uniform(1.0, 512)\n"
                   "pos = sample_path_batch(2.0, 2, grid, 0.0, RngStream(54, 0), 10)\n"
                   "_, p0, inv2tau = exponents._grid_tables(grid.times, 2)\n"
-                  "print(exponents._offband_sum(pos[:5], pos[5:], p0, inv2tau).tobytes().hex())\n")
+                  "bounds = exponents._layout(5, 512, 1)[0]\n"
+                  "print(exponents._offband_sum(pos[:5], pos[5:], p0, inv2tau, bounds)"
+                  ".tobytes().hex())\n")
         src = os.path.dirname(os.path.dirname(exponents.__file__))
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

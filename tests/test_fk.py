@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from sfheat.chaos import chaos_second_moment, chaos_term
+from sfheat.chaos import chaos_second_moment, chaos_term, series_term_bound
 from sfheat.errors import RegimeError
-from sfheat.exponents import deterministic_bound
+from sfheat.exponents import MollifierParams, deterministic_bound
 from sfheat.fk import sko_mean_exact, sko_moment, strat_moment
+from sfheat.kernels import heat_kernel, stable_kernel
 from sfheat.params import InitialCondition, ModelParams
-from sfheat.paths import TimeGrid
-from sfheat.solver import TorusGrid, ensemble_moment
+from sfheat.paths import TimeGrid, sample_increment, sample_subordinator_increment
+from sfheat.solver import NoiseSlabSampler, TorusGrid, ensemble_moment
 
 PM = ModelParams(alpha=2.0, d=1, t_horizon=1.0)
 
@@ -21,6 +22,10 @@ _TORUS, _PM_TORUS = TorusGrid.default(0.25, n_space=16, n_time=4), ModelParams(2
 
 def _fourier_term(k):
     chaos_term(1, 1.5, 1, 1.0, n_samples=k)  # a ChaosTerm does not carry its sample count
+
+
+def _series_bound(k):
+    series_term_bound(k, 2.0, 1, 1.0)  # a bound carries no order
 
 
 # each entry point with a count, as a call of that count returning the count
@@ -37,6 +42,9 @@ _COUNTS = {
     "chaos_n": (lambda k: chaos_term(k, 2.0, 1, 1.0).n, 0),
     "chaos_n_samples": (_fourier_term, 2),
     "n_max": (lambda k: len(chaos_second_moment(2.0, 1, 1.0, k).terms) - 1, 0),
+    "increment_size": (lambda k: len(sample_increment(1.5, 1, 0.1, 0, size=k)), 1),
+    "subordinator_size": (lambda k: len(sample_subordinator_increment(1.5, 0.1, 0, size=k)), 1),
+    "series_bound_n": (_series_bound, 0),
 }
 
 
@@ -50,6 +58,55 @@ def test_counts_are_checked_at_the_boundary(name):
             call(bad)
     carried = call(float(floor + 1))
     assert carried is None or (type(carried) is int and carried == floor + 1)
+
+
+# each entry point with a positive real, as a call of that value, and whether
+# the call returns the float its record stores
+_REALS = {
+    "t_horizon": (lambda v: ModelParams(2.0, t_horizon=v).t_horizon, True),
+    "epsilon": (lambda v: MollifierParams(v, 0.1).epsilon, True),
+    "delta": (lambda v: MollifierParams(0.1, v).delta, True),
+    "grid_uniform": (lambda v: TimeGrid.uniform(v, 4).t_horizon, True),
+    "grid_default": (lambda v: TimeGrid.default(v).t_horizon, True),
+    "torus_half_length": (lambda v: TorusGrid(v, 16, 4, 1.0).half_length, True),
+    "torus_t_horizon": (lambda v: TorusGrid(8.0, 16, 4, v).t_horizon, True),
+    "torus_default": (lambda v: TorusGrid.default(v, 16, 4).t_horizon, True),
+    "noise_epsilon": (lambda v: NoiseSlabSampler(_TORUS, v).epsilon, True),
+    "heat_kernel_t": (lambda v: heat_kernel(v, 0.0), False),
+    "stable_kernel_t": (lambda v: stable_kernel(1.0, v, 0.0), False),
+    "deterministic_bound_t": (lambda v: deterministic_bound(v, 1), False),
+    "chaos_term_t": (lambda v: chaos_term(0, 2.0, 1, v), False),
+    "series_bound_t": (lambda v: series_term_bound(1, 2.0, 1, v), False),
+    "increment_dt": (lambda v: sample_increment(1.5, 1, v, 0), False),
+    "subordinator_dt": (lambda v: sample_subordinator_increment(1.5, v, 0), False),
+    "gaussian_bump_width": (lambda v: InitialCondition.gaussian_bump(1.0, v).params[1], True),
+}
+
+
+@pytest.mark.parametrize("name", list(_REALS))
+def test_reals_are_checked_at_the_boundary(name):
+    # one rule: a value equal to its own float() passes as that float, and a
+    # string, None, 0, a negative, nan or inf is a ValueError
+    call, stores = _REALS[name]
+    for bad in (0, -1.0, math.nan, math.inf, -math.inf, "1", None):
+        if name == "increment_dt" and bad == 0:
+            continue  # the documented zero increment (tests/test_paths.py)
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            call(bad)
+    carried = call(1)
+    assert not stores or (type(carried) is float and carried == 1.0)
+
+
+def test_existence_gate_is_one_rule():
+    # the Skorohod moment and the chaos series refuse alpha = 0.5, d = 3 alike
+    errors = []
+    for call in (lambda: sko_moment(2, ModelParams(0.5, d=3), 4),
+                 lambda: chaos_second_moment(0.5, 3, 1.0, 2)):
+        with pytest.raises(RegimeError) as info:
+            call()
+        errors.append((str(info.value), info.value.condition))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == "d < 2 + alpha"
 
 
 class TestSkoMoment:

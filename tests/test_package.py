@@ -62,6 +62,25 @@ def test_readme_signatures_match_the_code():
         assert _parameter_names(_resolve(dotted), dotted) == written, dotted
 
 
+def _is_infinity(node):
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return (isinstance(node, ast.Attribute) and node.attr == "inf"
+            and isinstance(node.value, ast.Name) and node.value.id in ("math", "np"))
+
+
+def test_only_params_compares_against_infinity():
+    # a positive-finite test is params._require_positive; a hand copy elsewhere
+    # drifts from it (what it lets through, what it raises)
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(pathlib.Path(sfheat.__file__).parent.glob("*.py"))
+             if path.name != "params.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Compare)
+             and any(map(_is_infinity, [node.left, *node.comparators]))]
+    assert not found, found
+
+
 _PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
