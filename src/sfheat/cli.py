@@ -4,10 +4,10 @@ Configuration can come from a flat key=value file (--config) with explicit
 flags taking precedence; every run emits a JSON RunRecord embedding the fully
 resolved configuration, so re-running a record's config reproduces its
 results bit-for-bit.  The record's meta block says what produced it: the
-sfheat, numpy and scipy versions and the cores the pair quadrature may use;
-none of it enters ``record_fingerprint``.  Exit codes: 0 success, 2
-configuration problem or unsupported route, 3 regime violation (a validity
-condition was broken), 4 numerical failure.
+sfheat, numpy and scipy versions and the cores the Feynman-Kac batches run
+on (``fk._WORKERS``); none of it enters ``record_fingerprint``.  Exit codes:
+0 success, 2 configuration problem or unsupported route, 3 regime violation
+(a validity condition was broken), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy
 
-from . import __version__, chaos, exponents, fk, solver, validation
+from . import __version__, chaos, fk, solver, validation
 from .errors import BudgetError, FactorizationError, RegimeError
 from .exponents import MollifierParams
 from .params import ModelParams, parse_u0
@@ -170,7 +170,7 @@ def _emit_record(cfg, results, t0, out_path):
         "results": _as_jsonable(results),
         "meta": {"wall_time_s": time.perf_counter() - t0, "version": __version__,
                  "numpy": np.__version__, "scipy": scipy.__version__,
-                 "cores": exponents._WORKERS},
+                 "cores": fk._WORKERS},
     }
     if cfg["subcommand"] == "validate":
         record["meta"]["check_seconds"] = {r.name: r.seconds for r in results}

@@ -53,10 +53,7 @@ instead of the divergent exact integral) and emits DivergentExponentWarning.
 from __future__ import annotations
 
 import math
-import os
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,29 +148,11 @@ def _grid_tables(times, d):
 
 
 # float64 cells per block of the off-band pass (1 MB, half of a 2 MB per-core
-# L2), and in the buffers of all ranges of one batch together (10 MB); a block
-# holds at least _MIN_BLOCK_SAMPLES samples, because under numpy 2.4.6 a
-# 1-sample block changes einsum's per-sample summation order (blocks of 2 or
-# more do not), and the values must not depend on the blocking
+# L2); a block holds at least _MIN_BLOCK_SAMPLES samples, because under numpy
+# 2.4.6 a 1-sample block changes einsum's per-sample summation order (blocks
+# of 2 or more do not), and the values must not depend on the blocking
 _BLOCK_ELEMENTS = 1 << 17
-_BUFFER_ELEMENTS = 5 << 18
 _MIN_BLOCK_SAMPLES = 2
-
-# threads that run the ranges of one batch, the calling thread included
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-_POOL = None
-_POOL_LOCK = threading.Lock()
-
-
-def _pool():
-    """The helper threads, created on the first batch that splits."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(max_workers=max(1, _WORKERS - 1),
-                                       thread_name_prefix="sfheat-pairs")
-        return _POOL
 
 
 def _positions(times, pos_a, pos_b):
@@ -189,36 +168,22 @@ def _positions(times, pos_a, pos_b):
     return pos_a, pos_b
 
 
-def _layout(B, n, workers):
-    """Block bounds of the off-band pass over B samples, grouped into ranges.
-
-    Returns up to ``workers`` lists of bounds; range r covers samples
-    ranges[r][0]:ranges[r][-1] in the blocks between consecutive bounds.
-    Every block holds at least _MIN_BLOCK_SAMPLES samples (or the whole
-    batch, when it is smaller) and at most about min(_BLOCK_ELEMENTS,
-    _BUFFER_ELEMENTS / ranges) cells, the remainder spread one sample per
-    block.  A split into several ranges is taken only if the largest blocks
-    of its ranges fit _BUFFER_ELEMENTS together; one range always runs.
-    """
-    cells = n * n
-    most = min(workers, B // _MIN_BLOCK_SAMPLES, _BUFFER_ELEMENTS // (_MIN_BLOCK_SAMPLES * cells))
-    for ranges in range(max(1, most), 0, -1):
-        per_block = max(_MIN_BLOCK_SAMPLES,
-                        min(_BLOCK_ELEMENTS, _BUFFER_ELEMENTS // ranges) // cells)
-        n_blocks = max(ranges, min(B // _MIN_BLOCK_SAMPLES, -(-B // per_block)))
-        bounds = [B * k // n_blocks for k in range(n_blocks + 1)]
-        split = [bounds[n_blocks * r // ranges:n_blocks * (r + 1) // ranges + 1]
-                 for r in range(ranges)]
-        held = sum(max(b - a for a, b in zip(r[:-1], r[1:])) for r in split) * cells
-        if ranges == 1 or held <= _BUFFER_ELEMENTS:
-            return split
+def _layout(B, n):
+    """Block bounds of the off-band pass over B samples: block k covers
+    samples bounds[k]:bounds[k + 1].  Every block holds at least
+    _MIN_BLOCK_SAMPLES samples (or the whole batch, when it is smaller) and
+    at most about _BLOCK_ELEMENTS cells, the remainder spread one sample per
+    block."""
+    per_block = max(_MIN_BLOCK_SAMPLES, _BLOCK_ELEMENTS // (n * n))
+    n_blocks = max(1, min(B // _MIN_BLOCK_SAMPLES, -(-B // per_block)))
+    return [B * k // n_blocks for k in range(n_blocks + 1)]
 
 
 def _offband_sum(pos_a, pos_b, p0, inv2tau, bounds):
-    """Off-band cells of samples bounds[0]:bounds[-1]: midpoint in time,
-    increments frozen at left corners.
+    """Off-band cells of each sample: midpoint in time, increments frozen at
+    left corners.
 
-    The blocks between consecutive ``bounds`` run through one reused buffer
+    The blocks between consecutive ``bounds`` (0 to B) run through one reused buffer
     (two for d > 1), so the elementwise passes work on about a MB, not B n^2
     doubles; squared distances are summed one component at a time in place.
     Each component's differences X_i - Y_j are one matmul of [X_i, 1] by
@@ -230,9 +195,8 @@ def _offband_sum(pos_a, pos_b, p0, inv2tau, bounds):
     (0 * inf) or of its threads.
     """
     n = len(p0)
-    first = bounds[0]
-    X = pos_a[first:bounds[-1], :n].transpose(0, 2, 1)
-    Y = pos_b[first:bounds[-1], :n].transpose(0, 2, 1)
+    X = pos_a[:, :n].transpose(0, 2, 1)
+    Y = pos_b[:, :n].transpose(0, 2, 1)
     by_matmul = (np.abs(X) < 2.0 ** 1022).all() and (np.abs(Y) < 2.0 ** 1022).all()
     if by_matmul:
         left = np.stack([X, np.ones_like(X)], axis=-1)
@@ -240,15 +204,14 @@ def _offband_sum(pos_a, pos_b, p0, inv2tau, bounds):
 
     def differences(c, start, stop, out):
         if by_matmul:
-            np.matmul(left[start - first:stop - first, c], right[start - first:stop - first, c],
-                      out=out)
+            np.matmul(left[start:stop, c], right[start:stop, c], out=out)
         else:
             np.subtract(pos_a[start:stop, :n, None, c], pos_b[start:stop, None, :n, c], out=out)
 
     buf = np.empty((max(b - a for a, b in zip(bounds[:-1], bounds[1:])), n, n))
     diff = np.empty_like(buf) if pos_a.shape[-1] > 1 else None
     neg_inv2tau = -inv2tau
-    off = np.empty(bounds[-1] - first)
+    off = np.empty(len(pos_a))
     for start, stop in zip(bounds[:-1], bounds[1:]):
         d2 = buf[:stop - start]
         differences(0, start, stop, d2)
@@ -260,7 +223,7 @@ def _offband_sum(pos_a, pos_b, p0, inv2tau, bounds):
             d2 += dc
         np.multiply(d2, neg_inv2tau, out=d2)
         np.exp(d2, out=d2)
-        off[start - first:stop - first] = np.einsum("bij,ij->b", d2, p0)
+        off[start:stop] = np.einsum("bij,ij->b", d2, p0)
     return off
 
 
@@ -306,43 +269,20 @@ def cross_exponent_values(times, pos_a, pos_b, d):
     -------
     (B,) array of exponent values.
 
-    The samples are cut into contiguous ranges (``_layout``), one per core of
-    the affinity mask as far as the memory cap allows: the calling thread
-    runs the first range, a module-level pool of helper threads the others,
-    each under the caller's numpy error state.  Each range takes its
-    off-band cells block by block through one reused buffer, then its band
-    cells, into its own slice of the result.  A block holds at least
-    ``_MIN_BLOCK_SAMPLES`` samples; its differences are exact (the matmul of
-    the module docstring), and it gets the same square, scale, exp and einsum
-    as one pass over the whole batch would, so the values are bit-identical
-    to that pass for any core count.  Where one pass over B samples would
-    hold B n^2 doubles, a split holds at most ``_BUFFER_ELEMENTS`` (10 MB) in
-    all its ranges' buffers together, which allows two ranges at 512 steps;
-    a batch that cannot be split within that runs as one range, whose
-    blocks aim at ``_BLOCK_ELEMENTS`` (1 MB).
+    One pass on the calling thread: the off-band cells block by block
+    (``_layout``) through one reused buffer of about ``_BLOCK_ELEMENTS``
+    doubles (1 MB), then the band cells.  Each block gets the same exact
+    differences, square, scale, exp and einsum as one pass over the whole
+    batch would, so the values are bit-identical to that pass.  Its only
+    state is the cache of ``_grid_tables``: threads may run it side by side
+    once that cache holds their grid (``fk`` fills it before it starts any).
     """
     pos_a, pos_b = _positions(times, pos_a, pos_b)
     if pos_a.shape[-1] != d:
         raise ValueError(f"d = {d} differs from the positions' dimension {pos_a.shape[-1]}")
     h, p0, inv2tau = _grid_tables(times, d)
-    out = np.empty(len(pos_a))
-    err = np.geterr()  # numpy's error state does not reach other threads
-
-    def run(bounds):
-        with np.errstate(**err):
-            start, stop = bounds[0], bounds[-1]
-            out[start:stop] = (_offband_sum(pos_a, pos_b, p0, inv2tau, bounds)
-                               + _band_sum(pos_a[start:stop], pos_b[start:stop], h, d))
-
-    ranges = _layout(len(pos_a), len(h), _WORKERS)
-    helpers = [_pool().submit(run, bounds) for bounds in ranges[1:]]
-    try:
-        run(ranges[0])
-    finally:
-        wait(helpers)
-    for future in helpers:
-        future.result()
-    return out
+    return (_offband_sum(pos_a, pos_b, p0, inv2tau, _layout(len(pos_a), len(h)))
+            + _band_sum(pos_a, pos_b, h, d))
 
 
 def _shared_grid(paths):

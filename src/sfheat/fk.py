@@ -21,31 +21,42 @@ reproducible bit-for-bit for a given configuration.  Every estimator takes
 exponents take their dimension from the sampled positions.  The time grid is
 built on ``params.t_horizon``: ``grid_steps`` uniform steps, or
 ``TimeGrid.default`` when ``grid_steps`` is None.  Samples run in
-batches of 4e6 / n^2 (n grid steps; an eighth of that when mollified).  One
-``sample_path_batch`` call takes a batch's streams and fills one block of
-draws, and ``cross_exponent_values`` splits the batch's pair quadrature
-into sample ranges over the cores of the affinity mask, each taking its
-off-band cells through one buffer of about a MB in blocks of at least 2
-samples (10 MB for all ranges together), bit-identical to a single pass over
-the batch for any core count.  Everything else here runs on the calling
-thread.  The values computed from the draws depend on the batch at rounding
-level only: einsum's summation order changes for a batch of one sample, and
-the mollified route's xi nodes follow the batch's largest path separation.
+batches of 2e6 / n^2 (n grid steps; an eighth of that when mollified),
+whatever the core count.  One ``sample_path_batch`` call takes a batch's
+streams and fills one block of draws, its pair exponents follow, and its
+weights fill its slice of the result.  Whole batches run on the cores of the
+affinity mask (``_run_batches``): the calling thread and ``_WORKERS - 1``
+pool helpers each take the next batch until none is left, so about
+``_WORKERS`` batches are held in memory at once.  A batch's values do not
+depend on the thread that ran it, so they are the same for any core count.
+They depend on the batch at rounding level only: einsum's summation order
+changes for a batch of one sample, and the mollified route's xi nodes follow
+the batch's largest path separation.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import RegimeError
 from .chaos import _require_existence
-from .exponents import MollifierParams, cross_exponent_values, mollified_inner_values
+from .exponents import (MollifierParams, _grid_tables, cross_exponent_values,
+                        mollified_inner_values)
 from .kernels import stable_kernel
 from .params import ModelParams, _require_count
 from .paths import TimeGrid, _require_stream, sample_path_batch
+
+# threads that run the batches of one moment call, the calling thread
+# included; the pool starts its helpers on the first call with two batches
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_POOL = ThreadPoolExecutor(max_workers=max(1, _WORKERS - 1), thread_name_prefix="sfheat-batches")
 
 
 @dataclass(frozen=True)
@@ -80,26 +91,63 @@ def _pair_exponents(times, pos, p, moll, include_diag):
     return expo
 
 
+def _run_batches(run, n_batches):
+    """run(k) for k in range(n_batches) on the calling thread and up to
+    _WORKERS - 1 pool helpers, which run under the caller's numpy error state.
+    Each thread takes the next k from one counter under a lock, so a slow
+    thread takes fewer batches, and a failed batch stops every thread from
+    taking another; the caller waits for every helper, then re-raises the
+    first helper error."""
+    taken = 0
+    lock = threading.Lock()
+    err = np.geterr()  # numpy's error state does not reach other threads
+
+    def take():
+        nonlocal taken
+        with np.errstate(**err):
+            while True:
+                with lock:
+                    k, taken = taken, taken + 1
+                if k >= n_batches:
+                    return
+                try:
+                    run(k)
+                except BaseException:
+                    with lock:
+                        taken = n_batches
+                    raise
+
+    helpers = [_POOL.submit(take) for _ in range(min(_WORKERS, n_batches) - 1)]
+    try:
+        take()
+    finally:
+        wait(helpers)
+    for future in helpers:
+        future.result()
+
+
 def _moment_samples(p, params: ModelParams, n_samples, grid, rng, flavor, moll):
     """Per-sample integrand values, in sample-index order."""
     times = grid.times
-    n_cells = grid.n_steps ** 2
-    batch = max(1, int(4_000_000 // max(n_cells, 1)))
-    if moll is not None:
+    batch = max(1, 2_000_000 // grid.n_steps ** 2)
+    if moll is None:
+        _grid_tables(times, params.d)  # the threads then only read the shared cache
+    else:
         # bounds the (B, n, xi nodes) temporaries held per batch
         batch = max(1, batch // 8)
     out = np.empty(n_samples)
-    x = params.x_point
     include_diag = flavor == "stratonovich"
-    for start in range(0, n_samples, batch):
-        stop = min(start + batch, n_samples)
+
+    def run(k):
+        start, stop = k * batch, min((k + 1) * batch, n_samples)
         streams = [rng.substream(i) for i in range(start, stop)]
         pos = sample_path_batch(params.alpha, params.d, grid, 0.0, streams, p).reshape(
             stop - start, p, len(times), params.d)
         expo = _pair_exponents(times, pos, p, moll, include_diag)
-        endpoints = pos[:, :, -1, :] + x
-        u0_prod = np.prod(params.u0(endpoints), axis=1)
+        u0_prod = np.prod(params.u0(pos[:, :, -1, :] + params.x_point), axis=1)
         out[start:stop] = u0_prod * np.exp(expo)
+
+    _run_batches(run, -(-n_samples // batch))
     return out
 
 

@@ -34,14 +34,14 @@ class InitialCondition:
     def __post_init__(self):
         if self.tag not in self._TAGS:
             raise ValueError(f"unknown initial condition tag {self.tag!r}")
-        n_expected = {"constant": 1, "gaussian_bump": 2, "cosine": 1}[self.tag]
-        if len(self.params) != n_expected:
-            raise ValueError(f"{self.tag} takes {n_expected} parameter(s), got {len(self.params)}")
+        names = {"constant": ("value",), "gaussian_bump": ("amplitude", "width"),
+                 "cosine": ("frequency",)}[self.tag]
+        if len(self.params) != len(names):
+            raise ValueError(f"{self.tag} takes {len(names)} parameter(s), got {len(self.params)}")
         if self.tag == "gaussian_bump":
             _require_positive(self.params[1], "gaussian_bump width")
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if not np.all(np.isfinite(self.params)):
-            raise ValueError(f"{self.tag} parameters must be finite, got {self.params}")
+        object.__setattr__(self, "params", tuple(
+            _require_finite(v, f"{self.tag} {name}") for v, name in zip(self.params, names)))
 
     @classmethod
     def constant(cls, c=1.0):
@@ -88,10 +88,12 @@ def parse_u0(text):
 
 
 def _require_alpha_d(alpha, d):
-    if not isinstance(alpha, numbers.Real) or not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
-    if d < 1 or int(d) != d:
-        raise ValueError(f"d must be a positive integer, got {d}")
+    """alpha must be a real in (0, 2] and d an integral real >= 1; a bool or a string is neither."""
+    real = [isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (alpha, d)]
+    if not real[0] or not 0.0 < alpha <= 2.0:
+        raise ValueError(f"alpha must lie in (0, 2], got {alpha!r}")
+    if not real[1] or not (d >= 1 and float(d).is_integer()):
+        raise ValueError(f"d must be a positive integer, got {d!r}")
 
 
 def _require_count(value, name, floor, why=""):
@@ -107,15 +109,22 @@ def _require_count(value, name, floor, why=""):
     return count
 
 
-def _require_positive(value, name):
-    """``value`` as a float: it must equal its own float() (1 passes as 1.0) and lie in (0, inf)."""
+def _require_finite(value, name, above=-np.inf):
+    """``value`` as a float: it must equal its own float() (1 passes as 1.0)
+    and lie in (above, inf); zero and negative values pass by default."""
     try:
         real = float(value)
     except (TypeError, ValueError, OverflowError):
         real = None
-    if real is None or real != value or not 0.0 < real < np.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if real is None or real != value or not above < real < np.inf:
+        raise ValueError(f"{name} must be {'' if above == -np.inf else 'positive and '}"
+                         f"finite, got {value!r}")
     return real
+
+
+def _require_positive(value, name):
+    """``value`` as a float in (0, inf), by the rule of ``_require_finite``."""
+    return _require_finite(value, name, 0.0)
 
 
 @dataclass(frozen=True)
@@ -130,6 +139,7 @@ class ModelParams:
 
     def __post_init__(self):
         _require_alpha_d(self.alpha, self.d)
+        object.__setattr__(self, "d", int(self.d))
         object.__setattr__(self, "t_horizon", _require_positive(self.t_horizon, "t_horizon"))
         x = np.zeros(self.d) if self.x_point is None else np.atleast_1d(np.asarray(self.x_point, float))
         if x.shape != (self.d,):
@@ -137,4 +147,3 @@ class ModelParams:
         if not np.all(np.isfinite(x)):
             raise ValueError("x_point must be finite")
         object.__setattr__(self, "x_point", x)
-        object.__setattr__(self, "d", int(self.d))

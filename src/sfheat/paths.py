@@ -230,8 +230,9 @@ def sample_subordinator_increment(alpha, dt, rng, size=None):
     S(dt) =_law (dt/2)^{2/alpha} S_std where S_std has unit Laplace exponent.
     Uses Kanter's transform; alpha = 2 has no subordinator (callers bypass).
     """
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"subordination requires alpha in (0, 2), got {alpha}")
+    _require_alpha_d(alpha, 1)
+    if alpha == 2.0:
+        raise ValueError(f"subordination requires alpha in (0, 2), got {alpha!r}")
     dt = _require_positive(dt, "dt")
     shape = (1,) if size is None else (1, _require_count(size, "size", 1))
     u, e, _ = _draws(_generators([rng]), alpha, shape, 0)

@@ -3,9 +3,9 @@ import math
 import os
 import subprocess
 import sys
-import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,9 +16,7 @@ from sfheat.exponents import (DivergentExponentWarning, MollifierParams, _moment
                               cross_exponent, cross_exponent_values, deterministic_bound,
                               mollified_inner, mollified_inner_values, self_exponent)
 from sfheat.field import wick_gram
-from sfheat.fk import sko_moment, strat_moment
 from sfheat.kernels import _rect
-from sfheat.params import ModelParams
 from sfheat.paths import (Path, RngStream, TimeGrid, constant_path, sample_path,
                           sample_path_batch)
 
@@ -219,7 +217,7 @@ class TestBlockedOffBand:
             pos = sample_path_batch(2.0, d, grid, 0.0, RngStream(45, 10 * n + d), 2 * B)
             pa, pb = pos[:B], pos[B:]
             _, p0, inv2tau = exponents._grid_tables(grid.times, d)
-            bounds = exponents._layout(B, n, 1)[0]
+            bounds = exponents._layout(B, n)
             assert np.array_equal(exponents._offband_sum(pa, pb, p0, inv2tau, bounds),
                                   _one_shot_offband(grid.times, pa, pb, d)), B
 
@@ -290,14 +288,14 @@ class TestBlockedOffBand:
         grid = TimeGrid.uniform(1.0, 512)
         pos = sample_path_batch(2.0, 2, grid, 0.0, RngStream(54, 0), 10)
         _, p0, inv2tau = exponents._grid_tables(grid.times, 2)
-        bounds = exponents._layout(5, 512, 1)[0]
+        bounds = exponents._layout(5, 512)
         here = exponents._offband_sum(pos[:5], pos[5:], p0, inv2tau, bounds).tobytes().hex()
         script = ("from sfheat import exponents\n"
                   "from sfheat.paths import RngStream, TimeGrid, sample_path_batch\n"
                   "grid = TimeGrid.uniform(1.0, 512)\n"
                   "pos = sample_path_batch(2.0, 2, grid, 0.0, RngStream(54, 0), 10)\n"
                   "_, p0, inv2tau = exponents._grid_tables(grid.times, 2)\n"
-                  "bounds = exponents._layout(5, 512, 1)[0]\n"
+                  "bounds = exponents._layout(5, 512)\n"
                   "print(exponents._offband_sum(pos[:5], pos[5:], p0, inv2tau, bounds)"
                   ".tobytes().hex())\n")
         src = os.path.dirname(os.path.dirname(exponents.__file__))
@@ -307,20 +305,29 @@ class TestBlockedOffBand:
                              text=True, check=True)
         assert out.stdout.strip() == here
 
-    def test_peak_memory_at_moment_batch(self, monkeypatch):
-        # the sko-p2-chaos batch: 61 samples of 256 steps; one pass would hold
-        # 61 * 256^2 doubles (32 MB)
-        assert _peak_bytes(61, 256, monkeypatch) < 6e6
+    def test_peak_memory_at_moment_batch(self):
+        # 61 samples of 256 steps; one pass would hold 61 * 256^2 doubles (32 MB)
+        assert _peak_bytes(61, 256) < 6e6
 
-    def test_peak_memory_at_512_steps(self, monkeypatch):
+    def test_peak_memory_at_512_steps(self):
         # one pass would hold 15 * 512^2 doubles (31 MB)
-        assert _peak_bytes(15, 512, monkeypatch) < 20e6
+        assert _peak_bytes(15, 512) < 20e6
+
+    def test_layout_bounds(self):
+        for B, n in itertools.product((0, 1, 2, 3, 5, 7, 8, 15, 16, 23, 61, 244, 1000),
+                                      (32, 128, 256, 512)):
+            bounds = exponents._layout(B, n)
+            assert (bounds[0], bounds[-1]) == (0, B)
+            blocks = np.diff(bounds)
+            if B >= exponents._MIN_BLOCK_SAMPLES:  # no 1-sample block
+                assert blocks.min() >= exponents._MIN_BLOCK_SAMPLES
+            # within one sample of the cap, or at the floor
+            cap = max(exponents._MIN_BLOCK_SAMPLES, exponents._BLOCK_ELEMENTS // n ** 2)
+            assert blocks.max() <= cap + 1
 
 
-def _peak_bytes(B, n, monkeypatch):
-    """tracemalloc peak of one cross_exponent_values call on B pairs of n
-    steps, split over two workers."""
-    monkeypatch.setattr(exponents, "_WORKERS", 2)
+def _peak_bytes(B, n):
+    """tracemalloc peak of one cross_exponent_values call on B pairs of n steps."""
     grid = TimeGrid.uniform(1.0, n)
     pos = sample_path_batch(2.0, 1, grid, 0.0, RngStream(46, 0), 2 * B)
     cross_exponent_values(grid.times, pos[:B], pos[B:], 1)  # fills the grid cache
@@ -333,96 +340,27 @@ def _peak_bytes(B, n, monkeypatch):
 
 
 class TestParallelRanges:
+    # fk runs whole batches on several threads at once: contiguous ranges of
+    # one batch, each taken by its own thread at the same time, give the
+    # one-call values bit for bit
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n", [128, 256])
-    def test_values_independent_of_workers(self, n, d, monkeypatch):
+    def test_values_independent_of_workers(self, n, d):
         grid = TimeGrid.uniform(1.0, n)
-        assert len(exponents._layout(61, n, 2)) == 2  # the batch really splits
+
+        def values(pa, pb):
+            return cross_exponent_values(grid.times, pa, pb, d)
+
         for B in (1, 7, 8, 9, 13, 21, 61):
             pos = sample_path_batch(2.0, d, grid, 0.0, RngStream(47, 10 * n + d), 2 * B)
-            values = []
-            for workers in (1, 2, 3, 8):
-                monkeypatch.setattr(exponents, "_WORKERS", workers)
-                values.append(cross_exponent_values(grid.times, pos[:B], pos[B:], d))
-            assert all(np.array_equal(values[0], v) for v in values[1:]), B
-
-    def test_stress_more_workers_than_cores(self, monkeypatch):
-        # eight ranges at 128 steps, with the interpreter switching threads
-        # every 10 us
-        grid = TimeGrid.uniform(1.0, 128)
-        pos = sample_path_batch(2.0, 1, grid, 0.0, RngStream(51, 0), 122)
-        monkeypatch.setattr(exponents, "_WORKERS", 1)
-        expected = cross_exponent_values(grid.times, pos[:61], pos[61:], 1)
-        monkeypatch.setattr(exponents, "_WORKERS", 8)
-        assert len(exponents._layout(61, 128, 8)) == 8
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for _ in range(10):
-                assert np.array_equal(cross_exponent_values(grid.times, pos[:61], pos[61:], 1),
-                                      expected)
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_layout_bounds(self):
-        for B, n, workers in itertools.product((0, 1, 2, 3, 5, 7, 8, 15, 16, 23, 61, 244, 1000),
-                                               (32, 128, 256, 512), (1, 2, 3, 8, 64)):
-            ranges = exponents._layout(B, n, workers)
-            assert 1 <= len(ranges) <= workers
-            assert [r[0] for r in ranges[1:]] == [r[-1] for r in ranges[:-1]]
-            assert (ranges[0][0], ranges[-1][-1]) == (0, B)
-            blocks = [np.diff(r) for r in ranges]
-            if B >= exponents._MIN_BLOCK_SAMPLES:
-                assert min(b.min() for b in blocks) >= exponents._MIN_BLOCK_SAMPLES
-            if B >= 2:
-                assert min(b.min() for b in blocks) >= 2  # no 1-sample block
-            if len(ranges) > 1:
-                assert sum(b.max() for b in blocks) * n * n <= exponents._BUFFER_ELEMENTS
-
-    @pytest.mark.parametrize("moment, alpha", [(sko_moment, 2.0), (sko_moment, 1.5),
-                                               (strat_moment, 2.0)])
-    def test_fk_samples_independent_of_workers(self, moment, alpha, monkeypatch):
-        pm = ModelParams(alpha=alpha, d=1, t_horizon=0.7)
-        samples = []
-        for workers in (1, 2):
-            monkeypatch.setattr(exponents, "_WORKERS", workers)
-            est = moment(2, pm, 40, grid_steps=64, rng=48, keep_samples=True)
-            samples.append(est.samples)
-        assert np.array_equal(samples[0], samples[1])
-
-    def test_helper_exception_surfaces(self, monkeypatch):
-        grid = TimeGrid.uniform(1.0, 256)
-        pos = sample_path_batch(2.0, 1, grid, 0.0, RngStream(49, 0), 122)
-        monkeypatch.setattr(exponents, "_WORKERS", 1)
-        expected = cross_exponent_values(grid.times, pos[:61], pos[61:], 1)
-        monkeypatch.setattr(exponents, "_WORKERS", 2)
-        band_sum = exponents._band_sum
-
-        def failing(*args):
-            if threading.current_thread() is not threading.main_thread():
-                raise RuntimeError("helper range failed")
-            return band_sum(*args)
-
-        monkeypatch.setattr(exponents, "_band_sum", failing)
-        with pytest.raises(RuntimeError, match="helper range failed"):
-            cross_exponent_values(grid.times, pos[:61], pos[61:], 1)
-        pool = exponents._POOL
-        monkeypatch.setattr(exponents, "_band_sum", band_sum)
-        assert np.array_equal(cross_exponent_values(grid.times, pos[:61], pos[61:], 1), expected)
-        assert exponents._POOL is pool
-
-    def test_error_state_reaches_helpers(self, monkeypatch):
-        # only the helper's range meets inf - inf, an invalid operation
-        grid = TimeGrid.uniform(1.0, 256)
-        pos = sample_path_batch(2.0, 1, grid, 0.0, RngStream(50, 0), 122)
-        pos[31:61] = pos[61 + 31:] = np.inf
-        monkeypatch.setattr(exponents, "_WORKERS", 2)
-        assert exponents._layout(61, 256, 2)[1][0] <= 31
-        with np.errstate(invalid="ignore"):
-            values = cross_exponent_values(grid.times, pos[:61], pos[61:], 1)
-        assert np.isfinite(values[:31]).all() and np.isnan(values[31:]).all()
-        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
-            cross_exponent_values(grid.times, pos[:61], pos[61:], 1)
+            expected = values(pos[:B], pos[B:])
+            for workers in (2, 3, 8):
+                ranges = max(1, min(workers, B // exponents._MIN_BLOCK_SAMPLES))
+                bounds = [B * k // ranges for k in range(ranges + 1)]
+                with ThreadPoolExecutor(max_workers=ranges) as pool:
+                    parts = list(pool.map(lambda a, b: values(pos[a:b], pos[B + a:B + b]),
+                                          bounds[:-1], bounds[1:]))
+                assert np.array_equal(np.concatenate(parts), expected), (B, workers)
 
 
 class TestBatchShapes:

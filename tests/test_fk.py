@@ -1,10 +1,14 @@
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from sfheat import fk
 from sfheat.chaos import chaos_second_moment, chaos_term, series_term_bound
 from sfheat.errors import RegimeError
 from sfheat.exponents import MollifierParams, deterministic_bound
@@ -80,21 +84,60 @@ _REALS = {
     "increment_dt": (lambda v: sample_increment(1.5, 1, v, 0), False),
     "subordinator_dt": (lambda v: sample_subordinator_increment(1.5, v, 0), False),
     "gaussian_bump_width": (lambda v: InitialCondition.gaussian_bump(1.0, v).params[1], True),
+    "constant_value": (lambda v: InitialCondition.constant(v).params[0], True),
+    "gaussian_bump_amplitude": (lambda v: InitialCondition.gaussian_bump(v, 1.0).params[0], True),
+    "cosine_frequency": (lambda v: InitialCondition.cosine(v).params[0], True),
 }
+# the entries whose rule is finite, not positive: zero and negative values pass
+_ANY_SIGN = ("constant_value", "gaussian_bump_amplitude", "cosine_frequency")
 
 
 @pytest.mark.parametrize("name", list(_REALS))
 def test_reals_are_checked_at_the_boundary(name):
     # one rule: a value equal to its own float() passes as that float, and a
-    # string, None, 0, a negative, nan or inf is a ValueError
+    # string, None, 0, a negative, nan or inf is a ValueError; where any sign
+    # is legal, 0 and a negative pass too
     call, stores = _REALS[name]
+    any_sign = name in _ANY_SIGN
     for bad in (0, -1.0, math.nan, math.inf, -math.inf, "1", None):
-        if name == "increment_dt" and bad == 0:
+        if (name == "increment_dt" or any_sign) and bad == 0:
             continue  # the documented zero increment (tests/test_paths.py)
-        with pytest.raises(ValueError, match="must be positive and finite"):
+        if any_sign and bad == -1.0:
+            continue
+        with pytest.raises(ValueError, match="must be finite" if any_sign
+                           else "must be positive and finite"):
             call(bad)
-    carried = call(1)
-    assert not stores or (type(carried) is float and carried == 1.0)
+    for good in (1, 0, -1) if any_sign else (1,):
+        carried = call(good)
+        assert not stores or (type(carried) is float and carried == good)
+
+
+@pytest.mark.parametrize("call", [lambda v: ModelParams(v), lambda v: chaos_term(1, v, 1, 1.0),
+                                  lambda v: sample_increment(v, 1, 0.1, 0),
+                                  lambda v: sample_subordinator_increment(v, 0.1, 0)],
+                         ids=["model", "chaos_term", "increment", "subordinator"])
+def test_alpha_is_checked_at_the_boundary(call):
+    # a bool, a string or None is no alpha, where a numpy float is one
+    for bad in (True, "1.5", None, np.bool_(True)):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            call(bad)
+    call(np.float64(1.5))
+
+
+def test_subordinator_keeps_its_open_interval():
+    for bad in (2.0, 2):
+        with pytest.raises(ValueError, match=r"subordination requires alpha in \(0, 2\)"):
+            sample_subordinator_increment(bad, 0.1, 0)
+
+
+def test_d_is_checked_at_the_boundary():
+    # an integral real of at least 1 passes as an int, and sizes the point
+    for bad in (True, "1", 1.5, 0, math.inf, math.nan, None):
+        with pytest.raises(ValueError, match="d must be a positive integer"):
+            ModelParams(2.0, d=bad)
+    for good in (np.int64(2), 2.0):
+        pm = ModelParams(2.0, d=good)
+        assert type(pm.d) is int and pm.d == 2 and pm.x_point.shape == (2,)
 
 
 def test_existence_gate_is_one_rule():
@@ -248,3 +291,135 @@ class TestSkoMeanExact:
         exact = w / math.sqrt(w * w + t) * math.exp(-0.3 ** 2 / (2 * (w * w + t)))
         assert sko_mean_exact(pm) == pytest.approx(exact, abs=1e-8)
 
+
+
+@pytest.fixture
+def set_workers(monkeypatch):
+    """Sets fk._WORKERS and gives each setting a pool of its own size, so
+    that as many helper threads really run; the pools are shut down after
+    the test."""
+    pools = []
+
+    def set_to(workers):
+        pools.append(ThreadPoolExecutor(max_workers=max(1, workers - 1)))
+        monkeypatch.setattr(fk, "_WORKERS", workers)
+        monkeypatch.setattr(fk, "_POOL", pools[-1])
+
+    yield set_to
+    for pool in pools:
+        pool.shutdown(wait=True)
+
+
+# 271 samples of 256 steps are nine 30-sample batches and one of a single sample
+_BATCHED = dict(n_samples=271, grid_steps=256)
+_MOLL = MollifierParams(0.1, 1.0 / 64)
+
+
+class TestParallelBatches:
+    @pytest.mark.parametrize("moment, pm, kwargs", [
+        (sko_moment, ModelParams(2.0, t_horizon=0.7), _BATCHED),
+        (sko_moment, ModelParams(1.5, t_horizon=0.7), _BATCHED),
+        (sko_moment, ModelParams(2.0, d=3, t_horizon=0.7), _BATCHED),
+        (strat_moment, ModelParams(2.0, t_horizon=0.7), _BATCHED),
+        # 15-sample batches at 128 steps: four batches
+        (strat_moment, ModelParams(2.0, t_horizon=0.5),
+         dict(n_samples=50, grid_steps=128, moll=_MOLL)),
+    ], ids=["sko-2.0", "sko-1.5", "sko-2.0-d3", "strat-2.0", "strat-mollified"])
+    def test_samples_independent_of_workers(self, moment, pm, kwargs, set_workers):
+        p = 1 if "moll" in kwargs else 2
+        samples = []
+        for workers in (1, 2, 3, 8):
+            set_workers(workers)
+            samples.append(moment(p, pm, rng=48, keep_samples=True, **kwargs).samples)
+        assert all(np.array_equal(samples[0], s) for s in samples[1:])
+
+    def test_stress_more_workers_than_cores(self, set_workers, monkeypatch):
+        # eight threads on 10 batches, the interpreter switching threads every 10 us
+        set_workers(1)
+        expected = sko_moment(2, PM, rng=51, keep_samples=True, **_BATCHED).samples
+        set_workers(8)
+        sample_path_batch, threads = fk.sample_path_batch, set()
+
+        def recorded(*args):
+            threads.add(threading.get_ident())
+            return sample_path_batch(*args)
+
+        monkeypatch.setattr(fk, "sample_path_batch", recorded)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(5):
+                est = sko_moment(2, PM, rng=51, keep_samples=True, **_BATCHED)
+                assert np.array_equal(est.samples, expected)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threads) > 1  # helpers took batches
+
+    def test_helper_exception_surfaces(self, set_workers, monkeypatch):
+        set_workers(2)
+        expected = sko_moment(2, PM, rng=49, keep_samples=True, **_BATCHED).samples
+        pool = fk._POOL
+        cross = fk.cross_exponent_values
+        failed = threading.Event()
+        on_caller = []
+
+        def failing(*args):
+            on_caller.append(threading.current_thread() is threading.main_thread())
+            if not on_caller[-1]:
+                failed.set()
+                raise RuntimeError("helper batch failed")
+            assert failed.wait(timeout=60)  # the caller's batch ends after the failure
+            return cross(*args)
+
+        monkeypatch.setattr(fk, "cross_exponent_values", failing)
+        with pytest.raises(RuntimeError, match="helper batch failed"):
+            sko_moment(2, PM, rng=49, **_BATCHED)
+        assert sorted(on_caller) == [False, True]  # no batch was taken after the failure
+        monkeypatch.setattr(fk, "cross_exponent_values", cross)
+        assert np.array_equal(sko_moment(2, PM, rng=49, keep_samples=True, **_BATCHED).samples,
+                              expected)
+        assert fk._POOL is pool
+
+    def test_error_state_reaches_helpers(self, set_workers, monkeypatch):
+        # the helper's batches meet inf - inf, an invalid operation; the
+        # caller's first batch waits until a helper has drawn one
+        set_workers(2)
+        sample_path_batch = fk.sample_path_batch
+        helper_drew = threading.Event()
+        helper_starts = []
+
+        def inf_on_helpers(alpha, d, grid, x0, streams, n_paths):
+            pos = sample_path_batch(alpha, d, grid, x0, streams, n_paths)
+            if threading.current_thread() is threading.main_thread():
+                assert helper_drew.wait(timeout=60)
+            else:
+                helper_starts.append(streams[0].stream_index)
+                pos[:] = np.inf
+                helper_drew.set()
+            return pos
+
+        monkeypatch.setattr(fk, "sample_path_batch", inf_on_helpers)
+        with np.errstate(invalid="ignore"):
+            samples = sko_moment(2, PM, rng=50, keep_samples=True, **_BATCHED).samples
+        on_helpers = np.zeros(len(samples), dtype=bool)
+        for start in helper_starts:
+            on_helpers[start:start + 30] = True
+        assert np.isnan(samples[on_helpers]).all() and np.isfinite(samples[~on_helpers]).all()
+        helper_drew.clear()
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            sko_moment(2, PM, rng=50, **_BATCHED)
+
+    def test_peak_memory_at_two_workers(self, set_workers):
+        # two 30-sample batches of 256 steps in flight; the same call read a
+        # 4.45e6 peak when the threads split each 61-sample batch's pair
+        # quadrature, and 5.73e6 with whole 61-sample batches per thread
+        set_workers(2)
+        pm = ModelParams(2.0)
+        sko_moment(2, pm, 244, grid_steps=256)  # pool, grid cache and imports
+        tracemalloc.start()
+        try:
+            sko_moment(2, pm, 244, grid_steps=256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.4e6
