@@ -76,12 +76,12 @@ def holder_exponents(alpha):
 def existence_check(alpha, d) -> ExistenceReport:
     """Classify (alpha, d) by the three proof conditions; their conjunction
     is equivalent to d < 2 + alpha."""
-    _require_alpha_d(alpha, d)
+    d = _require_alpha_d(alpha, d)
     p, q = holder_exponents(alpha)
     c1 = d < 2.0 * q
     c2 = d < 4.0 * p * q * alpha / (4.0 * q + p * alpha)
     c3 = d < p * alpha / 2.0
-    return ExistenceReport(alpha=alpha, d=int(d), p_choice=p, q_choice=q,
+    return ExistenceReport(alpha=alpha, d=d, p_choice=p, q_choice=q,
                            cond_d_lt_2q=c1, cond_d_lt_4pqa=c2, cond_d_lt_pa2=c3,
                            exists=c1 and c2 and c3)
 

@@ -4,8 +4,9 @@ Configuration can come from a flat key=value file (--config) with explicit
 flags taking precedence; every run emits a JSON RunRecord embedding the fully
 resolved configuration, so re-running a record's config reproduces its
 results bit-for-bit.  The record's meta block says what produced it: the
-sfheat, numpy and scipy versions and the cores the Feynman-Kac batches run
-on (``fk._WORKERS``); none of it enters ``record_fingerprint``.  Exit codes:
+sfheat, numpy and scipy versions and the cores every ensemble runs on
+(``fk._WORKERS``: Feynman-Kac batches, solver realizations and the validate
+suite's path chunks); none of it enters ``record_fingerprint``.  Exit codes:
 0 success, 2 configuration problem or unsupported route, 3 regime violation
 (a validity condition was broken), 4 numerical failure.
 """
@@ -222,7 +223,7 @@ def cmd_moment(cfg):
               "sko": fk.sko_moment, "skorohod": fk.sko_moment}[cfg["flavor"]]
     est = moment(cfg["p"], params, cfg["n_samples"], grid_steps=cfg["grid_steps"],
                  rng=RngStream(cfg["seed"]), moll=_mollifier(cfg), keep_samples=keep)
-    if keep and est.samples is not None:
+    if keep:
         with open(cfg["samples_csv"], "w") as fh:
             fh.write("sample_index,value\n")
             for i, v in enumerate(est.samples):
@@ -241,27 +242,21 @@ def cmd_check(cfg):
 
 def cmd_solve(cfg):
     params = _model_params({**cfg, "x": "0", "d": 1})
-    grid = solver.TorusGrid.default(params.t_horizon)
-    half_length = grid.half_length if cfg["half_length"] is None else cfg["half_length"]
-    grid = dataclasses.replace(grid, n_space=cfg["n_space"], n_time=cfg["n_time"],
-                               half_length=half_length)
-    if cfg["snapshot_times"] is None:
-        times = [params.t_horizon]
-    else:
+    grid = solver.TorusGrid.default(params.t_horizon, cfg["n_space"], cfg["n_time"])
+    if cfg["half_length"] is not None:
+        grid = dataclasses.replace(grid, half_length=cfg["half_length"])
+    times = [params.t_horizon]
+    if cfg["snapshot_times"] is not None:
         entries = cfg["snapshot_times"].split(",")
         if not all(v.strip() for v in entries):
             raise ConfigError(f"snapshot times must be a comma-separated list of times, "
                               f"got {cfg['snapshot_times']!r}")
-        times = [float(v) for v in entries]
-    outside = [s for s in times if not 0.0 < s <= params.t_horizon]
-    if outside:
-        raise ConfigError(f"snapshot times must lie in (0, t = {params.t_horizon}], got {outside}")
+        times = solver._require_snapshot_times([float(v) for v in entries], params.t_horizon)
     rng = RngStream(cfg["seed"])
     est = solver.ensemble_moment(grid, params, cfg["epsilon"], cfg["p"],
                                  cfg["n_realizations"], rng=rng)
     if cfg["snapshot_csv"]:
-        sampler = solver.NoiseSlabSampler(grid, cfg["epsilon"])
-        noise = sampler.sample(rng.substream(0))
+        noise = solver.NoiseSlabSampler(grid, cfg["epsilon"]).sample(rng.substream(0))
         _, shots = solver.evolve(grid, params, noise, snapshot_times=times)
         with open(cfg["snapshot_csv"], "w") as fh:
             solver.snapshot_csv(fh, shots, grid)

@@ -52,6 +52,7 @@ instead of the divergent exact integral) and emits DivergentExponentWarning.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -119,18 +120,12 @@ def _heat_K2(a):
 
 
 # ---------------------------------------------------------------------------
-# grid-dependent constants, cached per (times, d)
+# grid-dependent constants, cached per (times.tobytes(), d), 32 pairs at most
 # ---------------------------------------------------------------------------
 
-_GRID_CACHE = {}
-_GRID_CACHE_MAX = 32
-
-
-def _grid_tables(times, d):
-    key = (times.tobytes(), d)
-    hit = _GRID_CACHE.get(key)
-    if hit is not None:
-        return hit
+@functools.lru_cache(maxsize=32)
+def _grid_tables(key, d):
+    times = np.frombuffer(key)
     h = np.diff(times)
     n = len(h)
     mids = times[:-1] + 0.5 * h
@@ -140,11 +135,7 @@ def _grid_tables(times, d):
     with np.errstate(divide="ignore"):
         p0 = np.where(offband, (2.0 * np.pi * np.where(offband, tau, 1.0)) ** (-d / 2.0) * area, 0.0)
         inv2tau = np.where(offband, 0.5 / np.where(offband, tau, 1.0), 0.0)
-    tables = (h, p0, inv2tau)
-    if len(_GRID_CACHE) >= _GRID_CACHE_MAX:
-        _GRID_CACHE.clear()
-    _GRID_CACHE[key] = tables
-    return tables
+    return h, p0, inv2tau
 
 
 # float64 cells per block of the off-band pass (1 MB, half of a 2 MB per-core
@@ -274,13 +265,13 @@ def cross_exponent_values(times, pos_a, pos_b, d):
     doubles (1 MB), then the band cells.  Each block gets the same exact
     differences, square, scale, exp and einsum as one pass over the whole
     batch would, so the values are bit-identical to that pass.  Its only
-    state is the cache of ``_grid_tables``: threads may run it side by side
-    once that cache holds their grid (``fk`` fills it before it starts any).
+    state is the thread-safe cache of ``_grid_tables``, so threads may run
+    it side by side.
     """
     pos_a, pos_b = _positions(times, pos_a, pos_b)
     if pos_a.shape[-1] != d:
         raise ValueError(f"d = {d} differs from the positions' dimension {pos_a.shape[-1]}")
-    h, p0, inv2tau = _grid_tables(times, d)
+    h, p0, inv2tau = _grid_tables(np.asarray(times, dtype=float).tobytes(), d)
     return (_offband_sum(pos_a, pos_b, p0, inv2tau, _layout(len(pos_a), len(h)))
             + _band_sum(pos_a, pos_b, h, d))
 

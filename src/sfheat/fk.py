@@ -24,14 +24,15 @@ built on ``params.t_horizon``: ``grid_steps`` uniform steps, or
 batches of 2e6 / n^2 (n grid steps; an eighth of that when mollified),
 whatever the core count.  One ``sample_path_batch`` call takes a batch's
 streams and fills one block of draws, its pair exponents follow, and its
-weights fill its slice of the result.  Whole batches run on the cores of the
-affinity mask (``_run_batches``): the calling thread and ``_WORKERS - 1``
-pool helpers each take the next batch until none is left, so about
-``_WORKERS`` batches are held in memory at once.  A batch's values do not
-depend on the thread that ran it, so they are the same for any core count.
-They depend on the batch at rounding level only: einsum's summation order
-changes for a batch of one sample, and the mollified route's xi nodes follow
-the batch's largest path separation.
+weights fill its slice of the result.  ``_sample_values`` runs every
+ensemble of the package (these moments, ``solver.ensemble_moment`` and the
+``validate`` bound check), and its ``_POOL`` is the package's one thread
+source: the calling thread and ``_WORKERS - 1`` helpers each take the next
+batch until none is left, so about ``_WORKERS`` batches are held in memory
+at once.  A batch's values do not depend on the thread that ran it, so they
+are the same for any core count.  They depend on the batch at rounding level
+only: einsum's summation order changes for a batch of one sample, and the
+mollified route's xi nodes follow the batch's largest path separation.
 """
 
 from __future__ import annotations
@@ -46,14 +47,13 @@ import numpy as np
 
 from .errors import RegimeError
 from .chaos import _require_existence
-from .exponents import (MollifierParams, _grid_tables, cross_exponent_values,
-                        mollified_inner_values)
+from .exponents import MollifierParams, cross_exponent_values, mollified_inner_values
 from .kernels import stable_kernel
 from .params import ModelParams, _require_count
 from .paths import TimeGrid, _require_stream, sample_path_batch
 
-# threads that run the batches of one moment call, the calling thread
-# included; the pool starts its helpers on the first call with two batches
+# threads that run the batches of one ensemble, the calling thread included;
+# the pool starts its helpers on the first call with two batches
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _POOL = ThreadPoolExecutor(max_workers=max(1, _WORKERS - 1), thread_name_prefix="sfheat-batches")
@@ -91,13 +91,15 @@ def _pair_exponents(times, pos, p, moll, include_diag):
     return expo
 
 
-def _run_batches(run, n_batches):
-    """run(k) for k in range(n_batches) on the calling thread and up to
-    _WORKERS - 1 pool helpers, which run under the caller's numpy error state.
-    Each thread takes the next k from one counter under a lock, so a slow
-    thread takes fewer batches, and a failed batch stops every thread from
-    taking another; the caller waits for every helper, then re-raises the
-    first helper error."""
+def _sample_values(n, batch, rng, values):
+    """The (n,) array of ``values(streams)`` over consecutive ``batch``-long
+    batches of the streams ``rng.substream(i)``, on the calling thread and up
+    to _WORKERS - 1 pool helpers under the caller's numpy error state.  Each
+    thread takes the next batch from one counter under a lock; a failed batch
+    stops every thread from taking another, and the caller re-raises the
+    first helper error once every helper is done.  One batch starts no thread."""
+    out = np.empty(n)
+    n_batches = -(-n // batch)
     taken = 0
     lock = threading.Lock()
     err = np.geterr()  # numpy's error state does not reach other threads
@@ -110,8 +112,9 @@ def _run_batches(run, n_batches):
                     k, taken = taken, taken + 1
                 if k >= n_batches:
                     return
+                start, stop = k * batch, min((k + 1) * batch, n)
                 try:
-                    run(k)
+                    out[start:stop] = values([rng.substream(i) for i in range(start, stop)])
                 except BaseException:
                     with lock:
                         taken = n_batches
@@ -124,31 +127,25 @@ def _run_batches(run, n_batches):
         wait(helpers)
     for future in helpers:
         future.result()
+    return out
 
 
 def _moment_samples(p, params: ModelParams, n_samples, grid, rng, flavor, moll):
     """Per-sample integrand values, in sample-index order."""
     times = grid.times
     batch = max(1, 2_000_000 // grid.n_steps ** 2)
-    if moll is None:
-        _grid_tables(times, params.d)  # the threads then only read the shared cache
-    else:
+    if moll is not None:
         # bounds the (B, n, xi nodes) temporaries held per batch
         batch = max(1, batch // 8)
-    out = np.empty(n_samples)
     include_diag = flavor == "stratonovich"
 
-    def run(k):
-        start, stop = k * batch, min((k + 1) * batch, n_samples)
-        streams = [rng.substream(i) for i in range(start, stop)]
+    def weights(streams):
         pos = sample_path_batch(params.alpha, params.d, grid, 0.0, streams, p).reshape(
-            stop - start, p, len(times), params.d)
+            len(streams), p, len(times), params.d)
         expo = _pair_exponents(times, pos, p, moll, include_diag)
-        u0_prod = np.prod(params.u0(pos[:, :, -1, :] + params.x_point), axis=1)
-        out[start:stop] = u0_prod * np.exp(expo)
+        return np.prod(params.u0(pos[:, :, -1, :] + params.x_point), axis=1) * np.exp(expo)
 
-    _run_batches(run, -(-n_samples // batch))
-    return out
+    return _sample_values(n_samples, batch, rng, weights)
 
 
 def _weight_diagnostics(values):

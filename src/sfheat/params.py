@@ -88,12 +88,18 @@ def parse_u0(text):
 
 
 def _require_alpha_d(alpha, d):
-    """alpha must be a real in (0, 2] and d an integral real >= 1; a bool or a string is neither."""
-    real = [isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (alpha, d)]
-    if not real[0] or not 0.0 < alpha <= 2.0:
+    """alpha must be a real in (0, 2], not a bool or a string; returns ``_require_d(d)``."""
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha must lie in (0, 2], got {alpha!r}")
-    if not real[1] or not (d >= 1 and float(d).is_integer()):
+    return _require_d(d)
+
+
+def _require_d(d):
+    """d as an int: an integral real of at least 1, not a bool or a string."""
+    if (isinstance(d, bool) or not isinstance(d, numbers.Real)
+            or not (d >= 1 and float(d).is_integer())):
         raise ValueError(f"d must be a positive integer, got {d!r}")
+    return int(d)
 
 
 def _require_count(value, name, floor, why=""):
@@ -138,8 +144,7 @@ class ModelParams:
     u0: InitialCondition = field(default_factory=InitialCondition.constant)
 
     def __post_init__(self):
-        _require_alpha_d(self.alpha, self.d)
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", _require_alpha_d(self.alpha, self.d))
         object.__setattr__(self, "t_horizon", _require_positive(self.t_horizon, "t_horizon"))
         x = np.zeros(self.d) if self.x_point is None else np.atleast_1d(np.asarray(self.x_point, float))
         if x.shape != (self.d,):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import C_ALPHA, _require_alpha_d, _require_count, _require_positive
+from .params import C_ALPHA, _require_alpha_d, _require_count, _require_d, _require_positive
 
 DEFAULT_STEPS_PER_UNIT = 256
 
@@ -172,7 +172,7 @@ def _generators(rngs):
 
 def constant_path(grid, x0=0.0, d=1):
     """Path frozen at x0; the worst case for the exponent quadrature."""
-    x0 = np.broadcast_to(np.atleast_1d(np.asarray(x0, float)), (d,))
+    x0 = np.broadcast_to(np.atleast_1d(np.asarray(x0, float)), (_require_d(d),))
     return Path(grid, np.tile(x0, (len(grid.times), 1)))
 
 
@@ -242,7 +242,7 @@ def sample_subordinator_increment(alpha, dt, rng, size=None):
 def sample_increment(alpha, d, dt, rng, size=None):
     """One (or ``size``) increments with characteristic function exp(-dt |xi|^alpha / 2)."""
     dt = 0.0 if dt == 0 else _require_positive(dt, "dt")  # dt = 0 is the zero increment
-    _require_alpha_d(alpha, d)
+    d = _require_alpha_d(alpha, d)
     rng = _require_stream(rng)  # also where dt = 0 draws nothing
     shape = () if size is None else (_require_count(size, "size", 1),)
     if dt == 0:
@@ -268,8 +268,12 @@ def sample_path_batch(alpha, d, grid: TimeGrid, x0, rng, n_paths):
     single-stream order (Kanter uniforms, exponentials, then normals), and
     one transform and one cumulative sum turn the block into positions.
     """
+    d = _require_alpha_d(alpha, d)
+    n_paths = _require_count(n_paths, "n_paths", 1)
     rngs = rng if isinstance(rng, (list, tuple)) else [rng]
     x0 = np.broadcast_to(np.atleast_1d(np.asarray(x0, float)), (d,))
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {x0}")
     dts = np.diff(grid.times)
     n = len(dts)
     draws = _draws(_generators(rngs), alpha, (len(rngs), n_paths, n), d)

@@ -27,11 +27,12 @@ symmetric under k -> n - k.  Cost is O(aliases * n_time * n_space) per
 realization, with no covariance matrix and no factorization.
 
 Smooth-noise ordinary-product solutions carry Stratonovich statistics, so
-ensembles here cross-validate the matched mollified Feynman-Kac estimators.
+ensembles here cross-validate the matched mollified Feynman-Kac estimators;
+their realizations run in blocks on every core through ``fk._sample_values``.
 d = 1 only: it is the single regime where that target exists.
-``evolve`` and ``ensemble_moment`` (before it draws any noise) reject a
-grid whose horizon is not ``params.t_horizon``, and ``ensemble_moment``,
-which reads u at x = 0, any other ``params.x_point``.
+``evolve`` and ``ensemble_moment`` (before it draws noise) reject a grid
+whose horizon is not ``params.t_horizon``, ``evolve`` a snapshot time
+outside (0, t], and ``ensemble_moment`` (read at x = 0) a nonzero x_point.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from .field import _factorize  # noqa: F401  # perfbench/spans.py patches this attribute by name
 from .errors import RegimeError
-from .fk import MomentEstimate, _finalize
+from .fk import MomentEstimate, _finalize, _sample_values
 from .params import C_ALPHA, ModelParams, _require_count, _require_positive
 from .paths import _generators, _require_stream
 
@@ -51,7 +52,7 @@ from .paths import _generators, _require_stream
 # term are dropped: weight ratio exp(-eps dkappa^2) <= machine epsilon
 _LOG_RESOLUTION = -math.log(np.finfo(float).eps)
 
-# realizations per ensemble block: noise values held at once, as in
+# noise values per ensemble block, held at once by each thread, as in
 # fk._moment_samples; values do not depend on it
 _BLOCK_ELEMENTS = 250_000
 
@@ -217,13 +218,21 @@ def _require_horizon(grid: TorusGrid, params: ModelParams):
                          f"t = {params.t_horizon}")
 
 
+def _require_snapshot_times(times, t_horizon):
+    """The sequence ``times`` sorted; each must lie in (0, t_horizon]."""
+    outside = [s for s in times if not 0.0 < s <= t_horizon]
+    if outside:
+        raise ValueError(f"snapshot times must lie in (0, t = {t_horizon}], got {outside}")
+    return sorted(times)
+
+
 def evolve(grid: TorusGrid, params: ModelParams, noise, snapshot_times=()):
     """Run the splitting integrator across all slabs of the noise.
 
     ``noise`` is one (n_time, n_space) realization or a (batch, n_time,
     n_space) block; the state then has shape (batch, n_space).  Returns the
     final state and a list of (time, values) snapshots taken at the first
-    slab boundary at or after each requested time.
+    slab boundary at or after each requested time, all in (0, t_horizon].
 
     Consecutive Strang half-steps are merged: the state stays spectral
     between slabs, each slab is one irfft, the pointwise factor
@@ -233,6 +242,7 @@ def evolve(grid: TorusGrid, params: ModelParams, noise, snapshot_times=()):
     per slab instead of four.
     """
     _require_horizon(grid, params)
+    wanted = _require_snapshot_times(snapshot_times, grid.t_horizon)
     noise = np.asarray(noise, dtype=float)
     n = grid.n_space
     if noise.shape[-2:] != (grid.n_time, n):
@@ -244,7 +254,6 @@ def evolve(grid: TorusGrid, params: ModelParams, noise, snapshot_times=()):
     full = half * half
     spectrum = np.fft.rfft(np.broadcast_to(u0, noise.shape[:-2] + u0.shape)) * half
     factor = np.empty(noise.shape[:-2] + (n,))
-    wanted = sorted(snapshot_times)
     shots = []
     t = 0.0
     for i in range(grid.n_time):
@@ -268,7 +277,7 @@ def ensemble_moment(grid: TorusGrid, params: ModelParams, epsilon, p,
 
     Realization r draws its noise from ``rng.substream(r)``; realizations
     run in blocks of about _BLOCK_ELEMENTS noise values, and the estimate is
-    the same for any block size.
+    the same for any block size and any core count.
 
     ``epsilon`` is the spatial mollifier scale; the time width is pinned to
     the solver step (the piecewise-constant slabs realize the time window
@@ -286,12 +295,12 @@ def ensemble_moment(grid: TorusGrid, params: ModelParams, epsilon, p,
     sampler = NoiseSlabSampler(grid, epsilon)
     center = grid.n_space // 2  # x = 0 lies on the grid by construction
     block = max(1, _BLOCK_ELEMENTS // (grid.n_time * grid.n_space))
-    vals = np.empty(n_realizations)
-    for start in range(0, n_realizations, block):
-        stop = min(start + block, n_realizations)
-        noise = sampler.sample([rng.substream(r) for r in range(start, stop)])
-        state, _ = evolve(grid, params, noise)
-        vals[start:stop] = state.values[:, center] ** p
+
+    def values(streams):
+        state, _ = evolve(grid, params, sampler.sample(streams))
+        return state.values[:, center] ** p
+
+    vals = _sample_values(n_realizations, block, rng, values)
     return _finalize(vals, p, "direct", rng.master_seed, grid.n_time, keep_samples=False)
 
 

@@ -138,14 +138,12 @@ def check_constant_path_oracle():
 def check_pathwise_bound(n_paths=1000):
     grid = TimeGrid.uniform(1.0, 128)
     bound = exponents.deterministic_bound(1.0, 1)
-    worst = -np.inf
-    chunk = 200
-    for start in range(0, n_paths, chunk):
-        m = min(chunk, n_paths - start)
-        pos = sample_path_batch(2.0, 1, grid, 0.0,
-                                [RngStream(31, start + i) for i in range(m)], 1)
-        vals = exponents.cross_exponent_values(grid.times, pos, pos, 1)
-        worst = max(worst, float(vals.max()))
+
+    def self_exponents(streams):
+        pos = sample_path_batch(2.0, 1, grid, 0.0, streams, 1)
+        return exponents.cross_exponent_values(grid.times, pos, pos, 1)
+
+    worst = float(fk._sample_values(n_paths, 200, RngStream(31), self_exponents).max())
     return worst <= bound, worst, bound, (
         f"self exponent never exceeds the deterministic bound over {n_paths} paths")
 

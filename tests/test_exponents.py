@@ -194,7 +194,7 @@ class TestCrossExponent:
 def _one_shot_offband(times, pa, pb, d):
     """Test-only oracle: the off-band sum as one pass over the whole batch,
     holding one (B, n, n) array."""
-    h, p0, inv2tau = exponents._grid_tables(times, d)
+    h, p0, inv2tau = exponents._grid_tables(times.tobytes(), d)
     n = len(h)
     d2 = pa[:, :n, None, 0] - pb[:, None, :n, 0]
     np.multiply(d2, d2, out=d2)
@@ -216,7 +216,7 @@ class TestBlockedOffBand:
         for B in (block - 1, block + 3, 2 * block + 5):
             pos = sample_path_batch(2.0, d, grid, 0.0, RngStream(45, 10 * n + d), 2 * B)
             pa, pb = pos[:B], pos[B:]
-            _, p0, inv2tau = exponents._grid_tables(grid.times, d)
+            _, p0, inv2tau = exponents._grid_tables(grid.times.tobytes(), d)
             bounds = exponents._layout(B, n)
             assert np.array_equal(exponents._offband_sum(pa, pb, p0, inv2tau, bounds),
                                   _one_shot_offband(grid.times, pa, pb, d)), B
@@ -227,7 +227,7 @@ class TestBlockedOffBand:
         # every block size from the floor up, in even and remainder-spread layouts
         grid = TimeGrid.uniform(1.0, n)
         pos = sample_path_batch(2.0, d, grid, 0.0, RngStream(52, 10 * n + d), 34)
-        _, p0, inv2tau = exponents._grid_tables(grid.times, d)
+        _, p0, inv2tau = exponents._grid_tables(grid.times.tobytes(), d)
         for size in range(exponents._MIN_BLOCK_SAMPLES, 9):
             for B in (2 * size, 2 * size + 1):
                 pa, pb = pos[:B], pos[17:17 + B]
@@ -261,7 +261,7 @@ class TestBlockedOffBand:
             # no band cell of X_5 is inf, so one pass raises no invalid flag
             pa[1, 5] = np.inf
             pb[1, 4:7] = np.nan
-        _, p0, inv2tau = exponents._grid_tables(grid.times, 1)
+        _, p0, inv2tau = exponents._grid_tables(grid.times.tobytes(), 1)
 
         def blocked():
             return exponents._offband_sum(pa, pb, p0, inv2tau, [0, 2, 4])
@@ -287,14 +287,14 @@ class TestBlockedOffBand:
         # a multi-threaded BLAS may split
         grid = TimeGrid.uniform(1.0, 512)
         pos = sample_path_batch(2.0, 2, grid, 0.0, RngStream(54, 0), 10)
-        _, p0, inv2tau = exponents._grid_tables(grid.times, 2)
+        _, p0, inv2tau = exponents._grid_tables(grid.times.tobytes(), 2)
         bounds = exponents._layout(5, 512)
         here = exponents._offband_sum(pos[:5], pos[5:], p0, inv2tau, bounds).tobytes().hex()
         script = ("from sfheat import exponents\n"
                   "from sfheat.paths import RngStream, TimeGrid, sample_path_batch\n"
                   "grid = TimeGrid.uniform(1.0, 512)\n"
                   "pos = sample_path_batch(2.0, 2, grid, 0.0, RngStream(54, 0), 10)\n"
-                  "_, p0, inv2tau = exponents._grid_tables(grid.times, 2)\n"
+                  "_, p0, inv2tau = exponents._grid_tables(grid.times.tobytes(), 2)\n"
                   "bounds = exponents._layout(5, 512)\n"
                   "print(exponents._offband_sum(pos[:5], pos[5:], p0, inv2tau, bounds)"
                   ".tobytes().hex())\n")

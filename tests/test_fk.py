@@ -2,25 +2,26 @@ import math
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from sfheat import fk
+from sfheat import exponents, fk
 from sfheat.chaos import chaos_second_moment, chaos_term, series_term_bound
 from sfheat.errors import RegimeError
 from sfheat.exponents import MollifierParams, deterministic_bound
 from sfheat.fk import sko_mean_exact, sko_moment, strat_moment
 from sfheat.kernels import heat_kernel, stable_kernel
 from sfheat.params import InitialCondition, ModelParams
-from sfheat.paths import TimeGrid, sample_increment, sample_subordinator_increment
+from sfheat.paths import (TimeGrid, constant_path, sample_increment, sample_path_batch,
+                          sample_subordinator_increment)
 from sfheat.solver import NoiseSlabSampler, TorusGrid, ensemble_moment
 
 PM = ModelParams(alpha=2.0, d=1, t_horizon=1.0)
 
 
+_GRID4 = TimeGrid.uniform(1.0, 4)
 _TORUS, _PM_TORUS = TorusGrid.default(0.25, n_space=16, n_time=4), ModelParams(2.0, t_horizon=0.25)
 
 
@@ -48,6 +49,7 @@ _COUNTS = {
     "n_max": (lambda k: len(chaos_second_moment(2.0, 1, 1.0, k).terms) - 1, 0),
     "increment_size": (lambda k: len(sample_increment(1.5, 1, 0.1, 0, size=k)), 1),
     "subordinator_size": (lambda k: len(sample_subordinator_increment(1.5, 0.1, 0, size=k)), 1),
+    "n_paths": (lambda k: len(sample_path_batch(1.5, 1, _GRID4, 0.0, 0, k)), 1),
     "series_bound_n": (_series_bound, 0),
 }
 
@@ -114,11 +116,13 @@ def test_reals_are_checked_at_the_boundary(name):
 
 @pytest.mark.parametrize("call", [lambda v: ModelParams(v), lambda v: chaos_term(1, v, 1, 1.0),
                                   lambda v: sample_increment(v, 1, 0.1, 0),
-                                  lambda v: sample_subordinator_increment(v, 0.1, 0)],
-                         ids=["model", "chaos_term", "increment", "subordinator"])
+                                  lambda v: sample_subordinator_increment(v, 0.1, 0),
+                                  lambda v: sample_path_batch(v, 1, _GRID4, 0.0, 0, 1)],
+                         ids=["model", "chaos_term", "increment", "subordinator", "path_batch"])
 def test_alpha_is_checked_at_the_boundary(call):
-    # a bool, a string or None is no alpha, where a numpy float is one
-    for bad in (True, "1.5", None, np.bool_(True)):
+    # a bool, a string, None or a value outside (0, 2] is no alpha, where a
+    # numpy float is one
+    for bad in (True, "1.5", None, np.bool_(True), 0, 3.0, math.nan):
         with pytest.raises(ValueError, match="alpha must lie in"):
             call(bad)
     call(np.float64(1.5))
@@ -138,6 +142,17 @@ def test_d_is_checked_at_the_boundary():
     for good in (np.int64(2), 2.0):
         pm = ModelParams(2.0, d=good)
         assert type(pm.d) is int and pm.d == 2 and pm.x_point.shape == (2,)
+    # the samplers take the same rule: d sizes their last axis, and an
+    # integral real draws what the int does
+    for call in (lambda d: sample_path_batch(1.5, d, _GRID4, 0.0, 0, 1),
+                 lambda d: sample_increment(1.5, d, 0.1, 0),
+                 lambda d: sample_increment(1.5, d, 0.0, 0),
+                 lambda d: constant_path(_GRID4, 0.0, d).positions):
+        for bad in (True, "1", 1.5, 0, math.inf, math.nan, None):
+            with pytest.raises(ValueError, match="d must be a positive integer"):
+                call(bad)
+        assert call(2).shape[-1] == 2
+        assert all(np.array_equal(call(good), call(2)) for good in (np.int64(2), 2.0))
 
 
 def test_existence_gate_is_one_rule():
@@ -293,23 +308,6 @@ class TestSkoMeanExact:
 
 
 
-@pytest.fixture
-def set_workers(monkeypatch):
-    """Sets fk._WORKERS and gives each setting a pool of its own size, so
-    that as many helper threads really run; the pools are shut down after
-    the test."""
-    pools = []
-
-    def set_to(workers):
-        pools.append(ThreadPoolExecutor(max_workers=max(1, workers - 1)))
-        monkeypatch.setattr(fk, "_WORKERS", workers)
-        monkeypatch.setattr(fk, "_POOL", pools[-1])
-
-    yield set_to
-    for pool in pools:
-        pool.shutdown(wait=True)
-
-
 # 271 samples of 256 steps are nine 30-sample batches and one of a single sample
 _BATCHED = dict(n_samples=271, grid_steps=256)
 _MOLL = MollifierParams(0.1, 1.0 / 64)
@@ -328,8 +326,10 @@ class TestParallelBatches:
     def test_samples_independent_of_workers(self, moment, pm, kwargs, set_workers):
         p = 1 if "moll" in kwargs else 2
         samples = []
-        for workers in (1, 2, 3, 8):
+        for workers, cold in ((1, False), (2, True), (2, False), (3, False), (8, False)):
             set_workers(workers)
+            if cold:  # the threads meet an empty grid-table cache
+                exponents._grid_tables.cache_clear()
             samples.append(moment(p, pm, rng=48, keep_samples=True, **kwargs).samples)
         assert all(np.array_equal(samples[0], s) for s in samples[1:])
 

@@ -81,6 +81,19 @@ def test_only_params_compares_against_infinity():
     assert not found, found
 
 
+def test_only_fk_starts_threads():
+    # one pool runs every ensemble (fk._sample_values); a second thread source
+    # elsewhere would escape its worker count, error-state and failure rules
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(pathlib.Path(sfheat.__file__).parent.glob("*.py"))
+             if path.name != "fk.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and (node.func.attr if isinstance(node.func, ast.Attribute)
+                  else getattr(node.func, "id", None)) in ("ThreadPoolExecutor", "Thread")]
+    assert not found, found
+
+
 _PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 

@@ -167,6 +167,12 @@ class TestPaths:
         with pytest.raises(ValueError):
             Path(grid, np.full((5, 1), np.nan))
 
+    @pytest.mark.parametrize("d, x0", [(1, np.nan), (2, [0.0, np.inf]), (1, -np.inf)])
+    def test_batch_start_must_be_finite(self, d, x0):
+        # alpha, d and n_paths have their rows in tests/test_fk.py's boundary tables
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            sample_path_batch(1.5, d, TimeGrid.uniform(1.0, 4), x0, RngStream(0), 1)
+
 
 # Recorded draws on the non-uniform grid below with x0 = 0.3: a path from
 # RngStream(41, 7), a batch of two from RngStream(41, 8), two increments of

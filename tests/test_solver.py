@@ -209,6 +209,14 @@ class TestStep:
         assert len(shots) == 2
         assert shots[0][0] == pytest.approx(0.25, abs=g.dt)
 
+    @pytest.mark.parametrize("times", [[0.25, 0.9, math.nan], [0.0], [-0.1, 0.25], [math.inf]],
+                             ids=["late-and-nan", "zero", "negative", "inf"])
+    def test_snapshot_times_outside_the_run_rejected(self, times):
+        # a time outside (0, t] raises; it is never dropped from the snapshots
+        g = TorusGrid.default(0.5, n_space=16, n_time=8)
+        with pytest.raises(ValueError, match=r"snapshot times must lie in \(0, t = 0.5\]"):
+            evolve(g, PM_CONST, np.zeros((g.n_time, g.n_space)), snapshot_times=times)
+
     def test_splitting_order_on_frozen_potential(self):
         # zero-noise evolution is time-exact for the spectral splitting, so
         # the Strang order is measured against a smooth deterministic field
@@ -328,11 +336,14 @@ class TestEnsembleMoment:
         b = ensemble_moment(g, PM_CONST, 0.1, 1, 20, rng=69)
         assert a.value == b.value
 
-    def test_block_size_does_not_change_values(self, monkeypatch):
+    def test_block_size_does_not_change_values(self, monkeypatch, set_workers):
+        # nor does the number of threads the blocks run on
         g = TorusGrid.default(0.5, n_space=16, n_time=16)
         ests = []
-        for per_block in (1, 7, 64):
-            monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", per_block * g.n_time * g.n_space)
-            ests.append(ensemble_moment(g, PM_BUMP, 0.1, 2, 50, rng=58))
+        for workers in (1, 2, 8):
+            set_workers(workers)
+            for per_block in (1, 7, 64):
+                monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", per_block * g.n_time * g.n_space)
+                ests.append(ensemble_moment(g, PM_BUMP, 0.1, 2, 50, rng=58))
         assert all(e.value == ests[0].value and e.std_error == ests[0].std_error
                    for e in ests)
