@@ -146,29 +146,20 @@ def _resolve(subcommand, args):
     return cfg
 
 
-def _as_jsonable(obj):
+def _jsonable(obj):
+    """``json``'s fallback: a dataclass as its ``compare=True`` fields (samples
+    go to CSV, check timings to meta), numpy data as ``tolist()``."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        out = {}
-        for f in dataclasses.fields(obj):
-            if f.name in ("samples", "seconds"):  # samples go to CSV, check timings to meta
-                continue
-            out[f.name] = _as_jsonable(getattr(obj, f.name))
-        return out
-    if isinstance(obj, np.ndarray):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.compare}
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, (list, tuple)):
-        return [_as_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _as_jsonable(v) for k, v in obj.items()}
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit_record(cfg, results, t0, out_path):
     record = {
-        "config": _as_jsonable(cfg),
-        "results": _as_jsonable(results),
+        "config": cfg,
+        "results": results,
         "meta": {"wall_time_s": time.perf_counter() - t0, "version": __version__,
                  "numpy": np.__version__, "scipy": scipy.__version__,
                  "cores": fk._WORKERS},
@@ -176,7 +167,7 @@ def _emit_record(cfg, results, t0, out_path):
     if cfg["subcommand"] == "validate":
         record["meta"]["check_seconds"] = {r.name: r.seconds for r in results}
     # strict JSON: a non-finite value raises ValueError, which main maps to exit 4
-    text = json.dumps(record, sort_keys=True, indent=2, allow_nan=False)
+    text = json.dumps(record, sort_keys=True, indent=2, allow_nan=False, default=_jsonable)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -199,11 +190,8 @@ def record_fingerprint(record):
 
 
 def _model_params(cfg):
-    d = cfg["d"]
-    x = np.array([float(v) for v in cfg["x"].split(",")]) if "x" in cfg else None
-    if x is not None and x.size == 1 and d > 1:
-        x = np.full(d, x[0])  # scalar x applies to every coordinate
-    return ModelParams(alpha=cfg["alpha"], d=d, t_horizon=cfg["t"], x_point=x,
+    x = [float(v) for v in cfg["x"].split(",")] if "x" in cfg else None
+    return ModelParams(alpha=cfg["alpha"], d=cfg.get("d", 1), t_horizon=cfg["t"], x_point=x,
                        u0=parse_u0(cfg["u0"]))
 
 
@@ -241,7 +229,7 @@ def cmd_check(cfg):
 
 
 def cmd_solve(cfg):
-    params = _model_params({**cfg, "x": "0", "d": 1})
+    params = _model_params(cfg)
     grid = solver.TorusGrid.default(params.t_horizon, cfg["n_space"], cfg["n_time"])
     if cfg["half_length"] is not None:
         grid = dataclasses.replace(grid, half_length=cfg["half_length"])

@@ -61,8 +61,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernels import _exp_time_pair_integral
-from .params import _require_positive
-from .paths import Path
+from .params import _require_d, _require_positive
+from .paths import Path, TimeGrid
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -147,16 +147,16 @@ _MIN_BLOCK_SAMPLES = 2
 
 
 def _positions(times, pos_a, pos_b):
-    """The two position batches as float arrays of one shape (B, len(times), d);
-    a 2-D array (B, len(times)) is d = 1."""
-    if len(times) < 2:
-        raise ValueError("path grid must contain at least one step")
+    """``times`` by the rule of ``TimeGrid``, and the two position batches as
+    float arrays of one shape (B, len(times), d); a 2-D array (B, len(times))
+    is d = 1."""
+    times = TimeGrid(times).times
     pos_a, pos_b = (np.asarray(pos, dtype=float) for pos in (pos_a, pos_b))
     pos_a, pos_b = (pos[..., None] if pos.ndim == 2 else pos for pos in (pos_a, pos_b))
     if pos_a.shape != pos_b.shape or pos_a.ndim != 3 or pos_a.shape[1] != len(times):
         raise ValueError(f"positions must share one shape (B, {len(times)}, d), "
                          f"got {pos_a.shape} and {pos_b.shape}")
-    return pos_a, pos_b
+    return times, pos_a, pos_b
 
 
 def _layout(B, n):
@@ -251,7 +251,7 @@ def cross_exponent_values(times, pos_a, pos_b, d):
 
     Parameters
     ----------
-    times : (n+1,) grid times
+    times : (n+1,) grid times, by the rule of ``TimeGrid``
     pos_a, pos_b : (B, n+1, d) positions of the two path ensembles; (B, n+1)
         arrays are d = 1
     d : spatial dimension, which must equal the positions' last axis
@@ -268,10 +268,10 @@ def cross_exponent_values(times, pos_a, pos_b, d):
     state is the thread-safe cache of ``_grid_tables``, so threads may run
     it side by side.
     """
-    pos_a, pos_b = _positions(times, pos_a, pos_b)
+    times, pos_a, pos_b = _positions(times, pos_a, pos_b)
     if pos_a.shape[-1] != d:
         raise ValueError(f"d = {d} differs from the positions' dimension {pos_a.shape[-1]}")
-    h, p0, inv2tau = _grid_tables(np.asarray(times, dtype=float).tobytes(), d)
+    h, p0, inv2tau = _grid_tables(times.tobytes(), d)
     return (_offband_sum(pos_a, pos_b, p0, inv2tau, _layout(len(pos_a), len(h)))
             + _band_sum(pos_a, pos_b, h, d))
 
@@ -314,7 +314,7 @@ def deterministic_bound(t, d):
     """Pathwise bound int int (2 pi |s-r|)^{-d/2}: (8/3)(2 pi)^{-1/2} t^{3/2} for
     d = 1, infinite for d >= 2 (finiteness holds iff d = 1)."""
     t = _require_positive(t, "t")
-    if d == 1:
+    if _require_d(d) == 1:
         return (8.0 / 3.0) / SQRT_2PI * t ** 1.5
     return math.inf
 
@@ -452,7 +452,7 @@ def mollified_inner_values(times, pos_a, pos_b, moll: MollifierParams):
     Only d = 1 is supported, and positions of any other d raise
     NotImplementedError.
     """
-    pos_a, pos_b = _positions(times, pos_a, pos_b)
+    times, pos_a, pos_b = _positions(times, pos_a, pos_b)
     if pos_a.shape[-1] != 1:
         raise NotImplementedError("mollified inner products are implemented for d = 1 only")
     B, n = len(pos_a), len(times) - 1

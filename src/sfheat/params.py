@@ -133,6 +133,20 @@ def _require_positive(value, name):
     return _require_finite(value, name, 0.0)
 
 
+def _require_point(x, d, name):
+    """``x`` as a new float array of d finite entries: a real number (or one
+    entry) for every coordinate, or else exactly d entries; no bools or strings."""
+    try:
+        point = np.atleast_1d(np.asarray(x))
+    except ValueError:  # a ragged sequence, which numpy cannot shape
+        point = np.array([None])
+    if point.dtype.kind not in "iuf" or point.ndim != 1 or point.size not in (1, d):
+        raise ValueError(f"{name} must be a real number or a {d}-vector, got {x!r}")
+    if not np.isfinite(point).all():
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return np.full(d, point[0], dtype=float) if point.size == 1 else point.astype(float)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Everything that pins down one (t, x) evaluation of the model."""
@@ -146,9 +160,5 @@ class ModelParams:
     def __post_init__(self):
         object.__setattr__(self, "d", _require_alpha_d(self.alpha, self.d))
         object.__setattr__(self, "t_horizon", _require_positive(self.t_horizon, "t_horizon"))
-        x = np.zeros(self.d) if self.x_point is None else np.atleast_1d(np.asarray(self.x_point, float))
-        if x.shape != (self.d,):
-            raise ValueError(f"x_point must be a {self.d}-vector, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("x_point must be finite")
-        object.__setattr__(self, "x_point", x)
+        object.__setattr__(self, "x_point", np.zeros(self.d) if self.x_point is None
+                           else _require_point(self.x_point, self.d, "x_point"))

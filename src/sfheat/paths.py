@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import C_ALPHA, _require_alpha_d, _require_count, _require_d, _require_positive
+from .params import (C_ALPHA, _require_alpha_d, _require_count, _require_d, _require_point,
+                     _require_positive)
 
 DEFAULT_STEPS_PER_UNIT = 256
 
@@ -55,23 +56,21 @@ class RngStream:
     def generator(self, reuse=None):
         """Generator positioned at the start of this stream's block.
 
-        By default a fresh Generator over a new Philox.  Given ``reuse``, a
-        Generator over a Philox, resets that Philox to this stream's key and
-        counter and returns ``reuse``: the same draws as a fresh Generator, at
-        a fraction of the cost, because building a Philox first seeds a
+        Resets the Philox of ``reuse``, a Generator over a Philox (by default
+        a fresh Generator over a keyless Philox), to this stream's key and
+        counter and returns it.  Passing one Generator from stream to stream
+        is much cheaper than a new Philox per stream, which first seeds a
         SeedSequence from OS entropy even when a key is given.
         """
-        if reuse is None:
-            return np.random.Generator(np.random.Philox(key=self.master_seed,
-                                                        counter=self.stream_index << 128))
-        reuse.bit_generator.state = {
+        gen = np.random.Generator(np.random.Philox()) if reuse is None else reuse
+        gen.bit_generator.state = {
             "bit_generator": "Philox",
             "state": {"counter": np.array([0, 0, self.stream_index, 0], dtype=np.uint64),
                       "key": np.array([self.master_seed, 0], dtype=np.uint64)},
             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
             "has_uint32": 0, "uinteger": 0,
         }
-        return reuse
+        return gen
 
     def substream(self, k):
         """Stream shifted by k; callers manage strides so indices never collide."""
@@ -172,8 +171,7 @@ def _generators(rngs):
 
 def constant_path(grid, x0=0.0, d=1):
     """Path frozen at x0; the worst case for the exponent quadrature."""
-    x0 = np.broadcast_to(np.atleast_1d(np.asarray(x0, float)), (_require_d(d),))
-    return Path(grid, np.tile(x0, (len(grid.times), 1)))
+    return Path(grid, np.tile(_require_point(x0, _require_d(d), "x0"), (len(grid.times), 1)))
 
 
 def _kanter(alpha, u, e):
@@ -271,9 +269,7 @@ def sample_path_batch(alpha, d, grid: TimeGrid, x0, rng, n_paths):
     d = _require_alpha_d(alpha, d)
     n_paths = _require_count(n_paths, "n_paths", 1)
     rngs = rng if isinstance(rng, (list, tuple)) else [rng]
-    x0 = np.broadcast_to(np.atleast_1d(np.asarray(x0, float)), (d,))
-    if not np.isfinite(x0).all():
-        raise ValueError(f"x0 must be finite, got {x0}")
+    x0 = _require_point(x0, d, "x0")
     dts = np.diff(grid.times)
     n = len(dts)
     draws = _draws(_generators(rngs), alpha, (len(rngs), n_paths, n), d)

@@ -11,11 +11,11 @@ mode.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import time
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,13 +28,13 @@ from .paths import (RngStream, TimeGrid, constant_path, sample_increment, sample
 EXACT_SELF_T1 = exponents.deterministic_bound(1.0, 1)  # t = 1 constant-path exponent
 
 
-@dataclass
+@dataclasses.dataclass
 class ValidationResult:
     name: str
     passed: bool
     measured: float
     tolerance: float
-    seconds: float
+    seconds: float = dataclasses.field(compare=False)  # in the record's meta, not its results
     detail: str = ""
 
 

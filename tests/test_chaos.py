@@ -109,6 +109,10 @@ class TestChaosTerm:
         with pytest.raises(ValueError, match="unknown method"):
             chaos_term(n, 2.0, 1, 1.0, method="bogus")
 
+    def test_semigroup_collapse_route_needs_alpha2(self):
+        with pytest.raises(ValueError, match="requires alpha = 2"):
+            chaos_term(1, 1.5, 1, 1.0, method="closed_form_alpha2")
+
     @pytest.mark.parametrize("n_samples", [0, 1])
     def test_fourier_route_needs_two_samples(self, n_samples):
         # one sample has no standard error and none has a value
@@ -191,6 +195,9 @@ class TestSeriesBound:
         ratios = [series_term_bound(n + 1, 1.9, 3, 1.0) / series_term_bound(n, 1.9, 3, 1.0)
                   for n in (20, 40, 80)]
         assert ratios[2] < ratios[1] < ratios[0]
+
+    def test_order_zero_is_one(self):
+        assert series_term_bound(0, 2.0, 1, 1.0) == 1.0
 
     def test_pole_outside_region(self):
         # alpha = 0.5, d = 3 violates d < 2 + alpha: the classifier refuses

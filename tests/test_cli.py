@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 import scipy
 
-from sfheat import validation
+from sfheat import chaos, validation
 from sfheat.cli import main, record_fingerprint
+from sfheat.errors import FactorizationError
 from sfheat.params import InitialCondition, ModelParams, parse_u0
 
 _MOMENT = ["moment", "--flavor", "sko", "--p", "2", "--t", "0.25", "--n-samples", "20"]
@@ -111,6 +112,11 @@ class TestCli:
         ["solve", "--epsilon", "inf"],
         ["solve", "--epsilon", "nan"],
         ["moment", "--grid-steps", "0"],
+        ["moment", "--x", "nan"],
+        ["moment", "--x", "inf"],
+        ["moment", "--d", "2", "--x", "0,-inf"],
+        ["moment", "--d", "2", "--x", "0.1,0.2,0.3"],
+        ["moment", "--x", "0.1,0.2"],
         ["solve", "--half-length", "0"],
     ], ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
     def test_non_finite_input_is_a_configuration_error(self, argv, capsys):
@@ -249,6 +255,38 @@ class TestCli:
         assert record_fingerprint(recs[0]) == record_fingerprint(recs[1])
         assert set(recs[0]["meta"]["check_seconds"]) == {"kernel.mass", "paths.reproducibility"}
         assert "secs" in capsys.readouterr().err
+
+    def test_validate_failure_exits_4(self, tmp_path, monkeypatch, capsys):
+        failing = validation.ValidationResult("kernel.mass", False, 1.0, 0.5, 0.25)
+        monkeypatch.setattr(validation, "run_suite", lambda quick: [failing])
+        out = tmp_path / "rec.json"
+        assert main(["validate", "--quick", "--out", str(out)]) == 4
+        assert "validation suite reported failures" in capsys.readouterr().err
+        # the record is still written, with the check's time in meta only
+        rec = json.loads(out.read_text())
+        assert rec["results"] == [{"name": "kernel.mass", "passed": False, "measured": 1.0,
+                                   "tolerance": 0.5, "detail": ""}]
+        assert rec["meta"]["check_seconds"] == {"kernel.mass": 0.25}
+
+    def test_factorization_error_exits_4(self, monkeypatch, capsys):
+        def fail(alpha, d):
+            raise FactorizationError("not positive definite", min_eigenvalue=-1.0)
+
+        monkeypatch.setattr(chaos, "existence_check", fail)
+        assert main(["check", "--alpha", "2", "--d", "1"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: numerical failure: not positive definite\n"
+
+    def test_scalar_x_sets_every_coordinate(self, tmp_path):
+        recs = []
+        for x in ("0.3", "0.3,0.3"):
+            out = tmp_path / "rec.json"
+            assert main(["moment", "--flavor", "sko", "--p", "2", "--alpha", "1.5", "--d", "2",
+                         "--x", x, "--t", "0.25", "--u0", "gauss:1,0.7", "--grid-steps", "8",
+                         "--n-samples", "20", "--out", str(out)]) == 0
+            recs.append(json.loads(out.read_text())["results"])
+        assert recs[0] == recs[1]
 
     def test_mollified_moment_flags(self, tmp_path):
         out = tmp_path / "rec.json"

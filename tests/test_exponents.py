@@ -382,6 +382,24 @@ class TestBatchShapes:
             else:
                 mollified_inner_values(grid.times, pa, pb, MollifierParams(0.1, 0.1))
 
+    # the batch quadratures take their times by the rule of TimeGrid, and the
+    # positions carry one row per time, so only the times are at fault
+    @pytest.mark.parametrize("route", ["cross", "mollified"])
+    @pytest.mark.parametrize("times, message", [
+        ([0.0], "a grid needs at least two times"),
+        ([0.0, math.nan, 1.0], "grid times must be finite"),
+        ([0.0, 1.0, 0.5], "grid times must be strictly increasing"),
+        ([0.0, 0.5, 0.5, 1.0], "grid times must be strictly increasing"),
+        ([0.25, 0.5, 1.0], "grids start at time 0"),
+    ], ids=["one_time", "nan_time", "reversed", "repeated", "nonzero_start"])
+    def test_times_are_checked_as_a_grid(self, route, times, message):
+        pos = np.zeros((2, len(times), 1))
+        with pytest.raises(ValueError, match=message):
+            if route == "cross":
+                cross_exponent_values(times, pos, pos, 1)
+            else:
+                mollified_inner_values(times, pos, pos, MollifierParams(0.1, 0.1))
+
     def test_mollified_rejects_d2_positions(self):
         grid = TimeGrid.uniform(1.0, 16)
         pos = sample_path_batch(2.0, 2, grid, 0.0, RngStream(46, 0), 4)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from sfheat import exponents, fk
+from sfheat import cli, exponents, fk
 from sfheat.chaos import chaos_second_moment, chaos_term, series_term_bound
 from sfheat.errors import RegimeError
 from sfheat.exponents import MollifierParams, deterministic_bound
@@ -19,6 +19,7 @@ from sfheat.paths import (TimeGrid, constant_path, sample_increment, sample_path
 from sfheat.solver import NoiseSlabSampler, TorusGrid, ensemble_moment
 
 PM = ModelParams(alpha=2.0, d=1, t_horizon=1.0)
+EXACT_BOUND_T1 = (8.0 / 3.0) / math.sqrt(2.0 * math.pi)  # the d = 1 bound at t = 1
 
 
 _GRID4 = TimeGrid.uniform(1.0, 4)
@@ -153,6 +154,56 @@ def test_d_is_checked_at_the_boundary():
                 call(bad)
         assert call(2).shape[-1] == 2
         assert all(np.array_equal(call(good), call(2)) for good in (np.int64(2), 2.0))
+    # so does the pathwise bound, where d = 1 is the one finite case
+    for bad in (True, "1", 1.5, 0, -3, math.inf, math.nan, None):
+        with pytest.raises(ValueError, match="d must be a positive integer"):
+            deterministic_bound(1.0, bad)
+    assert all(deterministic_bound(1.0, good) == EXACT_BOUND_T1 for good in (np.int64(1), 1.0))
+    assert deterministic_bound(1.0, 2.0) == math.inf
+
+
+def _cli_point(x):
+    # the CLI's --x text, parsed as the moment command parses it
+    text = ",".join(str(float(v)) for v in np.atleast_1d(x))
+    return cli._model_params({"alpha": 2.0, "d": 2, "t": 1.0, "u0": "const:1", "x": text}).x_point
+
+
+# each entry point with a point of R^2, as a call of that point returning the
+# point it uses, and the name its errors carry
+_POINTS = {
+    "x_point": (lambda x: ModelParams(2.0, d=2, x_point=x).x_point, "x_point"),
+    "path_batch_x0": (lambda x: sample_path_batch(1.5, 2, _GRID4, x, 0, 1)[0, 0], "x0"),
+    "constant_path_x0": (lambda x: constant_path(_GRID4, x, 2).start, "x0"),
+    "cli_x": (_cli_point, "x_point"),
+}
+
+
+@pytest.mark.parametrize("name", list(_POINTS))
+def test_points_are_checked_at_the_boundary(name):
+    # one rule: a real number (or one entry) sets every coordinate, and
+    # otherwise the point has exactly d entries; every entry is finite
+    call, label = _POINTS[name]
+    for bad in ([0.1, 0.2, 0.3], [0.1, 0.2, 0.3, 0.4]):
+        with pytest.raises(ValueError, match=f"{label} must be a real number or a 2-vector"):
+            call(bad)
+    for bad in (math.nan, math.inf, [0.0, -math.inf], [math.nan, 0.0]):
+        with pytest.raises(ValueError, match=f"{label} must be finite"):
+            call(bad)
+    for scalar in (0.5, [0.5], np.float64(0.5)):
+        assert np.array_equal(call(scalar), [0.5, 0.5])
+    assert np.array_equal(call([0.1, -0.2]), [0.1, -0.2])
+
+
+def test_point_refuses_bools_strings_and_arrays_of_points():
+    for bad in (True, [True, False], "0.5", ["0.1", "0.2"], [[0.1, 0.2]], np.zeros((1, 2)),
+                [0.1, [0.2]]):
+        with pytest.raises(ValueError, match="x_point must be a real number or a 2-vector"):
+            ModelParams(2.0, d=2, x_point=bad)
+    given = np.array([0.1, 0.2])
+    pm = ModelParams(2.0, d=2, x_point=given)
+    given[0] = 9.0  # the parameters hold their own copy
+    assert np.array_equal(pm.x_point, [0.1, 0.2])
+    assert np.array_equal(ModelParams(2.0, d=3).x_point, np.zeros(3))  # None is the origin
 
 
 def test_existence_gate_is_one_rule():
@@ -190,6 +241,11 @@ class TestSkoMoment:
             1.0, 0.0, 2_000_000, 1, "skorohod", 0, 8, 2e6, 5e-7, None)
         kept = sko_moment(1, PM, 3, grid_steps=8, keep_samples=True).samples
         assert np.array_equal(kept, np.ones(3))
+
+    def test_all_zero_weights(self):
+        # u0 = 0 makes every weight 0: the diagnostics read as equal weights
+        est = sko_moment(2, ModelParams(2.0, u0=InitialCondition.constant(0.0)), 10, grid_steps=8)
+        assert (est.value, est.ess, est.max_weight_share) == (0.0, 10.0, 0.1)
 
     def test_one_sample_keeps_the_exact_shortcut(self):
         est = sko_moment(1, PM, 1, grid_steps=128, rng=1)

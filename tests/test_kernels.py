@@ -75,6 +75,15 @@ class TestStableKernel:
         num = kernels._stable_kernel_numeric(1.0, 0.9, 0.5, 2)
         assert num == pytest.approx(exact, abs=1e-7)
 
+    @pytest.mark.parametrize("alpha, d", [(1.5, 1), (1.5, 2), (0.7, 3)])
+    def test_numeric_inversion_at_the_origin(self, alpha, d):
+        # g(0) = (2 pi)^{-d} |S^{d-1}| Gamma(d / alpha) / (alpha (t/2)^{d / alpha})
+        t = 0.8
+        area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+        exact = (area * math.gamma(d / alpha)
+                 / ((2.0 * math.pi) ** d * alpha * (t / 2.0) ** (d / alpha)))
+        assert kernels._stable_kernel_numeric(alpha, t, 0.0, d) == pytest.approx(exact, rel=1e-9)
+
     def test_t_zero_is_an_error(self):
         with pytest.raises(ValueError):
             stable_kernel(1.5, 0.0, 0.0)
