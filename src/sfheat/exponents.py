@@ -8,14 +8,14 @@ from the last axis of the position arrays, where a (B, n+1) array means
 d = 1; ``cross_exponent_values`` also takes d and rejects a d that differs
 from its positions'.
 
-Scheme ("midpoint_exact_diagonal"): paths are frozen on grid cells at their
-left node.  Cells overlapping the singular band |s - r| <= max step are
-integrated exactly in time -- the spatial increment is frozen at the cell
-corner on the diagonal (where it vanishes for the self exponent), and the
-remaining integral of |s-r|^{-1/2} exp(-a/|s-r|) is exact.  All other cells
-use the time midpoint.  Midpoint under-estimates the convex kernel, so the
-quadrature never exceeds the exact deterministic bound; the accepted bias is
-O(step^{1/2}) and is measured by the ``exponent.refinement_slope`` check.
+Scheme: paths are frozen on grid cells at their left node.  Cells
+overlapping the singular band |s - r| <= max step are integrated exactly in
+time -- the spatial increment is frozen at the cell corner on the diagonal
+(where it vanishes for the self exponent), and the remaining integral of
+|s-r|^{-1/2} exp(-a/|s-r|) is exact.  All other cells use the time midpoint.
+Midpoint under-estimates the convex kernel, so the quadrature never exceeds
+the exact deterministic bound; the accepted bias is O(step^{1/2}) and is
+measured by the ``exponent.refinement_slope`` check.
 
 The off-band cells need every difference X_i - Y_j of the two paths' left
 nodes.  Per component, the n x n differences are the matrix product of
@@ -32,18 +32,19 @@ exp and one erfc per corner (``_heat_K2``).
 
 Mollified inner products take the window integrals on the Fourier side
 instead: p_sigma(z) = pi^{-1} int_0^inf cos(xi z) exp(-sigma xi^2 / 2) dxi
-turns every window pair into the time integral of exp(-a |u - v|), a = xi^2/2,
-which is separable for disjoint windows.  One pass over the windows per xi
-node replaces the n^2 cells; the xi integral is a trapezoid rule on
-[0, sqrt(40 / eps)] with spacing 2 pi / (Z + 2 sqrt(40 (eps + t/2))), Z the
-largest path separation in the batch, so both its truncation and its aliasing
-sit exp(-40) below the integrand.  One core (``_xi_transforms``) applies the
-window operator to a stack of paths, chunk of nodes by chunk of nodes, and
-serves two contractions: pair batches (``mollified_inner_values``, on the
-rows [X; Y]) and the Wick Gram (``field.wick_gram``, on all m paths of an
-ensemble at once, one matrix product per chunk).  The Gram takes its node set
-from the whole ensemble's spread, since its entries pair every path with
-every other.
+turns every window pair into the time integral of exp(-a |u - v|), a = xi^2/2.
+The window edges cut time into at most 2n intervals.  On intervals that
+operator is exactly semi-separable, separable below its diagonal, so one
+first-order recursion over the intervals per xi node replaces the n^2 cells.
+The xi integral is a trapezoid rule on [0, sqrt(40 / eps)] with spacing
+2 pi / (Z + 2 sqrt(40 (eps + t/2))), Z the largest path separation in the
+batch, so both its truncation and its aliasing sit exp(-40) below the
+integrand.  One core (``_xi_transforms``) applies the window operator to a
+stack of paths, chunk of nodes by chunk of nodes, and serves two
+contractions: pair batches (``mollified_inner_values``, on the rows [X; Y])
+and the Wick Gram (``field.wick_gram``, on all m paths of an ensemble at
+once, one matrix product per chunk).  The Gram takes its node set from the
+whole ensemble's spread, since its entries pair every path with every other.
 
 In d >= 2 the limiting integrals are infinite; the quadrature then reports a
 grid-dependent finite value (the band uses the cell-mean time separation
@@ -58,7 +59,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernels import _exp_time_pair_integral
 from .params import _require_d, _require_positive
@@ -370,58 +370,53 @@ def _decayed_prefix(x, times, a):
 def _xi_transforms(times, P, z_max, moll: MollifierParams):
     """The xi route of the mollified window integrals, one chunk of nodes at a time.
 
-    For the rows P (k, n) of left-node positions X_i, yields per chunk of
-    ``_xi_nodes(z_max, ...)`` nodes the trapezoid weights, F = (h / delta)
-    exp(i xi P) and R = W~ conj(F), both (k, n, nodes).  W = W~ + W~^T is the
-    window operator of ``mollified_inner_values``; W~ holds its band columns
-    j >= i, with the diagonal halved, and the disjoint columns j < lo_i, so
-    that sum_ij f_i W_ij conj(g_j) has real part Re sum_i f_i R[g]_i +
-    g_i R[f]_i.  ``z_max`` must bound every |X_i - Y_j| that is contracted.
+    The window edges cut time into K <= 2n intervals J_k = [b_k, b_{k+1}],
+    and windows lo_k <= i < hi_k cover J_k.  For the rows P (k, n) of
+    left-node positions X_i, yields per chunk of ``_xi_nodes(z_max, ...)``
+    nodes the trapezoid weights, the interval sums F_k = C[hi_k] - C[lo_k] of
+    the prefix sums C of f_i = (h_i / delta) exp(i xi X_i), and R = W~ conj(F),
+    both (k, K, nodes).  W = W~ + W~^T is the kernel of
+    ``mollified_inner_values`` integrated over pairs of intervals; W~ holds
+    its diagonal D_k, halved, and its entries l < k, A_k A_l exp(-a (b_k -
+    b_{l+1})), so that sum_kl F_k W_kl conj(G_l) has real part Re sum_k F_k
+    R[G]_k + G_k R[F]_k.  ``z_max`` must bound every |X_i - Y_j| that is
+    contracted.
     """
     t = float(times[-1])
     h = np.diff(times)
-    n = len(h)
     starts = times[:-1] + 0.5 * h
     ends = np.minimum(starts + moll.delta, t)
     xi, weight = _xi_nodes(z_max, moll.epsilon, t)
 
-    # the band of W is stored as row i, column i + o for 0 <= o < width where
-    # m_{i+o} < e_i.  Windows before lo_i end by m_i; the last of them starts
-    # the decay to m_i.
-    hi = np.searchsorted(starts, ends, side="left")
-    lo = np.searchsorted(ends, starts, side="right")
-    width = int((hi - np.arange(n)).max())
-    cols = np.arange(n)[:, None] + np.arange(width)
-    band_weight = (cols < hi[:, None]).astype(float)
-    band_weight[:, 0] = 0.5
-    cols = np.minimum(cols, n - 1)[..., None]
-    last = np.maximum(lo - 1, 0)
-    gap = np.where(lo > 0, starts - ends[last], 0.0)[:, None]
+    edges = np.unique(np.concatenate([starts, ends]))
+    hi = np.searchsorted(starts, edges[:-1], side="right")
+    lo = np.searchsorted(ends, edges[:-1], side="right")
+    b0, b1 = edges[:-1, None], edges[1:, None]
+    length = b1 - b0
     scale = (h / moll.delta)[:, None]
 
-    chunk = max(1, _CHUNK_ELEMENTS // (n * (len(P) + width)))
+    chunk = max(1, _CHUNK_ELEMENTS // (len(edges) * len(P)))
     for k0 in range(0, len(xi), chunk):
         nodes = xi[k0:k0 + chunk]
         a = 0.5 * nodes * nodes
-        # exp(i xi P) written as cos + i sin: cheaper than complex exp, same bits
+        # prefix sums C of f = (h / delta) exp(i xi P), with a leading 0, so
+        # that F_k = C[hi_k] - C[lo_k]; exp written as cos + i sin: cheaper
+        # than complex exp, same bits
         phase = P[..., None] * nodes
-        F = np.empty(phase.shape, dtype=complex)
-        np.cos(phase, out=F.real)
-        np.sin(phase, out=F.imag)
-        F *= scale
-        W = band_weight[..., None] * _exp_time_pair_integral(
-            starts[:, None, None], ends[:, None, None], starts[cols], ends[cols], a)
-        padded = np.zeros((len(P), n + width - 1, len(nodes)), dtype=complex)
-        np.conjugate(F, out=padded[:, :n])
-        # real and imaginary parts on a trailing axis of 2 with W repeated
-        # over it: W stays real, and this is einsum's fastest layout
-        windows = sliding_window_view(padded.view(float).reshape(*padded.shape, 2), width, axis=1)
-        R = np.einsum("bimrk,ikmr->bimr", windows,
-                      np.repeat(W[..., None], 2, axis=-1)).view(complex)[..., 0]
+        C = np.zeros((len(P), len(h) + 1, len(nodes)), dtype=complex)
+        np.cos(phase, out=C.real[:, 1:])
+        np.sin(phase, out=C.imag[:, 1:])
+        C[:, 1:] *= scale
+        np.cumsum(C, axis=1, out=C)
+        F = np.take(C, hi, axis=1)
+        F -= np.take(C, lo, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            A = np.where(a > 0, -np.expm1(-np.outer(ends - starts, a)) / a, (ends - starts)[:, None])
-        decay = np.where(lo[:, None] > 0, A * np.exp(-gap * a), 0.0)
-        R += _decayed_prefix(padded[:, :n] * A, ends, a)[:, last] * decay
+            A = np.where(a > 0, -np.expm1(-length * a) / a, length)
+        R = np.conjugate(F)
+        s = _decayed_prefix(A * R, edges[1:], a)[:, :-1]
+        R *= 0.5 * _exp_time_pair_integral(b0, b1, b0, b1, a)
+        s *= A[1:]
+        R[:, 1:] += s
         yield weight[k0:k0 + chunk], F, R
 
 
@@ -435,16 +430,18 @@ def mollified_inner_values(times, pos_a, pos_b, moll: MollifierParams):
     taken on the Fourier side, p_sigma(z) = pi^{-1} int_0^inf cos(xi z)
     exp(-sigma xi^2 / 2) dxi, so that the sum over all n^2 cells is
 
-        pi^{-1} int_0^inf dxi exp(-eps xi^2) Re sum_ij f_i W_ij(xi^2 / 2) conj(g_j)
+        pi^{-1} int_0^inf dxi exp(-eps xi^2) Re int int phi_f(u) K(u, v) conj(phi_g(v)) du dv
 
-    with f_i = (h_i / delta) exp(i xi X_i), g_j likewise from Y_j, and
-    W_ij(a) = int_{I_i} int_{I_j} exp(-a |u - v|).  Disjoint windows
-    (e_j <= m_i) have W_ij = A_i A_j exp(-a (m_i - e_j)), A = -expm1(-a L) / a
-    for a window of length L, so their sum is a first-order recursion over
-    window ends (``_decayed_prefix``): O(n) per xi node.  The overlapping band
-    takes W from ``kernels._exp_time_pair_integral``; it does not depend on
-    the paths.  ``_xi_transforms`` applies W to the rows [X; Y] (X alone for
-    a self pair), and each value contracts the two halves.
+    with K(u, v) = exp(-a |u - v|), a = xi^2 / 2, phi_f = sum_i f_i 1_{I_i},
+    f_i = (h_i / delta) exp(i xi X_i), and phi_g likewise from Y_j.  phi_f is
+    constant on each interval J_k = [b_k, b_{k+1}] between consecutive window
+    edges, where it is the sum F_k of the f_i whose windows cover J_k.  For l
+    < k, K integrates over J_k x J_l to A_k A_l exp(-a (b_k - b_{l+1})), A =
+    -expm1(-a L) / a for an interval of length L, so the double integral is a
+    diagonal term plus a first-order recursion over interval ends
+    (``_decayed_prefix``): O(n) per xi node.  ``_xi_transforms`` applies this
+    operator to the rows [X; Y] (X alone for a self pair), and each value
+    contracts the two halves.
 
     The xi integral is the trapezoid rule of ``_xi_nodes``, whose spacing
     follows the largest |X_i - Y_j| in the batch; the node set, and so the

@@ -48,10 +48,10 @@ def wick_gram(paths, moll: MollifierParams):
     rounding.  The xi route applies the window operator once to all m paths,
     over one node set whose spacing follows the largest separation in the
     whole ensemble (each pair's own set would follow that pair alone), so per
-    chunk of nodes the Gram is one real matrix product: G_ab = Re sum_i
-    F_a,i R_b,i is (F w) @ conj(R)^T on the real views, and the Gram
-    (G + G^T) / pi is exactly symmetric.  Only d = 1 paths are supported;
-    others raise NotImplementedError."""
+    chunk of nodes the Gram is one real matrix product over the window
+    intervals k: G_ab = Re sum_k F_a,k R_b,k is (F w) @ conj(R)^T on the real
+    views, and the Gram (G + G^T) / pi is exactly symmetric.  Only d = 1
+    paths are supported; others raise NotImplementedError."""
     times = _shared_grid(paths)
     if any(p.d != 1 for p in paths):
         raise NotImplementedError("mollified inner products are implemented for d = 1 only")

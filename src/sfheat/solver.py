@@ -305,10 +305,10 @@ def ensemble_moment(grid: TorusGrid, params: ModelParams, epsilon, p,
 
 
 def snapshot_csv(fileobj, snapshots, grid: TorusGrid):
-    """Write rows (time, x, u) for each snapshot."""
+    """Write rows (time, x, u) for each snapshot, with LF line ends."""
     import csv
 
-    writer = csv.writer(fileobj)
+    writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(["time", "x", "u"])
     for t, values in snapshots:
         for x, u in zip(grid.xs, values):

@@ -326,6 +326,15 @@ class TestCli:
         values = np.array([float(v) for _, v in rows])
         assert np.sum(values) / len(values) == json.loads(out.read_text())["results"]["value"]
 
+    def test_snapshot_csv_has_lf_line_ends(self, tmp_path):
+        # like --samples-csv: LF only, never csv's default CRLF
+        snap = tmp_path / "snap.csv"
+        assert main(_SOLVE + ["--snapshot-csv", str(snap), "--snapshot-times", "0.125,0.25"]) == 0
+        data = snap.read_bytes()
+        assert b"\r" not in data
+        lines = data.decode().splitlines()
+        assert lines[0] == "time,x,u" and len(lines) == 1 + 2 * 16
+
     def test_weight_diagnostics_flag_a_dominant_sample(self, tmp_path):
         # at p = 8, t = 4 one sample carries nearly all the weight: the SE is
         # about the value, and the record must say why

@@ -673,3 +673,33 @@ class TestXiRouteOracle:
                                         for k in range(0, 61, size)])
                 np.testing.assert_allclose(split, whole, rtol=1e-13, atol=0,
                                            err_msg=f"{name}, chunks of {size}")
+
+    def test_one_node_chunks_agree(self, monkeypatch):
+        # every xi node in a chunk of its own: the values must not depend on
+        # how the nodes are grouped
+        moll = MollifierParams(0.1, 1.0 / 64)
+        pa, pb = _path_pairs("alpha2", _XVAL_GRID)
+        paths = [Path(_XVAL_GRID, p[:, None]) for p in np.concatenate([pa, pb])]
+
+        def run():
+            return [mollified_inner_values(_XVAL_GRID.times, pa, b, moll) for b in (pb, pa)] + [
+                wick_gram(paths, moll)]
+
+        whole = run()
+        monkeypatch.setattr(exponents, "_CHUNK_ELEMENTS", 1)
+        for one, default in zip(run(), whole):
+            np.testing.assert_allclose(one, default, rtol=1e-13, atol=0)
+
+    def test_coinciding_edges_agree_with_edges_apart(self):
+        # delta = 4 steps puts every window end on a later window start (128
+        # intervals); a relative 1e-13 more splits each such edge in two (252)
+        times = _XVAL_GRID.times
+        pa, pb = _path_pairs("alpha2", _XVAL_GRID)
+        values = {}
+        for delta, intervals in ((1.0 / 64, 128), (1.0 / 64 * (1.0 + 1e-13), 252)):
+            moll = MollifierParams(0.1, delta)
+            _, F, _ = next(exponents._xi_transforms(times, pa[:, :-1], 1.0, moll))
+            assert F.shape[1] == intervals
+            values[intervals] = [mollified_inner_values(times, pa, b, moll) for b in (pb, pa)]
+        for apart, coinciding in zip(values[252], values[128]):
+            np.testing.assert_allclose(apart, coinciding, rtol=1e-12, atol=0)
