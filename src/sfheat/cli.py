@@ -117,6 +117,9 @@ def _load_config_file(path):
 def _parse(option, raw):
     """Value of ``option`` from its config-file string."""
     if option.type is bool:
+        if raw.lower() not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+            raise ConfigError(f"config key {option.name} must be one of 1/true/yes/on "
+                              f"or 0/false/no/off, got {raw!r}")
         return raw.lower() in ("1", "true", "yes", "on")
     return option.type(raw)
 

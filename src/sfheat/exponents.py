@@ -27,24 +27,24 @@ differ, and the square removes it.
 
 The d = 1 band cells are int_I int_J p_{|u - v|}(dx) du dv, a second
 difference of K2(x) = int_0^|x| (|x| - tau) p_tau(dx) dtau over the corners of
-I x J (the rectangle identity of ``kernels._rect``); K2 is closed form in one
-exp and one erfc per corner (``_heat_K2``).
+I x J (``kernels._rect``'s identity, specialised in ``_band_sum``); K2 is
+closed form in one exp and one erfc per corner (``_heat_K2``).
 
 Mollified inner products take the window integrals on the Fourier side
 instead: p_sigma(z) = pi^{-1} int_0^inf cos(xi z) exp(-sigma xi^2 / 2) dxi
 turns every window pair into the time integral of exp(-a |u - v|), a = xi^2/2.
 The window edges cut time into at most 2n intervals.  On intervals that
-operator is exactly semi-separable, separable below its diagonal, so one
-first-order recursion over the intervals per xi node replaces the n^2 cells.
-The xi integral is a trapezoid rule on [0, sqrt(40 / eps)] with spacing
-2 pi / (Z + 2 sqrt(40 (eps + t/2))), Z the largest path separation in the
-batch, so both its truncation and its aliasing sit exp(-40) below the
-integrand.  One core (``_xi_transforms``) applies the window operator to a
-stack of paths, chunk of nodes by chunk of nodes, and serves two
-contractions: pair batches (``mollified_inner_values``, on the rows [X; Y])
-and the Wick Gram (``field.wick_gram``, on all m paths of an ensemble at
-once, one matrix product per chunk).  The Gram takes its node set from the
-whole ensemble's spread, since its entries pair every path with every other.
+operator is exactly semi-separable, so per xi node one K2 per interval and
+one pass of the time kernel's causal sum (``kernels._decayed_prefix``, which
+also draws the solver's AR(1) noise) replace the n^2 cells.  The xi integral
+is a trapezoid rule on [0, sqrt(40 / eps)] with spacing 2 pi / (Z +
+2 sqrt(40 (eps + t/2))), Z the largest path separation in the batch, so both
+its truncation and its aliasing sit exp(-40) below the integrand; more than
+2^16 nodes raise BudgetError.  One core (``_xi_transforms``) applies the
+window operator to a stack of paths, chunk of nodes by chunk of nodes, for
+pair batches (``mollified_inner_values``, on the rows [X; Y]) and the Wick
+Gram (``field.wick_gram``, all m paths at once, one matrix product per
+chunk), whose nodes follow the spread of the whole ensemble it pairs.
 
 In d >= 2 the limiting integrals are infinite; the quadrature then reports a
 grid-dependent finite value (the band uses the cell-mean time separation
@@ -60,7 +60,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _exp_time_pair_integral
+from .errors import BudgetError
+from .kernels import _decayed_prefix, _exp_K2
 from .params import _require_d, _require_positive
 from .paths import Path, TimeGrid
 
@@ -327,8 +328,8 @@ def deterministic_bound(t, d):
 # The xi integrand carries exp(-eps xi^2), and the trapezoid rule's aliasing
 # error is the kernel's Gaussian tail; both are cut at exp(-_XI_TAIL).
 _XI_TAIL = 40.0
-# largest a * (time span) scaled up inside one cumulative sum: exp(500) is finite
-_SCAN_SPAN = 500.0
+# most xi nodes one batch may ask for; heavy-tailed paths can ask for ~1e14
+_XI_NODES_MAX = 1 << 16
 # complex values held per chunk of xi nodes
 _CHUNK_ELEMENTS = 1 << 18
 
@@ -337,34 +338,17 @@ def _xi_nodes(z_max, eps, t):
     """Trapezoid nodes and weights (with the exp(-eps xi^2) factor) for
     int_0^inf dxi on [0, sqrt(40 / eps)].  The spacing 2 pi / (z_max +
     2 sqrt(40 (eps + t/2))) puts every alias of p_sigma(z), |z| <= z_max,
-    sigma <= t + 2 eps, at least exp(-40) down its Gaussian tail."""
+    sigma <= t + 2 eps, at least exp(-40) down its Gaussian tail; BudgetError
+    past _XI_NODES_MAX nodes or for a non-finite z_max."""
     step = 2.0 * math.pi / (z_max + 2.0 * math.sqrt(_XI_TAIL * (eps + 0.5 * t)))
-    xi = step * np.arange(int(math.sqrt(_XI_TAIL / eps) / step) + 1)
+    count = math.sqrt(_XI_TAIL / eps) / step if step > 0 else math.inf
+    if not count < _XI_NODES_MAX:
+        raise BudgetError(f"the mollified xi quadrature needs {count:.3g} nodes for the largest"
+                          f" path separation Z = {z_max:.3g}; at most {_XI_NODES_MAX} are allowed")
+    xi = step * np.arange(int(count) + 1)
     weight = step * np.exp(-eps * xi * xi)
     weight[0] *= 0.5
     return xi, weight
-
-
-def _decayed_prefix(x, times, a):
-    """s_k = sum_{l <= k} x_l exp(-a (times_k - times_l)) along axis -2, for
-    nondecreasing ``times`` and the rates ``a`` along the last axis.
-
-    A cumulative sum of x_l exp(a (times_l - r)) is exact up to rounding but
-    overflows for large a (times_k - r); events are therefore cut into blocks
-    spanning at most _SCAN_SPAN / max(a) in time, each scaled from its own
-    first event r and carrying the previous block's last value across.
-    """
-    a_max = float(a.max())
-    block = np.floor((times - times[0]) * (a_max / _SCAN_SPAN)).astype(np.intp)
-    bounds = np.concatenate([[0], np.flatnonzero(np.diff(block)) + 1, [len(times)]])
-    s = np.empty_like(x)
-    for k0, k1 in zip(bounds[:-1], bounds[1:]):
-        up = np.exp(a * (times[k0:k1, None] - times[k0]))
-        c = np.cumsum(x[..., k0:k1, :] * up, axis=-2)
-        if k0:
-            c += s[..., k0 - 1:k0, :] * np.exp(-a * (times[k0] - times[k0 - 1]))
-        s[..., k0:k1, :] = c / up
-    return s
 
 
 def _xi_transforms(times, P, z_max, moll: MollifierParams):
@@ -377,8 +361,10 @@ def _xi_transforms(times, P, z_max, moll: MollifierParams):
     the prefix sums C of f_i = (h_i / delta) exp(i xi X_i), and R = W~ conj(F),
     both (k, K, nodes).  W = W~ + W~^T is the kernel of
     ``mollified_inner_values`` integrated over pairs of intervals; W~ holds
-    its diagonal D_k, halved, and its entries l < k, A_k A_l exp(-a (b_k -
-    b_{l+1})), so that sum_kl F_k W_kl conj(G_l) has real part Re sum_k F_k
+    its diagonal D_k = 2 K2(L_k) (``kernels._exp_K2``, L_k = b_{k+1} - b_k),
+    halved, and its entries l < k, A_k A_l exp(-a (b_k - b_{l+1})), which act
+    as A_k times the causal sum (``kernels._decayed_prefix``) of A_l conj(F_l)
+    up to l = k - 1; sum_kl F_k W_kl conj(G_l) has real part Re sum_k F_k
     R[G]_k + G_k R[F]_k.  ``z_max`` must bound every |X_i - Y_j| that is
     contracted.
     """
@@ -391,8 +377,7 @@ def _xi_transforms(times, P, z_max, moll: MollifierParams):
     edges = np.unique(np.concatenate([starts, ends]))
     hi = np.searchsorted(starts, edges[:-1], side="right")
     lo = np.searchsorted(ends, edges[:-1], side="right")
-    b0, b1 = edges[:-1, None], edges[1:, None]
-    length = b1 - b0
+    length = np.diff(edges)[:, None]
     scale = (h / moll.delta)[:, None]
 
     chunk = max(1, _CHUNK_ELEMENTS // (len(edges) * len(P)))
@@ -413,10 +398,9 @@ def _xi_transforms(times, P, z_max, moll: MollifierParams):
         with np.errstate(divide="ignore", invalid="ignore"):
             A = np.where(a > 0, -np.expm1(-length * a) / a, length)
         R = np.conjugate(F)
-        s = _decayed_prefix(A * R, edges[1:], a)[:, :-1]
-        R *= 0.5 * _exp_time_pair_integral(b0, b1, b0, b1, a)
-        s *= A[1:]
-        R[:, 1:] += s
+        s = _decayed_prefix(A * R, np.exp(-a * length[1:]))
+        R *= _exp_K2(length, a)
+        R[:, 1:] += A[1:] * s[:, :-1]
         yield weight[k0:k0 + chunk], F, R
 
 
@@ -438,10 +422,9 @@ def mollified_inner_values(times, pos_a, pos_b, moll: MollifierParams):
     edges, where it is the sum F_k of the f_i whose windows cover J_k.  For l
     < k, K integrates over J_k x J_l to A_k A_l exp(-a (b_k - b_{l+1})), A =
     -expm1(-a L) / a for an interval of length L, so the double integral is a
-    diagonal term plus a first-order recursion over interval ends
-    (``_decayed_prefix``): O(n) per xi node.  ``_xi_transforms`` applies this
-    operator to the rows [X; Y] (X alone for a self pair), and each value
-    contracts the two halves.
+    diagonal term plus a first-order recursion over interval ends: O(n) per
+    xi node.  ``_xi_transforms`` applies this operator to the rows [X; Y] (X
+    alone for a self pair), and each value contracts the two halves.
 
     The xi integral is the trapezoid rule of ``_xi_nodes``, whose spacing
     follows the largest |X_i - Y_j| in the batch; the node set, and so the

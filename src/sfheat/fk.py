@@ -30,9 +30,9 @@ ensemble of the package (these moments, ``solver.ensemble_moment`` and the
 source: the calling thread and ``_WORKERS - 1`` helpers each take the next
 batch until none is left, so about ``_WORKERS`` batches are held in memory
 at once.  A batch's values do not depend on the thread that ran it, so they
-are the same for any core count.  They depend on the batch at rounding level
-only: einsum's summation order changes for a batch of one sample, and the
-mollified route's xi nodes follow the batch's largest path separation.
+are the same for any core count.  At rounding level they depend on the batch:
+einsum's summation order changes for a batch of one sample, and the mollified
+xi nodes follow its largest path separation; over 2^16 nodes is a BudgetError.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def _moment_samples(p, params: ModelParams, n_samples, grid, rng, flavor, moll):
     times = grid.times
     batch = max(1, 2_000_000 // grid.n_steps ** 2)
     if moll is not None:
-        # bounds the (B, n, xi nodes) temporaries held per batch
+        # a mollified sample costs more: smaller batches keep every core busy
         batch = max(1, batch // 8)
     include_diag = flavor == "stratonovich"
 

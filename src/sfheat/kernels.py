@@ -1,4 +1,4 @@
-"""Heat kernel, symmetric stable transition densities, and |u - v| double integrals.
+"""Heat kernel, symmetric stable transition densities, and the |u - v| kernels in time.
 
 Conventions
 -----------
@@ -12,6 +12,11 @@ the Cauchy density with scale t/2.
 
 Each kernel reads d from its point's length; only the radial inversion
 ``_stable_kernel_numeric`` takes d, since a distance carries none.
+
+The time kernel exp(-a |u - v|), per Fourier mode the mollified noise's time
+covariance, is written once: its K2 (``_exp_K2``) and its causal sum
+(``_decayed_prefix``), the recurrence of both the mollified window operator
+and the solver's AR(1) noise.
 """
 
 from __future__ import annotations
@@ -103,7 +108,8 @@ def stable_kernel(alpha, t, x):
 
 
 # ---------------------------------------------------------------------------
-# Double integrals of |u - v| kernels over rectangles
+# |u - v| kernels in time: _rect is the tests' reference identity, which
+# exponents._band_sum specialises to its band cells
 # ---------------------------------------------------------------------------
 
 
@@ -124,15 +130,21 @@ _SERIES_Y = 0.05
 _K2_SERIES = [1.0 / math.factorial(k + 2) for k in range(7, -1, -1)]
 
 
-def _exp_time_pair_integral(i0, i1, j0, j1, a):
-    """int_{t in I} int_{s in J} exp(-a |t - s|) dt ds in closed form; broadcasts
-    over a and the edges."""
+def _exp_K2(x, a):
+    """K2(x) = int_0^|x| (|x| - tau) exp(-a tau) dtau in closed form for a >= 0,
+    broadcast; one interval against itself is 2 K2(|I|)."""
     a = np.asarray(a, dtype=float)
+    y = a * np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(y < _SERIES_Y, x * x * np.polyval(_K2_SERIES, -y),
+                        (np.expm1(-y) + y) / a ** 2)
 
-    def K2(x):
-        y = a * abs(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(y < _SERIES_Y, x * x * np.polyval(_K2_SERIES, -y),
-                            (np.expm1(-y) + y) / a ** 2)
 
-    return _rect(K2, i0, i1, j0, j1)
+def _decayed_prefix(x, decay):
+    """s_k = x_k + decay[k - 1] s_{k-1} for k >= 1 along axis -2 of ``x``, in
+    place (returned); decay[k - 1] = exp(-a (t_k - t_{k-1})) makes s_k the
+    causal sum sum_{l <= k} exp(-a (t_k - t_l)) x_l."""
+    steps = np.moveaxis(x, -2, 0)
+    for prev, cur, f in zip(steps[:-1], steps[1:], decay):
+        cur += f * prev
+    return x

@@ -20,7 +20,8 @@ Fourier mode k at time lag s = |t_i - t_k| as
 a finite sum over aliases q of Ornstein-Uhlenbeck covariances in time.  Each
 (mode, alias) term is one real AR(1) process over the slabs (Gillespie,
 Phys. Rev. E 54, 1996, "Exact numerical simulation of the Ornstein-Uhlenbeck
-process"); the aliases of a mode are summed, and the Hartley transform
+process"), run by ``kernels._decayed_prefix`` as is the mollified window
+operator; the aliases of a mode are summed, and the Hartley transform
 (Re + Im)(FFT) / sqrt(n) maps the real mode coefficients to a real field
 whose covariance is exactly the circulant one, because the eigenvalues are
 symmetric under k -> n - k.  Cost is O(aliases * n_time * n_space) per
@@ -45,6 +46,7 @@ import numpy as np
 from .field import _factorize  # noqa: F401  # perfbench/spans.py patches this attribute by name
 from .errors import RegimeError
 from .fk import MomentEstimate, _finalize, _sample_values
+from .kernels import _decayed_prefix
 from .params import C_ALPHA, ModelParams, _require_count, _require_positive
 from .paths import _generators, _require_stream
 
@@ -117,10 +119,10 @@ class NoiseSlabSampler:
     alias q with kappa = 2 pi (k/n + q) / dx, the term has stationary
     variance w = exp(-eps kappa^2) / dx and slab-to-slab coefficient
     rho = exp(-dt kappa^2 / 2): Z_0 = sqrt(w) N_0 and
-    Z_i = rho Z_{i-1} + sqrt(w (1 - rho^2)) N_i.  Each mode keeps its
-    aliases down to float64 resolution of its largest term; at Nyquist the
-    q = 0 and q = -1 aliases carry equal weight.  The mode sums go to space
-    through the Hartley transform.
+    Z_i = rho Z_{i-1} + sqrt(w (1 - rho^2)) N_i (``kernels._decayed_prefix``).
+    Each mode keeps its aliases down to float64 resolution of its largest
+    term; at Nyquist the q = 0 and q = -1 aliases carry equal weight.  The
+    mode sums go to space through the Hartley transform.
 
     Terms are stored leading alias first for every mode (columns 0..n-1),
     then one group per further alias rank, so a realization draws
@@ -168,9 +170,8 @@ class NoiseSlabSampler:
         """Map (batch, n_time, n_terms) standard normals, overwritten, to noise slabs."""
         z = normals
         z[:, 0] *= self._sd0
-        for i in range(1, self.grid.n_time):
-            z[:, i] *= self._innovation
-            z[:, i] += self._rho * z[:, i - 1]
+        z[:, 1:] *= self._innovation
+        _decayed_prefix(z, np.broadcast_to(self._rho, (self.grid.n_time - 1, self.n_terms)))
         n = self.grid.n_space
         modes = z[..., :n]
         start = n

@@ -225,6 +225,31 @@ class TestCli:
         assert record_fingerprint(recs[0]) == record_fingerprint(recs[1])
         assert snaps[0] == snaps[1]
 
+    @pytest.mark.parametrize("word, quick", [("false", False), ("0", False), ("No", False),
+                                             ("OFF", False), ("on", True), ("ture", None),
+                                             ("2", None), ("", None)])
+    def test_config_boolean_words(self, word, quick, tmp_path, monkeypatch, capsys):
+        # a mistyped boolean is a configuration error, never a silent false
+        monkeypatch.setattr(validation, "run_suite", lambda quick: [
+            validation.ValidationResult(f"quick={quick}", True, 0.0, 1.0, time.perf_counter())])
+        cfg, out = tmp_path / "cfg", tmp_path / "rec.json"
+        cfg.write_text(f"quick={word}\n")
+        code = main(["validate", "--config", str(cfg), "--out", str(out)])
+        if quick is None:
+            assert code == 2
+            assert "config key quick must be one of" in capsys.readouterr().err
+        else:
+            assert code == 0
+            assert json.loads(out.read_text())["config"]["quick"] is quick
+
+    def test_xi_node_budget_exits_2(self, capsys):
+        # alpha = 0.2 paths separate by ~1e14 and would ask for ~6e14 xi nodes
+        assert main(["moment", "--flavor", "sko", "--p", "2", "--t", "1", "--alpha", "0.2",
+                     "--grid-steps", "32", "--n-samples", "200", "--epsilon", "0.1",
+                     "--delta", "0.1", "--seed", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "xi quadrature needs" in err and err.count("\n") == 1
+
     def test_in_process_calls_match_separate_processes(self, tmp_path):
         # main reuses one parser per process; a config file or an earlier
         # subcommand must leave nothing behind for the next call

@@ -12,6 +12,7 @@ import pytest
 from scipy import integrate, special
 
 from sfheat import exponents
+from sfheat.errors import BudgetError
 from sfheat.exponents import (DivergentExponentWarning, MollifierParams, _moments,
                               cross_exponent, cross_exponent_values, deterministic_bound,
                               mollified_inner, mollified_inner_values, self_exponent)
@@ -621,7 +622,8 @@ _XI_CASES = {
     "nonuniform_delta_above_step": (_NONUNIFORM, MollifierParams(0.05, 0.1)),
     "nonuniform_delta_clipped": (_NONUNIFORM, MollifierParams(0.05, 0.6)),
     "single_step": (TimeGrid.uniform(1.0, 1), MollifierParams(0.1, 0.3)),
-    # a * t reaches 4000 at the last node: the recursion runs in several blocks
+    # a reaches 4000 at the last node, where the recursion's decay over one
+    # interval, exp(-a L), is exp(-50) or less
     "small_epsilon": (_UNIFORM, MollifierParams(0.005, 0.05)),
     "xval_moll": (_XVAL_GRID, MollifierParams(0.1, 0.015625)),
 }
@@ -689,6 +691,14 @@ class TestXiRouteOracle:
         monkeypatch.setattr(exponents, "_CHUNK_ELEMENTS", 1)
         for one, default in zip(run(), whole):
             np.testing.assert_allclose(one, default, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("z_max", [1e14, math.inf, math.nan])
+    def test_node_budget(self, z_max):
+        # heavy-tailed paths put Z near 1e14 (alpha = 0.2) and would ask for
+        # ~6e14 nodes; the budget stops them before any node is built
+        with pytest.raises(BudgetError, match="nodes for the largest path separation"):
+            exponents._xi_nodes(z_max, 0.1, 1.0)
+        assert len(exponents._xi_nodes(3.0, 0.005, 1.0)[0]) < exponents._XI_NODES_MAX
 
     def test_coinciding_edges_agree_with_edges_apart(self):
         # delta = 4 steps puts every window end on a later window start (128

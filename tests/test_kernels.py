@@ -118,9 +118,9 @@ _K2_CASES = {
     "gaussian": (lambda tau: heat_kernel(0.3, tau),
                  lambda *iv: kernels._rect(_gauss_K2(0.3), *iv)),
     "exponential": (lambda tau: math.exp(-1.7 * tau),
-                    lambda *iv: kernels._exp_time_pair_integral(*iv, 1.7)),
+                    lambda *iv: kernels._rect(lambda x: kernels._exp_K2(x, 1.7), *iv)),
     "exponential_a_to_0": (lambda tau: math.exp(-1e-10 * tau),
-                           lambda *iv: kernels._exp_time_pair_integral(*iv, 1e-10)),
+                           lambda *iv: kernels._rect(lambda x: kernels._exp_K2(x, 1e-10), *iv)),
     "mollified": (_band_kernel(0.3, 0.2),
                   lambda *iv: kernels._rect(_shifted_heat_K2(0.3, 0.2), *iv)),
     "eps0": (_band_kernel(0.3, 0.0),
@@ -146,8 +146,15 @@ class TestExpTimePairIntegral:
                 return (mpmath.exp(-y) - 1 + y) / am ** 2
 
             exact = float(kernels._rect(K2, *intervals))
-        got = float(kernels._exp_time_pair_integral(*intervals, a))
+            # one interval against itself, as the mollified window operator
+            # takes its diagonal: 2 K2(L)
+            L = intervals[1] - intervals[0]
+            exact_diagonal = float(mpmath.quad(lambda u: mpmath.quad(
+                lambda v: mpmath.exp(-am * abs(u - v)), [0, u, L]), [0, L]))
+        got = float(kernels._rect(lambda x: kernels._exp_K2(x, a), *intervals))
         assert abs(got - exact) <= 1e-14 * abs(exact)
+        got_diagonal = 2.0 * float(kernels._exp_K2(L, a))
+        assert abs(got_diagonal - exact_diagonal) <= 1e-14 * abs(exact_diagonal)
 
 
 class TestRectangleIdentity:

@@ -111,6 +111,23 @@ class TestNoiseSlab:
             se = math.sqrt((var0 ** 2 + target ** 2) / n)
             assert emp[0, j] == pytest.approx(target, abs=3 * se)
 
+    def test_sample_is_the_explicit_ar1_loop(self, monkeypatch):
+        # the AR(1) of every (mode, alias) term written out slab by slab on the
+        # stream's own normals; the alias sums and the Hartley transform after
+        # it are the sampler's, run with unit scales and no recursion
+        g = TorusGrid(half_length=4.0, n_space=32, n_time=8, t_horizon=0.5)
+        sampler = NoiseSlabSampler(g, 0.005)  # several aliases per mode
+        slab = sampler.sample(RngStream(64))
+        normals = RngStream(64).generator().standard_normal((g.n_time, sampler.n_terms))
+        z = np.empty_like(normals)
+        z[0] = sampler._sd0 * normals[0]
+        for i in range(1, g.n_time):
+            z[i] = sampler._innovation * normals[i] + sampler._rho * z[i - 1]
+        monkeypatch.setattr(solver, "_decayed_prefix", lambda x, decay: x)
+        monkeypatch.setattr(sampler, "_sd0", 1.0)
+        monkeypatch.setattr(sampler, "_innovation", 1.0)
+        assert np.array_equal(slab, sampler._from_normals(z[None])[0])
+
     def test_block_rows_match_single_draws(self):
         g = TorusGrid.default(0.5, n_space=32, n_time=16)
         sampler = NoiseSlabSampler(g, 0.1)
