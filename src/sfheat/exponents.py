@@ -27,8 +27,12 @@ differ, and the square removes it.
 
 The d = 1 band cells are int_I int_J p_{|u - v|}(dx) du dv, a second
 difference of K2(x) = int_0^|x| (|x| - tau) p_tau(dx) dtau over the corners of
-I x J (``kernels._rect``'s identity, specialised in ``_band_sum``); K2 is
-closed form in one exp and one erfc per corner (``_heat_K2``).
+I x J (``kernels._rect``'s identity, specialised in ``_band_sum``).  K2 is
+|x|^{3/2} G(a / |x|) / sqrt(2 pi), G closed form in one exp and one erfc
+(``_heat_K2``), and ``_band_sum`` evaluates it once for every corner of the
+band.  The erfc is the module's own (``_erfc``, Cephes' rational forms in
+numpy), so no moment imports scipy.special; it reuses the exp, and does no
+work on cells where that exp has underflowed to 0.
 
 Mollified inner products take the window integrals on the Fourier side
 instead: p_sigma(z) = pi^{-1} int_0^inf cos(xi z) exp(-sigma xi^2 / 2) dxi
@@ -66,6 +70,7 @@ from .params import _require_d, _require_positive
 from .paths import Path, TimeGrid
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+SQRT_PI = math.sqrt(math.pi)
 
 
 class DivergentExponentWarning(UserWarning):
@@ -89,33 +94,104 @@ class MollifierParams:
 # ---------------------------------------------------------------------------
 
 
-def _moments(x, a):
-    """Zeroth and first moments int_0^X sigma^k g(sigma) dsigma, k = 0, 1, of
-    g(sigma) = (2 pi sigma)^{-1/2} exp(-a / sigma), sharing one exp and one erfc:
-    sqrt(2 pi) m0 = 2 sqrt(X) e^{-a/X} - 2 sqrt(pi a) erfc(sqrt(a/X)) and
-    sqrt(2 pi) m1 = (2/3) X^{3/2} e^{-a/X} - (2a/3) sqrt(2 pi) m0; both are 0 at X = 0."""
-    from scipy import special  # loaded by the first unmollified band only
+# erfc(z), z >= 0, from the rational forms of Cephes' ndtr.c (S. Moshier,
+# after W. J. Cody, Math. Comp. 23, 1969), which scipy.special.erfc evaluates
+# too: 1 - z T(z^2) / U(z^2) below z = 1, exp(-z^2) P(z) / Q(z) below z = 8
+# and exp(-z^2) R(z) / S(z) above.  Each pair is (numerator, denominator),
+# leading coefficient first, the denominators monic; a shorter numerator is
+# padded by a leading 0, a Horner step that changes no bit.
+_ERF_TU = np.array([
+    [0.0, 9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+     7.00332514112805075473e3, 5.55923013010394962768e4],
+    [1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+     2.26290000613890934246e4, 4.92673942608635921086e4]])
+_ERFC_PQ = np.array([
+    [2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+     4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+     9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2],
+    [1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+     9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+     1.65666309194161350182e3, 5.57535340817727675546e2]])
+_ERFC_RS = np.array([
+    [0.0, 5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+     6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0],
+    [1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+     1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0]])
 
-    x, a = np.asarray(x, dtype=float), np.asarray(a, dtype=float)
-    pos = x > 0
-    xs = np.where(pos, x, 1.0)
-    root = np.sqrt(xs)
-    ratio = a / xs
-    e = np.where(pos, np.exp(-ratio), 0.0)
-    c = np.where(pos, np.sqrt(np.pi * a) * special.erfc(np.sqrt(ratio)), 0.0)
-    f0 = 2.0 * root * e - 2.0 * c
-    f1 = (2.0 / 3.0) * xs * root * e - (2.0 * a / 3.0) * f0
-    return f0 / SQRT_2PI, f1 / SQRT_2PI
+
+def _horner_pair(pair, v):
+    """Both polynomials of ``pair`` at the array v, by one Horner pass over a
+    (2, len(v)) array: half the numpy calls of two passes."""
+    y = pair[:, :1] * v
+    y += pair[:, 1:2]
+    for column in pair.T[2:, :, None]:
+        y *= v
+        y += column
+    return y
+
+
+def _erfc(z, exp_z2=None):
+    """erfc(z) for an array of z >= 0, to a few ulp, by the rational forms
+    above; ``exp_z2`` is exp(-z^2) when the caller has it.
+
+    Each form runs on its own cells only, gathered by index (a boolean mask
+    is several times slower on scattered cells), and no form runs where
+    exp(-z^2) is 0: erfc is 0 there.
+    """
+    z = np.asarray(z, dtype=float)
+    if exp_z2 is None:
+        exp_z2 = np.exp(-(z * z))
+    flat = z.ravel()
+    out = np.zeros(flat.shape)
+    small = flat < 1.0
+    lt8 = flat < 8.0
+    # exp(z^2) erfc(z) from 1 on, then times exp(-z^2); nan joins the last form
+    for cells, pair in ((small ^ lt8, _ERFC_PQ), (~lt8 & (exp_z2.ravel() != 0.0), _ERFC_RS)):
+        i = np.flatnonzero(cells)
+        num, den = _horner_pair(pair, flat.take(i))
+        out[i] = num / den
+    out *= exp_z2.ravel()
+    i = np.flatnonzero(small)
+    zc = flat.take(i)
+    num, den = _horner_pair(_ERF_TU, zc * zc)
+    out[i] = 1.0 - zc * num / den
+    return out.reshape(z.shape)
+
+
+# e^{-r} rounds to 0 past r = 745.14
+_RATIO_CAP = 746.0
 
 
 def _heat_K2(a):
-    """K2(x) = int_0^|x| (|x| - tau) p_tau(dx) dtau in d = 1, with a = |dx|^2 / 2
-    so that p_tau(dx) is the g of ``_moments``."""
+    """K2(x) = int_0^|x| (|x| - tau) p_tau(dx) dtau in d = 1, with a = |dx|^2 / 2.
+
+    tau = |x| s makes it |x|^{3/2} G(r) / sqrt(2 pi) with r = a / |x| and
+    G(r) = int_0^1 (1 - s) s^{-1/2} e^{-r/s} ds
+         = (2 + 4r/3) (e^{-r} - sqrt(pi r) erfc(sqrt r)) - (2/3) e^{-r},
+    one exp and one erfc per cell, the erfc reusing the exp; G(0) = 4/3 and
+    K2(0) = 0.  r is capped at _RATIO_CAP, past which e^{-r} is 0 and the
+    erfc does no work, so an overflowing a / |x| gives 0, not nan.
+    """
 
     def K2(x):
         x = np.abs(x)
-        m0, m1 = _moments(x, a)
-        return x * m0 - m1
+        pos = x > 0
+        xs = np.where(pos, x, 1.0)
+        scale = np.where(pos, xs * np.sqrt(xs) / SQRT_2PI, 0.0)  # |x|^{3/2} / sqrt(2 pi)
+        r = np.minimum(a / xs, _RATIO_CAP)
+        e = np.exp(-r)
+        z = np.sqrt(r)
+        # in place: k = scale ((2 + 4r/3) (e - sqrt(pi) z erfc(z)) - (2/3) e)
+        k = _erfc(z, e)
+        z *= -SQRT_PI
+        k *= z
+        k += e
+        r *= (4.0 / 3.0) * scale
+        r += 2.0 * scale
+        k *= r
+        e *= (2.0 / 3.0) * scale
+        k -= e
+        return k
 
     return K2
 
@@ -225,16 +301,18 @@ def _band_sum(pos_a, pos_b, h, d):
     a_diag = 0.5 * ((pos_a[:, :n] - pos_b[:, :n]) ** 2).sum(axis=-1)
     a_shared = a_diag[:, 1:]  # the separation at the node two adjacent cells share
     if d == 1:
-        # _rect corners of the diagonal and the two adjacent cells, K2(0) = 0 dropped
-        k_diag = _heat_K2(a_diag)(h[None, :])
-        band = 2.0 * k_diag.sum(axis=1)
-        if n > 1:
-            K2 = _heat_K2(a_shared)
-            k_hi = k_diag[:, 1:]  # K2 at a_shared and h[1:]
-            # equal adjacent widths (any uniform grid) give K2(h_lo) = K2(h_hi)
-            k_lo = k_hi if np.array_equal(h[:-1], h[1:]) else K2(h[None, :-1])
-            adjacent = K2(h[None, :-1] + h[None, 1:]) - k_lo - k_hi
-            band = band + 2.0 * adjacent.sum(axis=1)
+        # the _rect corners of the band in one K2 evaluation, K2(0) = 0 dropped:
+        # K2(h_i) at a_diag for the diagonal cells, whose [1:] is also K2(h_hi)
+        # of the adjacent cells at a_shared; K2(h_lo + h_hi) and, unless the
+        # adjacent widths are equal (any uniform grid), K2(h_lo) at a_shared
+        same = np.array_equal(h[:-1], h[1:])
+        widths = [h, h[:-1] + h[1:]] + ([] if same else [h[:-1]])
+        seps = [a_diag, a_shared] + ([] if same else [a_shared])
+        k = _heat_K2(np.concatenate(seps, axis=1))(np.concatenate(widths))
+        k_diag, k_pair = k[:, :n], k[:, n:2 * n - 1]
+        k_hi = k_diag[:, 1:]
+        k_lo = k_hi if same else k[:, 2 * n - 1:]
+        band = 2.0 * k_diag.sum(axis=1) + 2.0 * (k_pair - k_lo - k_hi).sum(axis=1)
     else:
         tau_diag = h / 3.0
         band = ((2.0 * np.pi * tau_diag[None, :]) ** (-d / 2.0) * h[None, :] ** 2

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BudgetError
 from .params import (C_ALPHA, _require_alpha_d, _require_count, _require_d, _require_point,
                      _require_positive)
 
@@ -265,6 +266,10 @@ def sample_path_batch(alpha, d, grid: TimeGrid, x0, rng, n_paths):
     stream's draws fill its slot of one preallocated block in the
     single-stream order (Kanter uniforms, exponentials, then normals), and
     one transform and one cumulative sum turn the block into positions.
+
+    For small alpha the subordinator's tail overflows float64: a batch with a
+    position that is not finite raises BudgetError, naming alpha, and no
+    overflow warning escapes.
     """
     d = _require_alpha_d(alpha, d)
     n_paths = _require_count(n_paths, "n_paths", 1)
@@ -274,6 +279,11 @@ def sample_path_batch(alpha, d, grid: TimeGrid, x0, rng, n_paths):
     n = len(dts)
     draws = _draws(_generators(rngs), alpha, (len(rngs), n_paths, n), d)
     pos = np.zeros((len(rngs) * n_paths, n + 1, d))
-    np.cumsum(_increments(alpha, dts, *draws).reshape(-1, n, d), axis=1, out=pos[:, 1:])
-    pos += x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumsum(_increments(alpha, dts, *draws).reshape(-1, n, d), axis=1, out=pos[:, 1:])
+        pos += x0
+    # an inf or nan anywhere in a path carries on to its end point
+    if not np.isfinite(pos[:, -1]).all():
+        raise BudgetError(f"alpha = {alpha}: a sampled path position is not finite; the "
+                          "stable increments overflow float64 at this alpha")
     return pos

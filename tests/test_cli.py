@@ -250,6 +250,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert "xi quadrature needs" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("moll", [[], ["--epsilon", "0.1", "--delta", "0.1"]],
+                             ids=["unmollified", "mollified"])
+    def test_overflowing_paths_exit_2_before_any_weight(self, moll, capsys):
+        # at alpha = 0.02 the subordinator's tail overflows float64; the path
+        # sampler stops the run, so no overflow warning reaches the caller
+        # (the suite turns RuntimeWarnings into errors)
+        argv = ["moment", "--flavor", "sko", "--p", "2", "--t", "1", "--grid-steps", "32",
+                "--seed", "0"] + moll
+        assert main(argv + ["--n-samples", "200", "--alpha", "0.02"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert "alpha = 0.02" in err and "not finite" in err
+        # heavy tails that fit in float64 still run (20 samples: a mollified
+        # alpha = 0.7 sample takes many xi nodes)
+        assert main(argv + ["--n-samples", "20", "--alpha", "0.7"]) == 0
+
     def test_in_process_calls_match_separate_processes(self, tmp_path):
         # main reuses one parser per process; a config file or an earlier
         # subcommand must leave nothing behind for the next call
@@ -464,10 +480,21 @@ def _run_then_list_loaded(code):
 @pytest.mark.parametrize("module", _DEFERRED)
 def test_cli_import_leaves_scipy_stats_unloaded(module):
     # scipy.stats takes about half a second to import and no sfheat code path
-    # uses it; scipy.special and scipy.integrate load with the unmollified
-    # band, the numeric stable kernel, the exact Skorohod mean and the
-    # quadrature checks
+    # uses it; scipy.special and scipy.integrate load only with the numeric
+    # stable kernel, the exact Skorohod mean and the quadrature checks
     assert module not in _run_then_list_loaded("import sfheat.cli")[-1]
+
+
+def test_unmollified_moment_and_alpha2_chaos_leave_scipy_submodules_unloaded():
+    # the pair of calls the headline benchmark makes: the band's erfc is the
+    # package's own, so neither call loads scipy.special (about 22 MB)
+    code = ("import contextlib, io, json\n"
+            "from sfheat.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main({_MOMENT + ['--alpha', '2', '--d', '1', '--grid-steps', '16']!r}),\n"
+            "             main(['chaos', '--alpha', '2', '--d', '1', '--t', '1', '--nmax', '2'])]\n"
+            "print(json.dumps(codes))")
+    assert _run_then_list_loaded(code) == [[0, 0], []]
 
 
 def test_alpha2_chaos_and_subordinator_check_leave_scipy_stats_unloaded():

@@ -7,13 +7,14 @@ import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
 
 from sfheat import exponents
 from sfheat.errors import BudgetError
-from sfheat.exponents import (DivergentExponentWarning, MollifierParams, _moments,
+from sfheat.exponents import (DivergentExponentWarning, MollifierParams,
                               cross_exponent, cross_exponent_values, deterministic_bound,
                               mollified_inner, mollified_inner_values, self_exponent)
 from sfheat.field import wick_gram
@@ -167,7 +168,7 @@ class TestCrossExponent:
     # alpha = 1.5 pairs from RngStream(43, d) on a non-uniform grid: off-band,
     # diagonal and adjacent cells, recorded bit-for-bit in each dimension
     @pytest.mark.parametrize("d, expected", [
-        (1, [0.13768497034565014, 0.1869341081679801]),
+        (1, [0.13768497034565014, 0.18693410816798015]),
         (2, [0.15751644944192897, 0.2575197516824277]),
         (3, [0.1686765769421651, 0.17850881940474786]),
     ])
@@ -465,6 +466,57 @@ class TestMollifiedInner:
 
 
 # ---------------------------------------------------------------------------
+# The band's erfc against mpmath at 50 digits.  The grid is dense on [0, 26]
+# (erfc(26) ~ 6e-296 is still a normal double) and holds each edge of the
+# rational forms, z = 1 and z = 8, with its neighbours on both sides.  The
+# bound is 4x the largest relative error that scipy.special.erfc, which
+# evaluates the same Cephes forms, shows on the same points, taken per octave
+# of z: scipy's error grows like z^2 ulp (the rounding of z^2 inside exp), from
+# 6.7e-16 on [1, 2) to 5.7e-14 on [16, 26], so one bound over [0, 26] would
+# let through errors 85 times larger near z = 1.
+# ---------------------------------------------------------------------------
+
+_ERFC_EDGES = (1.0, 8.0)
+_ERFC_OCTAVES = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, np.inf)
+_ERFC_Z = np.unique(np.concatenate(
+    [np.linspace(0.0, 26.0, 5201)]
+    + [edge + np.array([-1e-9, 0.0, 1e-9]) for edge in _ERFC_EDGES]
+    + [np.nextafter(edge, [0.0, 30.0]) for edge in _ERFC_EDGES]))
+
+
+@pytest.mark.parametrize("route", ["own_exp", "callers_exp"])
+def test_erfc_matches_mpmath(route):
+    if route == "own_exp":
+        z = _ERFC_Z
+        got = exponents._erfc(z)
+        with mpmath.workdps(50):
+            exact = np.array([float(mpmath.erfc(mpmath.mpf(v))) for v in z])
+    else:
+        # as the band calls it: z = sqrt(r) with the caller's exp(-r), so the
+        # target is erfc of the exact square root of r
+        r = _ERFC_Z * _ERFC_Z
+        z = np.sqrt(r)
+        got = exponents._erfc(z, np.exp(-r))
+        with mpmath.workdps(50):
+            exact = np.array([float(mpmath.erfc(mpmath.sqrt(mpmath.mpf(v)))) for v in r])
+    for lo, hi in zip(_ERFC_OCTAVES[:-1], _ERFC_OCTAVES[1:]):
+        piece = (z >= lo) & (z < hi)
+        ours = np.abs(got[piece] / exact[piece] - 1.0).max()
+        scipys = np.abs(special.erfc(z[piece]) / exact[piece] - 1.0).max()
+        assert ours <= 4.0 * scipys, (lo, hi, ours, scipys)
+
+
+def test_erfc_edge_values():
+    # erfc(0) = 1 exactly, 0 once exp(-z^2) underflows, and nan stays nan;
+    # any array shape
+    z = np.array([[0.0, 27.5], [np.inf, np.nan]])
+    got = exponents._erfc(z)
+    assert got.shape == z.shape
+    assert got[0, 0] == 1.0 and got[0, 1] == 0.0 and got[1, 0] == 0.0
+    assert np.isnan(got[1, 1])
+
+
+# ---------------------------------------------------------------------------
 # Test-only oracle: the piecewise route the package used before the rectangle
 # identity.  The double integral over I x J becomes a 1-d integral of k(|tau|)
 # against the trapezoid c(tau) = |{(u, v) in I x J : v - u = tau}|, taken piece
@@ -600,13 +652,13 @@ class TestRectangleRouteOracle:
 
 def _shifted_heat_K2(a, shift):
     """K2 of p_{tau + shift}(dx), a = |dx|^2 / 2, less the constant m1(shift)
-    that ``_rect`` cancels."""
-    m0_s = _moments(shift, a)[0] if shift > 0 else 0.0  # m0 vanishes at 0
+    that ``_rect`` cancels; _f0 and _f1 over sqrt(2 pi) are the zeroth and
+    first moments m0, m1 of p_tau(dx) in tau."""
+    f0_s = _f0(shift, a) if shift > 0 else 0.0  # f0 vanishes at 0
 
     def K2(x):
         end = np.abs(x) + shift
-        m0, m1 = _moments(end, a)
-        return end * (m0 - m0_s) - m1
+        return (end * (_f0(end, a) - f0_s) - _f1(end, a)) / SQRT_2PI
 
     return K2
 

@@ -94,6 +94,33 @@ def test_only_fk_starts_threads():
     assert not found, found
 
 
+def _imports_scipy_special(node):
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[:2] == ["scipy", "special"] for a in node.names)
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return (node.module.split(".")[:2] == ["scipy", "special"]
+                or node.module == "scipy" and any(a.name == "special" for a in node.names))
+    return False
+
+
+def test_only_the_numeric_stable_kernel_imports_scipy_special():
+    # scipy.special adds about 22 MB and 0.2 s to a process; the moment path
+    # evaluates erfc itself (exponents._erfc), and only the numeric inversion
+    # of the stable kernel needs scipy's Bessel functions
+    found = []
+    for path in sorted(pathlib.Path(sfheat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if _imports_scipy_special(node):
+                scope = parents.get(node)
+                while scope is not None and not isinstance(scope, (ast.FunctionDef,
+                                                                   ast.AsyncFunctionDef)):
+                    scope = parents.get(scope)
+                found.append(f"{path.stem}.{scope.name if scope else '<module>'}")
+    assert found == ["kernels._stable_kernel_numeric"], found
+
+
 _PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
