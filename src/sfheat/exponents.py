@@ -202,6 +202,9 @@ def _heat_K2(a):
 
 @functools.lru_cache(maxsize=32)
 def _grid_tables(key, d):
+    """Steps h, and the n x n off-band tables p0 = (2 pi tau)^{-d/2} h_i h_j
+    and -1 / (2 tau) at the midpoint separations tau, both 0 on the band
+    (-0.0 in the second); read-only, as every caller shares them."""
     times = np.frombuffer(key)
     h = np.diff(times)
     n = len(h)
@@ -211,8 +214,10 @@ def _grid_tables(key, d):
     area = np.outer(h, h)
     with np.errstate(divide="ignore"):
         p0 = np.where(offband, (2.0 * np.pi * np.where(offband, tau, 1.0)) ** (-d / 2.0) * area, 0.0)
-        inv2tau = np.where(offband, 0.5 / np.where(offband, tau, 1.0), 0.0)
-    return h, p0, inv2tau
+        neg_inv2tau = -np.where(offband, 0.5 / np.where(offband, tau, 1.0), 0.0)
+    for table in (h, p0, neg_inv2tau):
+        table.flags.writeable = False
+    return h, p0, neg_inv2tau
 
 
 # float64 cells per block of the off-band pass (1 MB, half of a 2 MB per-core
@@ -247,7 +252,7 @@ def _layout(B, n):
     return [B * k // n_blocks for k in range(n_blocks + 1)]
 
 
-def _offband_sum(pos_a, pos_b, p0, inv2tau, bounds):
+def _offband_sum(pos_a, pos_b, p0, neg_inv2tau, bounds):
     """Off-band cells of each sample: midpoint in time, increments frozen at
     left corners.
 
@@ -278,7 +283,6 @@ def _offband_sum(pos_a, pos_b, p0, inv2tau, bounds):
 
     buf = np.empty((max(b - a for a, b in zip(bounds[:-1], bounds[1:])), n, n))
     diff = np.empty_like(buf) if pos_a.shape[-1] > 1 else None
-    neg_inv2tau = -inv2tau
     off = np.empty(len(pos_a))
     for start, stop in zip(bounds[:-1], bounds[1:]):
         d2 = buf[:stop - start]
@@ -350,8 +354,8 @@ def cross_exponent_values(times, pos_a, pos_b, d):
     times, pos_a, pos_b = _positions(times, pos_a, pos_b)
     if pos_a.shape[-1] != d:
         raise ValueError(f"d = {d} differs from the positions' dimension {pos_a.shape[-1]}")
-    h, p0, inv2tau = _grid_tables(times.tobytes(), d)
-    return (_offband_sum(pos_a, pos_b, p0, inv2tau, _layout(len(pos_a), len(h)))
+    h, p0, neg_inv2tau = _grid_tables(times.tobytes(), d)
+    return (_offband_sum(pos_a, pos_b, p0, neg_inv2tau, _layout(len(pos_a), len(h)))
             + _band_sum(pos_a, pos_b, h, d))
 
 
@@ -459,26 +463,33 @@ def _xi_transforms(times, P, z_max, moll: MollifierParams):
     scale = (h / moll.delta)[:, None]
 
     chunk = max(1, _CHUNK_ELEMENTS // (len(edges) * len(P)))
+    rows = max(len(h) + 1, len(length))
     for k0 in range(0, len(xi), chunk):
         nodes = xi[k0:k0 + chunk]
         a = 0.5 * nodes * nodes
+        # one store serves the prefix sums C and, once F and the lo prefix
+        # are taken from C, the causal sum s
+        store = np.empty(len(P) * rows * len(nodes), dtype=complex)
         # prefix sums C of f = (h / delta) exp(i xi P), with a leading 0, so
-        # that F_k = C[hi_k] - C[lo_k]; exp written as cos + i sin: cheaper
-        # than complex exp, same bits
-        phase = P[..., None] * nodes
-        C = np.zeros((len(P), len(h) + 1, len(nodes)), dtype=complex)
+        # that F_k = C[hi_k] - C[lo_k]; exp written as cos + i sin, the phase
+        # taken in C.imag: cheaper than complex exp, same bits
+        C = store[:len(P) * (len(h) + 1) * len(nodes)].reshape(len(P), len(h) + 1, len(nodes))
+        C[:, 0] = 0.0
+        phase = np.multiply(P[..., None], nodes, out=C.imag[:, 1:])
         np.cos(phase, out=C.real[:, 1:])
-        np.sin(phase, out=C.imag[:, 1:])
+        np.sin(phase, out=phase)
         C[:, 1:] *= scale
         np.cumsum(C, axis=1, out=C)
         F = np.take(C, hi, axis=1)
-        F -= np.take(C, lo, axis=1)
+        R = np.take(C, lo, axis=1)
+        F -= R
+        np.conjugate(F, out=R)
         with np.errstate(divide="ignore", invalid="ignore"):
             A = np.where(a > 0, -np.expm1(-length * a) / a, length)
-        R = np.conjugate(F)
-        s = _decayed_prefix(A * R, np.exp(-a * length[1:]))
+        s = store[:R.size].reshape(R.shape)
+        _decayed_prefix(np.multiply(A, R, out=s), np.exp(-a * length[1:]))
         R *= _exp_K2(length, a)
-        R[:, 1:] += A[1:] * s[:, :-1]
+        R[:, 1:] += np.multiply(A[1:], s[:, :-1], out=s[:, :-1])
         yield weight[k0:k0 + chunk], F, R
 
 
@@ -521,8 +532,14 @@ def mollified_inner_values(times, pos_a, pos_b, moll: MollifierParams):
     total = np.zeros(B)
     for weight, F, R in _xi_transforms(times, X if self_pair else np.concatenate([X, Y]),
                                        z_max, moll):
-        cell_sum = (2.0 * (F * R).sum(axis=1) if self_pair
-                    else (F[:B] * R[B:] + F[B:] * R[:B]).sum(axis=1))
+        # the cell products overwrite R; F stays the first factor, because a
+        # complex product's rounding may depend on the operand order
+        if self_pair:
+            cell_sum = 2.0 * np.multiply(F, R, out=R).sum(axis=1)
+        else:
+            np.multiply(F[:B], R[B:], out=R[B:])
+            np.multiply(F[B:], R[:B], out=R[:B])
+            cell_sum = np.add(R[B:], R[:B], out=R[B:]).sum(axis=1)
         total += cell_sum.real @ weight
     return total / math.pi
 

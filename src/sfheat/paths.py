@@ -221,6 +221,15 @@ def _increments(alpha, dt, u, e, z):
     return np.sqrt(var)[..., None] * z
 
 
+def _finite_draws(values, alpha, what):
+    """``values`` when every entry is finite; otherwise BudgetError, naming
+    alpha: for small alpha the subordinator's tail overflows float64."""
+    if not np.isfinite(values).all():
+        raise BudgetError(f"alpha = {alpha}: a sampled {what} is not finite; the "
+                          "stable increments overflow float64 at this alpha")
+    return values
+
+
 def sample_subordinator_increment(alpha, dt, rng, size=None):
     """Positive (alpha/2)-stable variates S with E exp(-lam S) = exp(-(dt/2) lam^{alpha/2}).
 
@@ -228,6 +237,8 @@ def sample_subordinator_increment(alpha, dt, rng, size=None):
     characteristic function exp(-dt |xi|^alpha / 2).  Scaling law:
     S(dt) =_law (dt/2)^{2/alpha} S_std where S_std has unit Laplace exponent.
     Uses Kanter's transform; alpha = 2 has no subordinator (callers bypass).
+    A draw that overflows float64 (small alpha) raises BudgetError, as in
+    ``sample_path_batch``.
     """
     _require_alpha_d(alpha, 1)
     if alpha == 2.0:
@@ -235,11 +246,17 @@ def sample_subordinator_increment(alpha, dt, rng, size=None):
     dt = _require_positive(dt, "dt")
     shape = (1,) if size is None else (1, _require_count(size, "size", 1))
     u, e, _ = _draws(_generators([rng]), alpha, shape, 0)
-    return _subordinator(alpha, dt, u[0], e[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _subordinator(alpha, dt, u[0], e[0])
+    return _finite_draws(s, alpha, "subordinator increment")
 
 
 def sample_increment(alpha, d, dt, rng, size=None):
-    """One (or ``size``) increments with characteristic function exp(-dt |xi|^alpha / 2)."""
+    """One (or ``size``) increments with characteristic function exp(-dt |xi|^alpha / 2).
+
+    An increment that overflows float64 (small alpha) raises BudgetError, as
+    in ``sample_path_batch``.
+    """
     dt = 0.0 if dt == 0 else _require_positive(dt, "dt")  # dt = 0 is the zero increment
     d = _require_alpha_d(alpha, d)
     rng = _require_stream(rng)  # also where dt = 0 draws nothing
@@ -247,7 +264,9 @@ def sample_increment(alpha, d, dt, rng, size=None):
     if dt == 0:
         return np.zeros(shape + (d,))
     draws = _draws(_generators([rng]), alpha, (1,) + shape, d)
-    return _increments(alpha, dt, *(None if a is None else a[0] for a in draws))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _increments(alpha, dt, *(None if a is None else a[0] for a in draws))
+    return _finite_draws(x, alpha, "increment")
 
 
 def sample_path(alpha, d, grid: TimeGrid, x0, rng) -> Path:
@@ -283,7 +302,5 @@ def sample_path_batch(alpha, d, grid: TimeGrid, x0, rng, n_paths):
         np.cumsum(_increments(alpha, dts, *draws).reshape(-1, n, d), axis=1, out=pos[:, 1:])
         pos += x0
     # an inf or nan anywhere in a path carries on to its end point
-    if not np.isfinite(pos[:, -1]).all():
-        raise BudgetError(f"alpha = {alpha}: a sampled path position is not finite; the "
-                          "stable increments overflow float64 at this alpha")
+    _finite_draws(pos[:, -1], alpha, "path position")
     return pos

@@ -30,6 +30,11 @@ realization, with no covariance matrix and no factorization.
 Smooth-noise ordinary-product solutions carry Stratonovich statistics, so
 ensembles here cross-validate the matched mollified Feynman-Kac estimators;
 their realizations run in blocks on every core through ``fk._sample_values``.
+Each thread of one ``ensemble_moment`` call draws its blocks into two
+buffers that it keeps for the call (``NoiseSlabSampler.buffers``): the
+block's normals, whose leading n_space columns then hold the noise field,
+and the half spectrum of the Hartley transform.  They are freed when the
+call returns, and a thread's later blocks allocate no noise arrays.
 d = 1 only: it is the single regime where that target exists.
 ``evolve`` and ``ensemble_moment`` (before it draws noise) reject a grid
 whose horizon is not ``params.t_horizon``, ``evolve`` a snapshot time
@@ -39,6 +44,7 @@ outside (0, t], and ``ensemble_moment`` (read at x = 0) a nonzero x_point.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +117,17 @@ class FieldState:
     time: float
 
 
+def _band(modes, n):
+    """The sorted mode indices ``modes`` of one alias rank as runs (first,
+    stop) of consecutive modes: one run, or two where the band wraps past
+    mode n - 1 to mode 0.  ValueError if the modes form no such band."""
+    runs = [(int(run[0]), int(run[-1]) + 1)
+            for run in np.split(modes, np.flatnonzero(np.diff(modes) != 1) + 1)]
+    if len(runs) > 2 or len(runs) == 2 and (runs[0][0] != 0 or runs[1][1] != n):
+        raise ValueError(f"alias rank over modes {modes.tolist()} is not one band")
+    return runs
+
+
 class NoiseSlabSampler:
     """Samples (n_time, n_space) noise slabs exactly, one AR(1) per (mode, alias).
 
@@ -126,7 +143,13 @@ class NoiseSlabSampler:
 
     Terms are stored leading alias first for every mode (columns 0..n-1),
     then one group per further alias rank, so a realization draws
-    (n_time, n_terms) standard normals, time-major.
+    (n_time, n_terms) standard normals, time-major.  With f = min(k, n - k) / n,
+    the r-th alias of mode k (r = 0 the heaviest) sits at |k/n + q| = r/2 + f
+    for even r and (r + 1)/2 - f for odd r, so its weight relative to the
+    mode's heaviest is monotone in f: each rank keeps one band of modes,
+    around n/2 for odd r and around 0 for even r.  ``__init__`` checks this,
+    and the alias sum adds each rank as one slice, two where the band wraps
+    past mode 0.
     """
 
     def __init__(self, grid: TorusGrid, epsilon):
@@ -139,53 +162,74 @@ class NoiseSlabSampler:
         kappa2 = (2.0 * np.pi * (np.arange(n)[:, None] / n + q[None, :]) / dx) ** 2
         kappa2 = np.sort(kappa2, axis=1)  # heaviest alias of each mode first
         keep = self.epsilon * (kappa2 - kappa2[:, :1]) < _LOG_RESOLUTION
-        self._modes = [np.flatnonzero(keep[:, r]) for r in range(int(keep.sum(axis=1).max()))]
-        k2 = np.concatenate([kappa2[m, r] for r, m in enumerate(self._modes)])
+        ranks = [np.flatnonzero(keep[:, r]) for r in range(int(keep.sum(axis=1).max()))]
+        k2 = np.concatenate([kappa2[m, r] for r, m in enumerate(ranks)])
         variance = np.exp(-self.epsilon * k2) / dx
         self._rho = np.exp(-0.5 * grid.dt * k2)
         self._sd0 = np.sqrt(variance)
         self._innovation = np.sqrt(variance * -np.expm1(-grid.dt * k2))
+        # (first mode, stop mode, first term column) of each run of further aliases
+        self._alias_runs = []
+        start = n
+        for modes in ranks[1:]:
+            for first, stop in _band(modes, n):
+                self._alias_runs.append((first, stop, start))
+                start += stop - first
 
     @property
     def n_terms(self):
         """Standard normals per slab: one per kept (mode, alias) pair."""
         return len(self._rho)
 
-    def sample(self, rng):
+    def buffers(self, size):
+        """Work arrays for blocks of up to ``size`` slabs: the normals
+        (size, n_time, n_terms) and the complex half spectrum (size, n_time,
+        n_space // 2 + 1)."""
+        g = self.grid
+        return (np.empty((size, g.n_time, self.n_terms)),
+                np.empty((size, g.n_time, g.n_space // 2 + 1), dtype=complex))
+
+    def sample(self, rng, buffers=None):
         """One slab from a stream (or integer master seed), or a block of slabs.
 
         A list or tuple of streams gives a (len, n_time, n_space) block whose
         row r is bit-identical to ``sample(streams[r])``; one Philox is reset
-        to each stream in turn.
+        to each stream in turn.  The slabs are a view of the leading n_space
+        columns of the normals, which are new arrays unless ``buffers`` is a
+        pair from ``buffers(size)``, size >= len; the view is then valid until
+        those buffers are next used.
         """
         block = isinstance(rng, (list, tuple))
         rngs = rng if block else [rng]
-        normals = np.empty((len(rngs), self.grid.n_time, self.n_terms))
+        normals, half = self.buffers(len(rngs)) if buffers is None else buffers
+        if len(normals) < len(rngs):
+            raise ValueError(f"buffers hold {len(normals)} slabs, not {len(rngs)}")
+        normals, half = normals[:len(rngs)], half[:len(rngs)]
         for row, gen in zip(normals, _generators(rngs)):
             gen.standard_normal(out=row)
-        slabs = self._from_normals(normals)
+        slabs = self._from_normals(normals, half)
         return slabs if block else slabs[0]
 
-    def _from_normals(self, normals):
-        """Map (batch, n_time, n_terms) standard normals, overwritten, to noise slabs."""
+    def _from_normals(self, normals, half=None):
+        """Map (batch, n_time, n_terms) standard normals, overwritten, to noise
+        slabs, the view normals[..., :n_space].  ``half`` receives the complex
+        half spectrum (batch, n_time, n_space // 2 + 1); a new array if None."""
         z = normals
         z[:, 0] *= self._sd0
         z[:, 1:] *= self._innovation
         _decayed_prefix(z, np.broadcast_to(self._rho, (self.grid.n_time - 1, self.n_terms)))
         n = self.grid.n_space
         modes = z[..., :n]
-        start = n
-        for idx in self._modes[1:]:
-            modes[..., idx] += z[..., start:start + len(idx)]
-            start += len(idx)
-        # Hartley transform from the half spectrum: FFT_{n-j} = conj(FFT_j)
-        half = np.fft.rfft(modes)
-        cas = np.empty(modes.shape)
-        np.add(half.real, half.imag, out=cas[..., :n // 2 + 1])
+        for first, stop, start in self._alias_runs:
+            modes[..., first:stop] += z[..., start:start + stop - first]
+        # Hartley transform from the half spectrum, FFT_{n-j} = conj(FFT_j),
+        # written over the mode sums it is taken from
+        half = np.fft.rfft(modes, out=half)
         mirror = half[..., n // 2 - 1:0:-1]
-        np.subtract(mirror.real, mirror.imag, out=cas[..., n // 2 + 1:])
-        cas /= math.sqrt(n)
-        return cas
+        np.add(half.real, half.imag, out=modes[..., :n // 2 + 1])
+        np.subtract(mirror.real, mirror.imag, out=modes[..., n // 2 + 1:])
+        modes /= math.sqrt(n)
+        return modes
 
 
 def _half_multiplier(grid: TorusGrid, alpha, dt):
@@ -254,14 +298,15 @@ def evolve(grid: TorusGrid, params: ModelParams, noise, snapshot_times=()):
     half = _half_multiplier(grid, params.alpha, dt)[:n // 2 + 1]
     full = half * half
     spectrum = np.fft.rfft(np.broadcast_to(u0, noise.shape[:-2] + u0.shape)) * half
-    factor = np.empty(noise.shape[:-2] + (n,))
+    u = np.empty(noise.shape[:-2] + (n,))
+    factor = np.empty_like(u)
     shots = []
     t = 0.0
     for i in range(grid.n_time):
-        u = np.fft.irfft(spectrum, n)
+        np.fft.irfft(spectrum, n, out=u)
         np.multiply(noise[..., i, :], dt, out=factor)
         u *= np.exp(factor, out=factor)
-        spectrum = np.fft.rfft(u)
+        np.fft.rfft(u, out=spectrum)
         t += dt
         if i == grid.n_time - 1 or (wanted and t >= wanted[0] - 1e-12):
             values = np.fft.irfft(spectrum * half, n)
@@ -277,8 +322,9 @@ def ensemble_moment(grid: TorusGrid, params: ModelParams, epsilon, p,
     """Sample p-th moment of u(t_horizon, x = 0) over independent noise slabs.
 
     Realization r draws its noise from ``rng.substream(r)``; realizations
-    run in blocks of about _BLOCK_ELEMENTS noise values, and the estimate is
-    the same for any block size and any core count.
+    run in blocks of about _BLOCK_ELEMENTS noise values, each thread drawing
+    into its own buffers for this call, and the estimate is the same for any
+    block size and any core count.
 
     ``epsilon`` is the spatial mollifier scale; the time width is pinned to
     the solver step (the piecewise-constant slabs realize the time window
@@ -296,9 +342,12 @@ def ensemble_moment(grid: TorusGrid, params: ModelParams, epsilon, p,
     sampler = NoiseSlabSampler(grid, epsilon)
     center = grid.n_space // 2  # x = 0 lies on the grid by construction
     block = max(1, _BLOCK_ELEMENTS // (grid.n_time * grid.n_space))
+    held = threading.local()  # each thread's noise buffers, freed with this call
 
     def values(streams):
-        state, _ = evolve(grid, params, sampler.sample(streams))
+        if not hasattr(held, "buffers"):
+            held.buffers = sampler.buffers(min(block, n_realizations))
+        state, _ = evolve(grid, params, sampler.sample(streams, held.buffers))
         return state.values[:, center] ** p
 
     vals = _sample_values(n_realizations, block, rng, values)

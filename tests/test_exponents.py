@@ -196,7 +196,7 @@ class TestCrossExponent:
 def _one_shot_offband(times, pa, pb, d):
     """Test-only oracle: the off-band sum as one pass over the whole batch,
     holding one (B, n, n) array."""
-    h, p0, inv2tau = exponents._grid_tables(times.tobytes(), d)
+    h, p0, neg_inv2tau = exponents._grid_tables(times.tobytes(), d)
     n = len(h)
     d2 = pa[:, :n, None, 0] - pb[:, None, :n, 0]
     np.multiply(d2, d2, out=d2)
@@ -204,12 +204,23 @@ def _one_shot_offband(times, pa, pb, d):
         diff = pa[:, :n, None, c] - pb[:, None, :n, c]
         np.multiply(diff, diff, out=diff)
         d2 += diff
-    np.multiply(d2, -inv2tau[None], out=d2)
+    np.multiply(d2, neg_inv2tau[None], out=d2)
     np.exp(d2, out=d2)
     return np.einsum("bij,ij->b", d2, p0)
 
 
 class TestBlockedOffBand:
+    def test_grid_tables_are_read_only(self):
+        # every caller and thread shares the cached tables; the off-band pass
+        # scales by the negated table as it is, 0 (as -0.0) on the band
+        grid = TimeGrid.uniform(1.0, 16)
+        h, p0, neg_inv2tau = exponents._grid_tables(grid.times.tobytes(), 1)
+        for table in (h, p0, neg_inv2tau):
+            with pytest.raises(ValueError, match="read-only"):
+                table[..., 0] = 1.0
+        band = np.abs(np.subtract.outer(np.arange(16), np.arange(16))) < 2
+        assert np.all(neg_inv2tau[~band] < 0) and np.all(neg_inv2tau[band] == 0)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n", [128, 256])
     def test_blocks_match_one_pass(self, n, d):
@@ -218,9 +229,9 @@ class TestBlockedOffBand:
         for B in (block - 1, block + 3, 2 * block + 5):
             pos = sample_path_batch(2.0, d, grid, 0.0, RngStream(45, 10 * n + d), 2 * B)
             pa, pb = pos[:B], pos[B:]
-            _, p0, inv2tau = exponents._grid_tables(grid.times.tobytes(), d)
+            _, p0, neg_inv2tau = exponents._grid_tables(grid.times.tobytes(), d)
             bounds = exponents._layout(B, n)
-            assert np.array_equal(exponents._offband_sum(pa, pb, p0, inv2tau, bounds),
+            assert np.array_equal(exponents._offband_sum(pa, pb, p0, neg_inv2tau, bounds),
                                   _one_shot_offband(grid.times, pa, pb, d)), B
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -229,12 +240,12 @@ class TestBlockedOffBand:
         # every block size from the floor up, in even and remainder-spread layouts
         grid = TimeGrid.uniform(1.0, n)
         pos = sample_path_batch(2.0, d, grid, 0.0, RngStream(52, 10 * n + d), 34)
-        _, p0, inv2tau = exponents._grid_tables(grid.times.tobytes(), d)
+        _, p0, neg_inv2tau = exponents._grid_tables(grid.times.tobytes(), d)
         for size in range(exponents._MIN_BLOCK_SAMPLES, 9):
             for B in (2 * size, 2 * size + 1):
                 pa, pb = pos[:B], pos[17:17 + B]
                 bounds = [B * k // 2 for k in range(3)]
-                assert np.array_equal(exponents._offband_sum(pa, pb, p0, inv2tau, bounds),
+                assert np.array_equal(exponents._offband_sum(pa, pb, p0, neg_inv2tau, bounds),
                                       _one_shot_offband(grid.times, pa, pb, d)), (size, B)
 
     @pytest.mark.parametrize("case", ["equal", "square overflows", "difference overflows",
@@ -263,10 +274,10 @@ class TestBlockedOffBand:
             # no band cell of X_5 is inf, so one pass raises no invalid flag
             pa[1, 5] = np.inf
             pb[1, 4:7] = np.nan
-        _, p0, inv2tau = exponents._grid_tables(grid.times.tobytes(), 1)
+        _, p0, neg_inv2tau = exponents._grid_tables(grid.times.tobytes(), 1)
 
         def blocked():
-            return exponents._offband_sum(pa, pb, p0, inv2tau, [0, 2, 4])
+            return exponents._offband_sum(pa, pb, p0, neg_inv2tau, [0, 2, 4])
 
         def one_pass():
             return _one_shot_offband(grid.times, pa, pb, 1)
@@ -289,16 +300,16 @@ class TestBlockedOffBand:
         # a multi-threaded BLAS may split
         grid = TimeGrid.uniform(1.0, 512)
         pos = sample_path_batch(2.0, 2, grid, 0.0, RngStream(54, 0), 10)
-        _, p0, inv2tau = exponents._grid_tables(grid.times.tobytes(), 2)
+        _, p0, neg_inv2tau = exponents._grid_tables(grid.times.tobytes(), 2)
         bounds = exponents._layout(5, 512)
-        here = exponents._offband_sum(pos[:5], pos[5:], p0, inv2tau, bounds).tobytes().hex()
+        here = exponents._offband_sum(pos[:5], pos[5:], p0, neg_inv2tau, bounds).tobytes().hex()
         script = ("from sfheat import exponents\n"
                   "from sfheat.paths import RngStream, TimeGrid, sample_path_batch\n"
                   "grid = TimeGrid.uniform(1.0, 512)\n"
                   "pos = sample_path_batch(2.0, 2, grid, 0.0, RngStream(54, 0), 10)\n"
-                  "_, p0, inv2tau = exponents._grid_tables(grid.times.tobytes(), 2)\n"
+                  "_, p0, neg_inv2tau = exponents._grid_tables(grid.times.tobytes(), 2)\n"
                   "bounds = exponents._layout(5, 512)\n"
-                  "print(exponents._offband_sum(pos[:5], pos[5:], p0, inv2tau, bounds)"
+                  "print(exponents._offband_sum(pos[:5], pos[5:], p0, neg_inv2tau, bounds)"
                   ".tobytes().hex())\n")
         src = os.path.dirname(os.path.dirname(exponents.__file__))
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1",

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from sfheat.errors import BudgetError
 from sfheat.paths import (Path, RngStream, TimeGrid, _increments, constant_path,
                           sample_increment, sample_path, sample_path_batch,
                           sample_subordinator_increment)
@@ -76,6 +78,14 @@ class TestSubordinator:
         s = sample_subordinator_increment(1.9, 1.0, RngStream(5, 0), size=1000)
         assert np.all(s > 0) and np.all(np.isfinite(s))
 
+    def test_overflow_is_a_budget_error(self):
+        # at alpha = 0.02 two of these 10 000 draws overflow float64: a
+        # BudgetError naming alpha, as from sample_path_batch, and no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BudgetError, match="alpha = 0.02"):
+                sample_subordinator_increment(0.02, 1.0, 0, size=10000)
+
 
 class TestIncrements:
     def test_gaussian_variance(self):
@@ -94,6 +104,14 @@ class TestIncrements:
 
     def test_zero_dt(self):
         assert np.array_equal(sample_increment(1.5, 3, 0.0, RngStream(8)), np.zeros(3))
+
+    def test_overflow_is_a_budget_error(self):
+        # the subordinator's overflow reaches the increments; see
+        # TestSubordinator.test_overflow_is_a_budget_error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BudgetError, match="alpha = 0.02"):
+                sample_increment(0.02, 1, 1 / 32, 0, size=10000)
 
     def test_isotropy_d2(self):
         # rotate by 90 degrees: the ECF must agree in both axes

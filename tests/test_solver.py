@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,13 +130,38 @@ class TestNoiseSlab:
         assert np.array_equal(slab, sampler._from_normals(z[None])[0])
 
     def test_block_rows_match_single_draws(self):
+        # also when the block is drawn into buffers sized for a larger one,
+        # as the ensemble draws its last block
         g = TorusGrid.default(0.5, n_space=32, n_time=16)
         sampler = NoiseSlabSampler(g, 0.1)
         rng = RngStream(59)
+        buffers = sampler.buffers(9)
         block = sampler.sample([rng.substream(r) for r in range(7)])
         assert block.shape == (7, g.n_time, g.n_space)
+        assert np.array_equal(sampler.sample([rng.substream(r) for r in range(7)], buffers),
+                              block)
         for r in range(7):
             assert np.array_equal(block[r], sampler.sample(rng.substream(r)))
+        with pytest.raises(ValueError, match="buffers hold 9 slabs, not 10"):
+            sampler.sample([rng.substream(r) for r in range(10)], buffers)
+
+    def test_alias_ranks_are_bands(self):
+        # eps = 0.005: every mode keeps several aliases, and the even ranks'
+        # bands wrap past mode 0; the runs fill the term columns after the
+        # leading aliases once each, in order
+        g = TorusGrid(half_length=4.0, n_space=32, n_time=8, t_horizon=0.5)
+        sampler = NoiseSlabSampler(g, 0.005)
+        runs = sampler._alias_runs
+        assert runs[0][2] == g.n_space
+        assert [start for _, _, start in runs[1:]] == [
+            start + stop - first for first, stop, start in runs[:-1]]
+        assert runs[-1][2] + runs[-1][1] - runs[-1][0] == sampler.n_terms
+        assert (0, 13) in [run[:2] for run in runs] and (20, 32) in [run[:2] for run in runs]
+        assert solver._band(np.arange(5, 9), 32) == [(5, 9)]
+        assert solver._band(np.array([0, 1, 30, 31]), 32) == [(0, 2), (30, 32)]
+        for modes in ([0, 1, 5, 31], [3, 4, 31], [0, 1, 29, 30], [2, 4]):
+            with pytest.raises(ValueError, match="not one band"):
+                solver._band(np.array(modes), 32)
 
     def test_integer_seed_draws_stream_zero(self):
         sampler = NoiseSlabSampler(TorusGrid.default(0.5, n_space=16, n_time=8), 0.1)
@@ -352,6 +378,45 @@ class TestEnsembleMoment:
         a = ensemble_moment(g, PM_CONST, 0.1, 1, 20, rng=69)
         b = ensemble_moment(g, PM_CONST, 0.1, 1, 20, rng=69)
         assert a.value == b.value
+
+    def test_blocks_go_through_sample_and_evolve(self, monkeypatch, set_workers):
+        # the benchmark's tracer times noise draws and Strang steps by
+        # replacing NoiseSlabSampler.sample and solver.evolve, so every block
+        # must look both up by attribute at call time
+        set_workers(2)
+        g = TorusGrid.default(0.5, n_space=16, n_time=16)
+        monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", 7 * g.n_time * g.n_space)
+        want = ensemble_moment(g, PM_BUMP, 0.1, 2, 50, rng=58)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(NoiseSlabSampler, "sample", counted("sample", NoiseSlabSampler.sample))
+        monkeypatch.setattr(solver, "evolve", counted("evolve", solver.evolve))
+        got = ensemble_moment(g, PM_BUMP, 0.1, 2, 50, rng=58)
+        assert sorted(calls) == ["evolve"] * 8 + ["sample"] * 8  # 50 realizations, 7 a block
+        assert got.value == want.value and got.std_error == want.std_error
+
+    def test_peak_memory_at_two_workers(self, set_workers):
+        # each thread keeps its normals (122, 32, 83) and half spectrum
+        # (122, 32, 33), 4.65e6 bytes, for the call and frees them with it;
+        # fresh normals, spectrum, field and alias temporaries per block
+        # peaked at 13.6e6
+        set_workers(2)
+        g = TorusGrid.default(0.5, n_space=64, n_time=32)
+        ensemble_moment(g, PM_CONST, 0.1, 1, 1000, rng=71)  # pool and imports
+        tracemalloc.start()
+        try:
+            ensemble_moment(g, PM_CONST, 0.1, 1, 1000, rng=71)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10.5e6
+        assert held < 1e5
 
     def test_block_size_does_not_change_values(self, monkeypatch, set_workers):
         # nor does the number of threads the blocks run on
