@@ -61,15 +61,15 @@ class RngStream:
         a fresh Generator over a keyless Philox), to this stream's key and
         counter and returns it.  Passing one Generator from stream to stream
         is much cheaper than a new Philox per stream, which first seeds a
-        SeedSequence from OS entropy even when a key is given.
+        SeedSequence from OS entropy even when a key is given.  The state
+        holds Python ints, not numpy arrays: the setter copies each word, and
+        three new arrays took most of a reset's time.
         """
         gen = np.random.Generator(np.random.Philox()) if reuse is None else reuse
         gen.bit_generator.state = {
             "bit_generator": "Philox",
-            "state": {"counter": np.array([0, 0, self.stream_index, 0], dtype=np.uint64),
-                      "key": np.array([self.master_seed, 0], dtype=np.uint64)},
-            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0,
+            "state": {"counter": [0, 0, self.stream_index, 0], "key": [self.master_seed, 0]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
         }
         return gen
 

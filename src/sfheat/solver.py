@@ -33,8 +33,10 @@ their realizations run in blocks on every core through ``fk._sample_values``.
 Each thread of one ``ensemble_moment`` call draws its blocks into two
 buffers that it keeps for the call (``NoiseSlabSampler.buffers``): the
 block's normals, whose leading n_space columns then hold the noise field,
-and the half spectrum of the Hartley transform.  They are freed when the
-call returns, and a thread's later blocks allocate no noise arrays.
+and the half spectrum of the Hartley transform for one group of
+consecutive slabs, which the transform fills group by group.  They are
+freed when the call returns, and a thread's later blocks allocate no noise
+arrays.
 d = 1 only: it is the single regime where that target exists.
 ``evolve`` and ``ensemble_moment`` (before it draws noise) reject a grid
 whose horizon is not ``params.t_horizon``, ``evolve`` a snapshot time
@@ -63,6 +65,10 @@ _LOG_RESOLUTION = -math.log(np.finfo(float).eps)
 # noise values per ensemble block, held at once by each thread, as in
 # fk._moment_samples; values do not depend on it
 _BLOCK_ELEMENTS = 250_000
+
+# half-spectrum values per group of slabs in the noise's Hartley transform,
+# held at once by each thread; values do not depend on it
+_SPECTRUM_ELEMENTS = 32_768
 
 
 @dataclass(frozen=True)
@@ -183,11 +189,18 @@ class NoiseSlabSampler:
 
     def buffers(self, size):
         """Work arrays for blocks of up to ``size`` slabs: the normals
-        (size, n_time, n_terms) and the complex half spectrum (size, n_time,
-        n_space // 2 + 1)."""
+        (size, n_time, n_terms) and the complex half spectrum of one group
+        of slabs, (size, group, n_space // 2 + 1)."""
+        return np.empty((size, self.grid.n_time, self.n_terms)), self._half_spectrum(size)
+
+    def _half_spectrum(self, size):
+        """The half-spectrum buffer for blocks of up to ``size`` slabs, over
+        a group of as many slabs as fit in _SPECTRUM_ELEMENTS values (at
+        least one, at most n_time)."""
         g = self.grid
-        return (np.empty((size, g.n_time, self.n_terms)),
-                np.empty((size, g.n_time, g.n_space // 2 + 1), dtype=complex))
+        width = g.n_space // 2 + 1
+        group = min(g.n_time, max(1, _SPECTRUM_ELEMENTS // (size * width)))
+        return np.empty((size, group, width), dtype=complex)
 
     def sample(self, rng, buffers=None):
         """One slab from a stream (or integer master seed), or a block of slabs.
@@ -213,7 +226,9 @@ class NoiseSlabSampler:
     def _from_normals(self, normals, half=None):
         """Map (batch, n_time, n_terms) standard normals, overwritten, to noise
         slabs, the view normals[..., :n_space].  ``half`` receives the complex
-        half spectrum (batch, n_time, n_space // 2 + 1); a new array if None."""
+        half spectrum of one group of slabs at a time, (batch, group,
+        n_space // 2 + 1); a new array if None.  Any group size gives the
+        same slabs, since the FFT transforms each row on its own."""
         z = normals
         z[:, 0] *= self._sd0
         z[:, 1:] *= self._innovation
@@ -222,13 +237,19 @@ class NoiseSlabSampler:
         modes = z[..., :n]
         for first, stop, start in self._alias_runs:
             modes[..., first:stop] += z[..., start:start + stop - first]
+        if half is None:
+            half = self._half_spectrum(len(z))
         # Hartley transform from the half spectrum, FFT_{n-j} = conj(FFT_j),
-        # written over the mode sums it is taken from
-        half = np.fft.rfft(modes, out=half)
-        mirror = half[..., n // 2 - 1:0:-1]
-        np.add(half.real, half.imag, out=modes[..., :n // 2 + 1])
-        np.subtract(mirror.real, mirror.imag, out=modes[..., n // 2 + 1:])
-        modes /= math.sqrt(n)
+        # written over the mode sums it is taken from, one group of slabs at
+        # a time
+        scale = math.sqrt(n)
+        for first in range(0, self.grid.n_time, half.shape[1]):
+            group = modes[:, first:first + half.shape[1]]
+            spectrum = np.fft.rfft(group, out=half[:, :group.shape[1]])
+            mirror = spectrum[..., n // 2 - 1:0:-1]
+            np.add(spectrum.real, spectrum.imag, out=group[..., :n // 2 + 1])
+            np.subtract(mirror.real, mirror.imag, out=group[..., n // 2 + 1:])
+            group /= scale
         return modes
 
 

@@ -469,9 +469,12 @@ _DEFERRED = ("scipy.stats", "scipy.special", "scipy.integrate")
 
 
 def _run_then_list_loaded(code):
-    """Run ``code`` in a fresh interpreter; its JSON output lines, the last one
-    the modules of _DEFERRED then loaded."""
-    probe = code + f"\nimport json, sys; print(json.dumps([m for m in {_DEFERRED!r} if m in sys.modules]))"
+    """Run ``code`` in a fresh interpreter after a bare ``import scipy``; its
+    JSON output lines, the last one the scipy modules ``code`` then loaded."""
+    probe = ("import sys, scipy\n"
+             "bare = {m for m in sys.modules if m.split('.')[0] == 'scipy'}\n" + code
+             + "\nimport json; print(json.dumps(sorted(m for m in sys.modules"
+               " if m.split('.')[0] == 'scipy' and m not in bare)))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     return [json.loads(line) for line in out.stdout.strip().splitlines()]
@@ -485,16 +488,21 @@ def test_cli_import_leaves_scipy_stats_unloaded(module):
     assert module not in _run_then_list_loaded("import sfheat.cli")[-1]
 
 
-def test_unmollified_moment_and_alpha2_chaos_leave_scipy_submodules_unloaded():
-    # the pair of calls the headline benchmark makes: the band's erfc is the
-    # package's own, so neither call loads scipy.special (about 22 MB)
+def test_benchmark_calls_load_no_scipy_module_beyond_bare_import():
+    # the unmollified and mollified moments, the solve and the chaos series
+    # of both benchmark workloads, run in one process as the benchmark runs
+    # them, need numpy alone: scipy.special (about 22 MB), scipy.fft,
+    # scipy.integrate or scipy.stats loaded by any of them would add its
+    # import time and memory to every run
+    moll = _MOMENT_STRAT + ["--epsilon", "0.1", "--delta", "0.05"]
+    calls = [_MOMENT + ["--alpha", "2", "--d", "1", "--grid-steps", "16"], moll, _SOLVE,
+             ["chaos", "--alpha", "2", "--d", "1", "--t", "1", "--nmax", "2"]]
     code = ("import contextlib, io, json\n"
             "from sfheat.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    codes = [main({_MOMENT + ['--alpha', '2', '--d', '1', '--grid-steps', '16']!r}),\n"
-            "             main(['chaos', '--alpha', '2', '--d', '1', '--t', '1', '--nmax', '2'])]\n"
+            f"    codes = [main(argv) for argv in {calls!r}]\n"
             "print(json.dumps(codes))")
-    assert _run_then_list_loaded(code) == [[0, 0], []]
+    assert _run_then_list_loaded(code) == [[0] * len(calls), []]
 
 
 def test_alpha2_chaos_and_subordinator_check_leave_scipy_stats_unloaded():
@@ -509,13 +517,3 @@ def test_alpha2_chaos_and_subordinator_check_leave_scipy_stats_unloaded():
     codes, loaded = _run_then_list_loaded(code)
     assert codes == [0, True]
     assert "scipy.stats" not in loaded
-
-
-def test_solve_and_mollified_moment_leave_scipy_submodules_unloaded():
-    moll = _MOMENT_STRAT + ["--epsilon", "0.1", "--delta", "0.05"]
-    code = ("import contextlib, io, json\n"
-            "from sfheat.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    codes = [main({_SOLVE!r}), main({moll!r})]\n"
-            "print(json.dumps(codes))")
-    assert _run_then_list_loaded(code) == [[0, 0], []]

@@ -6,8 +6,8 @@ import pytest
 from scipy import stats
 
 from sfheat.errors import BudgetError
-from sfheat.paths import (Path, RngStream, TimeGrid, _increments, constant_path,
-                          sample_increment, sample_path, sample_path_batch,
+from sfheat.paths import (Path, RngStream, TimeGrid, _generators, _increments,
+                          constant_path, sample_increment, sample_path, sample_path_batch,
                           sample_subordinator_increment)
 
 
@@ -306,6 +306,14 @@ class TestStreamReset:
         for s in streams:
             assert s.generator(shared) is shared
             assert np.array_equal(_draw_all(shared), _draw_all(s.generator()))
+
+    def test_shared_generators_match_fresh_for_interleaved_streams(self):
+        # the samplers' route: one Philox reset from stream to stream, each
+        # stream's draws leaving a half-word buffered for the next reset
+        streams = [RngStream(41, 7), RngStream(42, 7), RngStream(41, 8), RngStream(41, 7)]
+        drawn = [_draw_all(gen) for gen in _generators(streams)]
+        for s, draws in zip(streams, drawn):
+            assert np.array_equal(draws, _draw_all(s.generator()))
 
     def test_reset_matches_fresh_at_edge_values(self):
         top = 2 ** 64 - 1

@@ -145,6 +145,27 @@ class TestNoiseSlab:
         with pytest.raises(ValueError, match="buffers hold 9 slabs, not 10"):
             sampler.sample([rng.substream(r) for r in range(10)], buffers)
 
+    @pytest.mark.parametrize("n_time", [1, 7, 32])
+    def test_group_size_does_not_change_slabs(self, monkeypatch, n_time):
+        # the Hartley transform runs over groups of 1, 3 or all slabs: a block
+        # drawn into buffers, single draws and the map of the same normals
+        # give the slabs of the default group size
+        g = TorusGrid.default(0.5, n_space=16, n_time=n_time)
+        sampler = NoiseSlabSampler(g, 0.01)
+        streams = [RngStream(60).substream(r) for r in range(5)]
+        want = sampler.sample(streams).copy()
+        for per_group in (1, 3, n_time + 1):
+            monkeypatch.setattr(solver, "_SPECTRUM_ELEMENTS", per_group * 5 * (g.n_space // 2 + 1))
+            buffers = sampler.buffers(5)
+            assert buffers[1].shape == (5, min(per_group, n_time), g.n_space // 2 + 1)
+            assert np.array_equal(sampler.sample(streams, buffers), want)
+            normals = np.array([s.generator().standard_normal((n_time, sampler.n_terms))
+                                for s in streams])
+            assert np.array_equal(sampler._from_normals(normals), want)
+            monkeypatch.setattr(solver, "_SPECTRUM_ELEMENTS", per_group * (g.n_space // 2 + 1))
+            for s, row in zip(streams, want):
+                assert np.array_equal(sampler.sample(s), row)
+
     def test_alias_ranks_are_bands(self):
         # eps = 0.005: every mode keeps several aliases, and the even ranks'
         # bands wrap past mode 0; the runs fill the term columns after the
@@ -402,10 +423,10 @@ class TestEnsembleMoment:
         assert got.value == want.value and got.std_error == want.std_error
 
     def test_peak_memory_at_two_workers(self, set_workers):
-        # each thread keeps its normals (122, 32, 83) and half spectrum
-        # (122, 32, 33), 4.65e6 bytes, for the call and frees them with it;
-        # fresh normals, spectrum, field and alias temporaries per block
-        # peaked at 13.6e6
+        # each thread keeps its normals (122, 32, 83) and the half spectrum
+        # of one 8-slab group (122, 8, 33), 3.11e6 bytes, for the call and
+        # frees them with it; a half spectrum over all 32 slabs peaked at
+        # 9.9e6, fresh arrays per block at 13.6e6
         set_workers(2)
         g = TorusGrid.default(0.5, n_space=64, n_time=32)
         ensemble_moment(g, PM_CONST, 0.1, 1, 1000, rng=71)  # pool and imports
@@ -415,17 +436,21 @@ class TestEnsembleMoment:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 10.5e6
+        assert peak < 7.5e6
         assert held < 1e5
 
     def test_block_size_does_not_change_values(self, monkeypatch, set_workers):
-        # nor does the number of threads the blocks run on
+        # nor do the number of threads the blocks run on and the slabs per
+        # group of the Hartley transform
         g = TorusGrid.default(0.5, n_space=16, n_time=16)
         ests = []
         for workers in (1, 2, 8):
             set_workers(workers)
             for per_block in (1, 7, 64):
                 monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", per_block * g.n_time * g.n_space)
-                ests.append(ensemble_moment(g, PM_BUMP, 0.1, 2, 50, rng=58))
+                for per_group in (1, 3, 17):
+                    monkeypatch.setattr(solver, "_SPECTRUM_ELEMENTS",
+                                        per_group * min(per_block, 50) * (g.n_space // 2 + 1))
+                    ests.append(ensemble_moment(g, PM_BUMP, 0.1, 2, 50, rng=58))
         assert all(e.value == ests[0].value and e.std_error == ests[0].std_error
                    for e in ests)
