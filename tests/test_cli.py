@@ -488,21 +488,17 @@ def test_cli_import_leaves_scipy_stats_unloaded(module):
     assert module not in _run_then_list_loaded("import sfheat.cli")[-1]
 
 
-def test_benchmark_calls_load_no_scipy_module_beyond_bare_import():
-    # the unmollified and mollified moments, the solve and the chaos series
-    # of both benchmark workloads, run in one process as the benchmark runs
-    # them, need numpy alone: scipy.special (about 22 MB), scipy.fft,
-    # scipy.integrate or scipy.stats loaded by any of them would add its
-    # import time and memory to every run
-    moll = _MOMENT_STRAT + ["--epsilon", "0.1", "--delta", "0.05"]
-    calls = [_MOMENT + ["--alpha", "2", "--d", "1", "--grid-steps", "16"], moll, _SOLVE,
-             ["chaos", "--alpha", "2", "--d", "1", "--t", "1", "--nmax", "2"]]
+def test_unmollified_moment_and_alpha2_chaos_leave_scipy_submodules_unloaded():
+    # the pair of calls the headline benchmark makes need numpy alone:
+    # scipy.special (about 22 MB), scipy.fft, scipy.integrate or scipy.stats
+    # loaded by either would add its import time and memory to every run
     code = ("import contextlib, io, json\n"
             "from sfheat.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    codes = [main(argv) for argv in {calls!r}]\n"
+            f"    codes = [main({_MOMENT + ['--alpha', '2', '--d', '1', '--grid-steps', '16']!r}),\n"
+            "             main(['chaos', '--alpha', '2', '--d', '1', '--t', '1', '--nmax', '2'])]\n"
             "print(json.dumps(codes))")
-    assert _run_then_list_loaded(code) == [[0] * len(calls), []]
+    assert _run_then_list_loaded(code) == [[0, 0], []]
 
 
 def test_alpha2_chaos_and_subordinator_check_leave_scipy_stats_unloaded():
@@ -517,3 +513,14 @@ def test_alpha2_chaos_and_subordinator_check_leave_scipy_stats_unloaded():
     codes, loaded = _run_then_list_loaded(code)
     assert codes == [0, True]
     assert "scipy.stats" not in loaded
+
+
+def test_solve_and_mollified_moment_leave_scipy_submodules_unloaded():
+    # the calls of the Stratonovich cross-check, likewise numpy alone
+    moll = _MOMENT_STRAT + ["--epsilon", "0.1", "--delta", "0.05"]
+    code = ("import contextlib, io, json\n"
+            "from sfheat.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main({_SOLVE!r}), main({moll!r})]\n"
+            "print(json.dumps(codes))")
+    assert _run_then_list_loaded(code) == [[0, 0], []]
