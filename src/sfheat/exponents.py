@@ -25,6 +25,15 @@ equals fl(X_i - Y_j) bit for bit in whatever order or with whatever fused
 multiply-add the BLAS kernel sums k = 2 terms; only the sign of a zero may
 differ, and the square removes it.
 
+The off-band tables p0 and -1 / (2 tau) (``_grid_tables``) depend on the
+cell pair only through tau = |m_i - m_j|.  On a uniform grid, whose times are
+``np.linspace(0, t, n + 1)`` bit for bit, tau is |j - i| t / n: the cache
+keeps the 2n - 1 lag values of each table and hands out read-only Toeplitz
+views of them, O(n) doubles per grid.  The pass runs in blocks of about
+``_BLOCK_ELEMENTS`` cells (``_layout``): whole samples while two fit (n <=
+256), else one sample's range of rows at a time, so its state is O(n) plus
+one block, whatever n.
+
 The d = 1 band cells are int_I int_J p_{|u - v|}(dx) du dv, a second
 difference of K2(x) = int_0^|x| (|x| - tau) p_tau(dx) dtau over the corners of
 I x J (``kernels._rect``'s identity, specialised in ``_band_sum``).  K2 is
@@ -204,26 +213,49 @@ def _heat_K2(a):
 def _grid_tables(key, d):
     """Steps h, and the n x n off-band tables p0 = (2 pi tau)^{-d/2} h_i h_j
     and -1 / (2 tau) at the midpoint separations tau, both 0 on the band
-    (-0.0 in the second); read-only, as every caller shares them."""
+    (-0.0 in the second); read-only, as every caller shares them.
+
+    On a grid whose times are ``np.linspace(0, t, n + 1)`` bit for bit (every
+    ``TimeGrid.uniform`` and ``TimeGrid.default`` grid), every step is taken
+    as t / n, so tau depends on the lag j - i alone: each table is a Toeplitz
+    view (row stride -8 bytes, column stride 8) of its 2n - 1 lag values,
+    h is that one step broadcast to n entries, and the cache holds O(n)
+    doubles per grid.  Where the times are multiples of a power of two the
+    views equal the dense tables bit for bit.  Other grids get dense tables.
+    """
     times = np.frombuffer(key)
-    h = np.diff(times)
-    n = len(h)
-    mids = times[:-1] + 0.5 * h
-    tau = np.abs(mids[:, None] - mids[None, :])
-    offband = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) >= 2
-    area = np.outer(h, h)
+    n = len(times) - 1
+    uniform = np.array_equal(times, np.linspace(0.0, times[-1], n + 1))
+    if uniform:
+        step = times[-1] / n
+        h = np.broadcast_to(step, n)
+        lag = np.abs(np.arange(1 - n, n))
+        tau, offband, area = lag * step, lag >= 2, step * step
+    else:
+        h = np.diff(times)
+        mids = times[:-1] + 0.5 * h
+        tau = np.abs(mids[:, None] - mids[None, :])
+        offband = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) >= 2
+        area = np.outer(h, h)
     with np.errstate(divide="ignore"):
         p0 = np.where(offband, (2.0 * np.pi * np.where(offband, tau, 1.0)) ** (-d / 2.0) * area, 0.0)
         neg_inv2tau = -np.where(offband, 0.5 / np.where(offband, tau, 1.0), 0.0)
+    if uniform:
+        # entry (i, j) is lag value n - 1 + j - i
+        p0, neg_inv2tau = (np.ndarray((n, n), buffer=v, offset=(n - 1) * v.itemsize,
+                                      strides=(-v.itemsize, v.itemsize))
+                           for v in (p0, neg_inv2tau))
     for table in (h, p0, neg_inv2tau):
         table.flags.writeable = False
     return h, p0, neg_inv2tau
 
 
 # float64 cells per block of the off-band pass (1 MB, half of a 2 MB per-core
-# L2); a block holds at least _MIN_BLOCK_SAMPLES samples, because under numpy
-# 2.4.6 a 1-sample block changes einsum's per-sample summation order (blocks
-# of 2 or more do not), and the values must not depend on the blocking
+# L2).  A block of whole samples holds at least _MIN_BLOCK_SAMPLES of them,
+# because under numpy 2.4.6 a 1-sample block changes einsum's per-sample
+# summation order (blocks of 2 or more do not), and the values must not
+# depend on the blocking; where that many samples do not fit, every block is
+# a range of one sample's rows, and the ranges depend on n alone
 _BLOCK_ELEMENTS = 1 << 17
 _MIN_BLOCK_SAMPLES = 2
 
@@ -242,30 +274,44 @@ def _positions(times, pos_a, pos_b):
 
 
 def _layout(B, n):
-    """Block bounds of the off-band pass over B samples: block k covers
-    samples bounds[k]:bounds[k + 1].  Every block holds at least
-    _MIN_BLOCK_SAMPLES samples (or the whole batch, when it is smaller) and
-    at most about _BLOCK_ELEMENTS cells, the remainder spread one sample per
-    block."""
-    per_block = max(_MIN_BLOCK_SAMPLES, _BLOCK_ELEMENTS // (n * n))
-    n_blocks = max(1, min(B // _MIN_BLOCK_SAMPLES, -(-B // per_block)))
-    return [B * k // n_blocks for k in range(n_blocks + 1)]
+    """Blocks (start, stop, row_start, row_stop) of the off-band pass over B
+    samples of n steps: block k covers rows row_start:row_stop of samples
+    start:stop, in one of two forms.
+
+    While _MIN_BLOCK_SAMPLES samples fit in _BLOCK_ELEMENTS cells (n <= 256),
+    each block holds whole samples: at least _MIN_BLOCK_SAMPLES (or the whole
+    batch, when it is smaller) and at most about _BLOCK_ELEMENTS cells, the
+    remainder spread one sample per block.  Otherwise each block is one
+    sample's range of rows, at most max(1, _BLOCK_ELEMENTS // n) of them,
+    and every sample is cut into the same even ranges, which depend on n
+    alone.
+    """
+    per_block = _BLOCK_ELEMENTS // (n * n)
+    if per_block >= _MIN_BLOCK_SAMPLES:
+        n_blocks = max(1, min(B // _MIN_BLOCK_SAMPLES, -(-B // per_block)))
+        bounds = [B * k // n_blocks for k in range(n_blocks + 1)]
+        return [(a, b, 0, n) for a, b in zip(bounds[:-1], bounds[1:])]
+    n_ranges = -(-n // max(1, _BLOCK_ELEMENTS // n))
+    rows = [n * k // n_ranges for k in range(n_ranges + 1)]
+    return [(s, s + 1, r0, r1) for s in range(B) for r0, r1 in zip(rows[:-1], rows[1:])]
 
 
-def _offband_sum(pos_a, pos_b, p0, neg_inv2tau, bounds):
+def _offband_sum(pos_a, pos_b, p0, neg_inv2tau, blocks):
     """Off-band cells of each sample: midpoint in time, increments frozen at
     left corners.
 
-    The blocks between consecutive ``bounds`` (0 to B) run through one reused buffer
-    (two for d > 1), so the elementwise passes work on about a MB, not B n^2
-    doubles; squared distances are summed one component at a time in place.
-    Each component's differences X_i - Y_j are one matmul of [X_i, 1] by
-    [1, -Y_j], both built once per call; the module docstring shows the
-    product is exact.  Unless every position is below 2^1022 in magnitude
-    (so no difference overflows, and none is nan or inf), the differences
-    are taken by broadcast subtraction instead: the flags raised are then
-    those of the subtraction, not those of the BLAS kernel's zero padding
-    (0 * inf) or of its threads.
+    The ``blocks`` of ``_layout`` run through one reused buffer (two for
+    d > 1), so the elementwise passes work on about a MB, not B n^2 doubles;
+    squared distances are summed one component at a time in place.  A block
+    takes its rows of the two tables, which may be dense or the lag views of
+    ``_grid_tables``, and adds its partial sums to its samples' values, so a
+    sample cut into row ranges sums them in row order.  Each component's
+    differences X_i - Y_j are one matmul of [X_i, 1] by [1, -Y_j], both built
+    once per call; the module docstring shows the product is exact.  Unless
+    every position is below 2^1022 in magnitude (so no difference overflows,
+    and none is nan or inf), the differences are taken by broadcast
+    subtraction instead: the flags raised are then those of the subtraction,
+    not those of the BLAS kernel's zero padding (0 * inf) or of its threads.
     """
     n = len(p0)
     X = pos_a[:, :n].transpose(0, 2, 1)
@@ -275,27 +321,29 @@ def _offband_sum(pos_a, pos_b, p0, neg_inv2tau, bounds):
         left = np.stack([X, np.ones_like(X)], axis=-1)
         right = np.stack([np.ones_like(Y), -Y], axis=-2)
 
-    def differences(c, start, stop, out):
+    def differences(c, start, stop, r0, r1, out):
         if by_matmul:
-            np.matmul(left[start:stop, c], right[start:stop, c], out=out)
+            np.matmul(left[start:stop, c, r0:r1], right[start:stop, c], out=out)
         else:
-            np.subtract(pos_a[start:stop, :n, None, c], pos_b[start:stop, None, :n, c], out=out)
+            np.subtract(pos_a[start:stop, r0:r1, None, c], pos_b[start:stop, None, :n, c], out=out)
 
-    buf = np.empty((max(b - a for a, b in zip(bounds[:-1], bounds[1:])), n, n))
-    diff = np.empty_like(buf) if pos_a.shape[-1] > 1 else None
-    off = np.empty(len(pos_a))
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        d2 = buf[:stop - start]
-        differences(0, start, stop, d2)
+    cells = max(((b - a) * (r1 - r0) * n for a, b, r0, r1 in blocks), default=0)
+    buf = np.empty(cells)
+    diff = np.empty(cells) if pos_a.shape[-1] > 1 else None
+    off = np.zeros(len(pos_a))
+    for start, stop, r0, r1 in blocks:
+        shape = (stop - start, r1 - r0, n)
+        d2 = buf[:math.prod(shape)].reshape(shape)
+        differences(0, start, stop, r0, r1, d2)
         np.multiply(d2, d2, out=d2)
         for c in range(1, pos_a.shape[-1]):
-            dc = diff[:stop - start]
-            differences(c, start, stop, dc)
+            dc = diff[:d2.size].reshape(shape)
+            differences(c, start, stop, r0, r1, dc)
             np.multiply(dc, dc, out=dc)
             d2 += dc
-        np.multiply(d2, neg_inv2tau, out=d2)
+        np.multiply(d2, neg_inv2tau[r0:r1], out=d2)
         np.exp(d2, out=d2)
-        off[start:stop] = np.einsum("bij,ij->b", d2, p0)
+        off[start:stop] += np.einsum("bij,ij->b", d2, p0[r0:r1])
     return off
 
 
@@ -345,11 +393,13 @@ def cross_exponent_values(times, pos_a, pos_b, d):
 
     One pass on the calling thread: the off-band cells block by block
     (``_layout``) through one reused buffer of about ``_BLOCK_ELEMENTS``
-    doubles (1 MB), then the band cells.  Each block gets the same exact
-    differences, square, scale, exp and einsum as one pass over the whole
-    batch would, so the values are bit-identical to that pass.  Its only
-    state is the thread-safe cache of ``_grid_tables``, so threads may run
-    it side by side.
+    doubles (1 MB), then the band cells.  Up to 256 steps each block holds
+    whole samples and gets the same exact differences, square, scale, exp
+    and einsum as one pass over the whole batch would, so the values are
+    bit-identical to that pass; past 256 steps a block is a range of one
+    sample's rows, cut by n alone, so each value is the same in any batch.
+    Its only state is the thread-safe cache of ``_grid_tables``, so threads
+    may run it side by side.
     """
     times, pos_a, pos_b = _positions(times, pos_a, pos_b)
     if pos_a.shape[-1] != d:

@@ -29,10 +29,13 @@ ensemble of the package (these moments, ``solver.ensemble_moment`` and the
 ``validate`` bound check), and its ``_POOL`` is the package's one thread
 source: the calling thread and ``_WORKERS - 1`` helpers each take the next
 batch until none is left, so about ``_WORKERS`` batches are held in memory
-at once.  A batch's values do not depend on the thread that ran it, so they
-are the same for any core count.  At rounding level they depend on the batch:
-einsum's summation order changes for a batch of one sample, and the mollified
-xi nodes follow its largest path separation; over 2^16 nodes is a BudgetError.
+at once; beside its paths, a batch's pair quadrature holds one block of
+about a MB and, on a uniform grid, shared tables of O(n) doubles, at any
+number n of steps.  A batch's values do
+not depend on the thread that ran it, so they are the same for any core
+count.  At rounding level they depend on the batch: up to 256 steps einsum's
+summation order changes for a batch of one sample, and the mollified xi nodes
+follow its largest path separation; over 2^16 nodes is a BudgetError.
 """
 
 from __future__ import annotations

@@ -524,3 +524,24 @@ def test_solve_and_mollified_moment_leave_scipy_submodules_unloaded():
             f"    codes = [main({_SOLVE!r}), main({moll!r})]\n"
             "print(json.dumps(codes))")
     assert _run_then_list_loaded(code) == [[0, 0], []]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+def test_moment_at_8192_steps_stays_small():
+    # a p = 2 Skorohod pair quadrature on 8192 steps keeps the grid tables as
+    # 2n - 1 lags and one 16-row block at a time (about 42 MB for the whole
+    # process); dense n x n tables and whole-sample blocks peaked at 5.3 GB
+    # (the default p = 1 record is exact and takes no quadrature).  The peak
+    # is the new process's VmHWM: ru_maxrss also counts the test process's
+    # own resident memory at the fork
+    args = ["moment", "--p", "2", "--grid-steps", "8192", "--n-samples", "2"]
+    code = ("import contextlib, io, json\n"
+            "from sfheat.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({args!r})\n"
+            "with open('/proc/self/status') as status:\n"
+            "    kib = next(int(line.split()[1]) for line in status if line.startswith('VmHWM:'))\n"
+            "print(json.dumps([code, kib]))")
+    (exit_code, peak_kib), _ = _run_then_list_loaded(code)
+    assert exit_code == 0
+    assert peak_kib * 1024 < 150e6

@@ -209,17 +209,81 @@ def _one_shot_offband(times, pa, pb, d):
     return np.einsum("bij,ij->b", d2, p0)
 
 
+def _dense_tables(times, d):
+    """Test-only reference: the n x n tables of ``_grid_tables`` built from
+    the grid's own steps and midpoints, |m_i - m_j| entry by entry."""
+    h = np.diff(times)
+    n = len(h)
+    mids = times[:-1] + 0.5 * h
+    tau = np.abs(mids[:, None] - mids[None, :])
+    offband = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) >= 2
+    safe = np.where(offband, tau, 1.0)
+    p0 = np.where(offband, (2.0 * np.pi * safe) ** (-d / 2.0) * np.outer(h, h), 0.0)
+    return h, p0, -np.where(offband, 0.5 / safe, 0.0)
+
+
+def _whole_samples(bounds, n):
+    """Blocks of whole samples between consecutive sample ``bounds``."""
+    return [(a, b, 0, n) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+_NON_UNIFORM = np.concatenate([[0.0], np.cumsum(np.linspace(1.0, 2.0, 200))]) / 300.0
+
+
+class TestGridTables:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("t, n", [(1.0, 16), (1.0, 256), (3.0, 768)])
+    def test_lag_views_equal_dense_tables_on_dyadic_grids(self, t, n, d):
+        # every time a multiple of a power of two: every step, midpoint and
+        # separation is exact, so the lag views hold the dense tables' bits
+        times = TimeGrid.uniform(t, n).times
+        for lag, dense in zip(exponents._grid_tables(times.tobytes(), d),
+                              _dense_tables(times, d)):
+            assert np.array_equal(lag, dense)
+            assert np.array_equal(np.signbit(lag), np.signbit(dense))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("t, n", [(0.7, 180), (1.3, 333)])
+    def test_lag_views_match_dense_tables_on_linspace_grids(self, t, n, d):
+        # the linspace steps differ in the last bit, the lag views take t / n
+        times = TimeGrid.uniform(t, n).times
+        assert not np.array_equal(np.diff(times)[:-1], np.diff(times)[1:])
+        for lag, dense in zip(exponents._grid_tables(times.tobytes(), d),
+                              _dense_tables(times, d)):
+            np.testing.assert_allclose(lag, dense, rtol=2e-13, atol=0)
+            assert np.array_equal(lag == 0, dense == 0)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_non_uniform_grid_keeps_dense_tables(self, d):
+        h, p0, neg_inv2tau = exponents._grid_tables(_NON_UNIFORM.tobytes(), d)
+        n = len(_NON_UNIFORM) - 1
+        for table, dense in zip((h, p0, neg_inv2tau), _dense_tables(_NON_UNIFORM, d)):
+            assert table.flags.c_contiguous and table.base is None
+            assert np.array_equal(table, dense)
+        assert p0.nbytes == n * n * 8
+
+    @pytest.mark.parametrize("n", [16, 4096])
+    def test_uniform_tables_hold_lag_values_only(self, n):
+        h, p0, neg_inv2tau = exponents._grid_tables(TimeGrid.uniform(2.0, n).times.tobytes(), 1)
+        assert p0.shape == neg_inv2tau.shape == (n, n) and len(h) == n
+        assert p0.base.nbytes + neg_inv2tau.base.nbytes <= 2 * (2 * n - 1) * 8
+        assert h.base.nbytes == 8 and h[0] == 2.0 / n
+
+
 class TestBlockedOffBand:
     def test_grid_tables_are_read_only(self):
-        # every caller and thread shares the cached tables; the off-band pass
-        # scales by the negated table as it is, 0 (as -0.0) on the band
-        grid = TimeGrid.uniform(1.0, 16)
-        h, p0, neg_inv2tau = exponents._grid_tables(grid.times.tobytes(), 1)
-        for table in (h, p0, neg_inv2tau):
-            with pytest.raises(ValueError, match="read-only"):
-                table[..., 0] = 1.0
-        band = np.abs(np.subtract.outer(np.arange(16), np.arange(16))) < 2
-        assert np.all(neg_inv2tau[~band] < 0) and np.all(neg_inv2tau[band] == 0)
+        # every caller and thread shares the cached tables, lag views and
+        # dense; the off-band pass scales by the negated table as it is, 0
+        # (as -0.0) on the band
+        for times in (TimeGrid.uniform(1.0, 16).times, _NON_UNIFORM):
+            h, p0, neg_inv2tau = exponents._grid_tables(times.tobytes(), 1)
+            for table in (h, p0, neg_inv2tau):
+                with pytest.raises(ValueError, match="read-only"):
+                    table[..., 0] = 1.0
+            n = len(times) - 1
+            band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) < 2
+            assert np.all(neg_inv2tau[~band] < 0) and np.all(neg_inv2tau[band] == 0)
+            assert np.all(np.signbit(neg_inv2tau[band])) and np.all(p0[band] == 0)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n", [128, 256])
@@ -230,9 +294,28 @@ class TestBlockedOffBand:
             pos = sample_path_batch(2.0, d, grid, 0.0, RngStream(45, 10 * n + d), 2 * B)
             pa, pb = pos[:B], pos[B:]
             _, p0, neg_inv2tau = exponents._grid_tables(grid.times.tobytes(), d)
-            bounds = exponents._layout(B, n)
-            assert np.array_equal(exponents._offband_sum(pa, pb, p0, neg_inv2tau, bounds),
+            blocks = exponents._layout(B, n)
+            assert np.array_equal(exponents._offband_sum(pa, pb, p0, neg_inv2tau, blocks),
                                   _one_shot_offband(grid.times, pa, pb, d)), B
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [512, 1024])
+    def test_row_blocks_match_one_pass(self, n, d):
+        # one sample's rows a block: each value is the same in any batch, and
+        # within rounding of one pass, whose einsum sums in another order
+        grid = TimeGrid.uniform(1.0, n)
+        pos = sample_path_batch(2.0, d, grid, 0.0, RngStream(45, 10 * n + d), 8)
+        pa, pb = pos[:4], pos[4:]
+        _, p0, neg_inv2tau = exponents._grid_tables(grid.times.tobytes(), d)
+        blocks = exponents._layout(4, n)
+        assert len(blocks) > 4
+        values = exponents._offband_sum(pa, pb, p0, neg_inv2tau, blocks)
+        for a, b in ((0, 1), (1, 3), (3, 4)):
+            part = exponents._offband_sum(pa[a:b], pb[a:b], p0, neg_inv2tau,
+                                          exponents._layout(b - a, n))
+            assert np.array_equal(part, values[a:b]), (a, b)
+        np.testing.assert_allclose(values, _one_shot_offband(grid.times, pa, pb, d),
+                                   rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n", [16, 64, 128, 256, 512])
@@ -244,8 +327,8 @@ class TestBlockedOffBand:
         for size in range(exponents._MIN_BLOCK_SAMPLES, 9):
             for B in (2 * size, 2 * size + 1):
                 pa, pb = pos[:B], pos[17:17 + B]
-                bounds = [B * k // 2 for k in range(3)]
-                assert np.array_equal(exponents._offband_sum(pa, pb, p0, neg_inv2tau, bounds),
+                blocks = _whole_samples([B * k // 2 for k in range(3)], n)
+                assert np.array_equal(exponents._offband_sum(pa, pb, p0, neg_inv2tau, blocks),
                                       _one_shot_offband(grid.times, pa, pb, d)), (size, B)
 
     @pytest.mark.parametrize("case", ["equal", "square overflows", "difference overflows",
@@ -277,7 +360,7 @@ class TestBlockedOffBand:
         _, p0, neg_inv2tau = exponents._grid_tables(grid.times.tobytes(), 1)
 
         def blocked():
-            return exponents._offband_sum(pa, pb, p0, neg_inv2tau, [0, 2, 4])
+            return exponents._offband_sum(pa, pb, p0, neg_inv2tau, _whole_samples([0, 2, 4], n))
 
         def one_pass():
             return _one_shot_offband(grid.times, pa, pb, 1)
@@ -301,15 +384,15 @@ class TestBlockedOffBand:
         grid = TimeGrid.uniform(1.0, 512)
         pos = sample_path_batch(2.0, 2, grid, 0.0, RngStream(54, 0), 10)
         _, p0, neg_inv2tau = exponents._grid_tables(grid.times.tobytes(), 2)
-        bounds = exponents._layout(5, 512)
-        here = exponents._offband_sum(pos[:5], pos[5:], p0, neg_inv2tau, bounds).tobytes().hex()
+        blocks = exponents._layout(5, 512)
+        here = exponents._offband_sum(pos[:5], pos[5:], p0, neg_inv2tau, blocks).tobytes().hex()
         script = ("from sfheat import exponents\n"
                   "from sfheat.paths import RngStream, TimeGrid, sample_path_batch\n"
                   "grid = TimeGrid.uniform(1.0, 512)\n"
                   "pos = sample_path_batch(2.0, 2, grid, 0.0, RngStream(54, 0), 10)\n"
                   "_, p0, neg_inv2tau = exponents._grid_tables(grid.times.tobytes(), 2)\n"
-                  "bounds = exponents._layout(5, 512)\n"
-                  "print(exponents._offband_sum(pos[:5], pos[5:], p0, neg_inv2tau, bounds)"
+                  "blocks = exponents._layout(5, 512)\n"
+                  "print(exponents._offband_sum(pos[:5], pos[5:], p0, neg_inv2tau, blocks)"
                   ".tobytes().hex())\n")
         src = os.path.dirname(os.path.dirname(exponents.__file__))
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
@@ -323,20 +406,49 @@ class TestBlockedOffBand:
         assert _peak_bytes(61, 256) < 6e6
 
     def test_peak_memory_at_512_steps(self):
-        # one pass would hold 15 * 512^2 doubles (31 MB)
-        assert _peak_bytes(15, 512) < 20e6
+        # one pass would hold 15 * 512^2 doubles (31 MB); a block holds half a
+        # sample's rows (1 MB), and the call read a 1.37e6 peak
+        assert _peak_bytes(15, 512) < 2e6
+
+    def test_peak_memory_at_4096_steps(self):
+        # a fresh grid: the lag tables and 32-row blocks; dense tables alone
+        # would be 2 * 4096^2 doubles (268 MB), and the call read a 1.46e6 peak
+        path = constant_path(TimeGrid.uniform(1.25, 4096))
+        tracemalloc.start()
+        try:
+            self_exponent(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
 
     def test_layout_bounds(self):
         for B, n in itertools.product((0, 1, 2, 3, 5, 7, 8, 15, 16, 23, 61, 244, 1000),
-                                      (32, 128, 256, 512)):
-            bounds = exponents._layout(B, n)
-            assert (bounds[0], bounds[-1]) == (0, B)
-            blocks = np.diff(bounds)
+                                      (32, 128, 256)):
+            blocks = exponents._layout(B, n)
+            starts, stops, row_starts, row_stops = np.array(blocks).T
+            assert (starts[0], stops[-1]) == (0, B)
+            assert np.array_equal(starts[1:], stops[:-1])
+            assert set(row_starts) == {0} and set(row_stops) == {n}
+            sizes = stops - starts
             if B >= exponents._MIN_BLOCK_SAMPLES:  # no 1-sample block
-                assert blocks.min() >= exponents._MIN_BLOCK_SAMPLES
+                assert sizes.min() >= exponents._MIN_BLOCK_SAMPLES
             # within one sample of the cap, or at the floor
             cap = max(exponents._MIN_BLOCK_SAMPLES, exponents._BLOCK_ELEMENTS // n ** 2)
-            assert blocks.max() <= cap + 1
+            assert sizes.max() <= cap + 1
+
+    def test_layout_row_ranges(self):
+        # past 256 steps every block is a range of one sample's rows, cut the
+        # same way for every sample whatever the batch size
+        for n in (257, 300, 362, 512, 1000, 1024, 8192):
+            ranges = [(r0, r1) for _, _, r0, r1 in exponents._layout(1, n)]
+            rows = np.array(ranges)
+            assert rows[0, 0] == 0 and rows[-1, 1] == n
+            assert np.array_equal(rows[1:, 0], rows[:-1, 1])
+            assert np.all(np.diff(rows, axis=1) * n <= exponents._BLOCK_ELEMENTS)
+            for B in (0, 2, 7):
+                blocks = exponents._layout(B, n)
+                assert blocks == [(s, s + 1, r0, r1) for s in range(B) for r0, r1 in ranges]
 
 
 def _peak_bytes(B, n):
@@ -352,6 +464,27 @@ def _peak_bytes(B, n):
         tracemalloc.stop()
 
 
+def _split_across_threads(n, d, sizes, workers, min_range):
+    """Check that contiguous ranges of B samples of n steps, each at least
+    ``min_range`` samples and each on its own thread, give the one-call
+    values bit for bit, for every B in ``sizes`` and split in ``workers``."""
+    grid = TimeGrid.uniform(1.0, n)
+
+    def values(pa, pb):
+        return cross_exponent_values(grid.times, pa, pb, d)
+
+    for B in sizes:
+        pos = sample_path_batch(2.0, d, grid, 0.0, RngStream(47, 10 * n + d), 2 * B)
+        expected = values(pos[:B], pos[B:])
+        for w in workers:
+            ranges = max(1, min(w, B // min_range))
+            bounds = [B * k // ranges for k in range(ranges + 1)]
+            with ThreadPoolExecutor(max_workers=ranges) as pool:
+                parts = list(pool.map(lambda a, b: values(pos[a:b], pos[B + a:B + b]),
+                                      bounds[:-1], bounds[1:]))
+            assert np.array_equal(np.concatenate(parts), expected), (B, w)
+
+
 class TestParallelRanges:
     # fk runs whole batches on several threads at once: contiguous ranges of
     # one batch, each taken by its own thread at the same time, give the
@@ -359,21 +492,14 @@ class TestParallelRanges:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n", [128, 256])
     def test_values_independent_of_workers(self, n, d):
-        grid = TimeGrid.uniform(1.0, n)
+        _split_across_threads(n, d, (1, 7, 8, 9, 13, 21, 61), (2, 3, 8),
+                              exponents._MIN_BLOCK_SAMPLES)
 
-        def values(pa, pb):
-            return cross_exponent_values(grid.times, pa, pb, d)
-
-        for B in (1, 7, 8, 9, 13, 21, 61):
-            pos = sample_path_batch(2.0, d, grid, 0.0, RngStream(47, 10 * n + d), 2 * B)
-            expected = values(pos[:B], pos[B:])
-            for workers in (2, 3, 8):
-                ranges = max(1, min(workers, B // exponents._MIN_BLOCK_SAMPLES))
-                bounds = [B * k // ranges for k in range(ranges + 1)]
-                with ThreadPoolExecutor(max_workers=ranges) as pool:
-                    parts = list(pool.map(lambda a, b: values(pos[a:b], pos[B + a:B + b]),
-                                          bounds[:-1], bounds[1:]))
-                assert np.array_equal(np.concatenate(parts), expected), (B, workers)
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [512, 1024])
+    def test_row_block_values_independent_of_workers(self, n, d):
+        # in row blocks a range may be a single sample
+        _split_across_threads(n, d, (1, 3, 5), (2, 3, 8), 1)
 
 
 class TestBatchShapes:
