@@ -30,8 +30,8 @@ cell pair only through tau = |m_i - m_j|.  On a uniform grid, whose times are
 ``np.linspace(0, t, n + 1)`` bit for bit, tau is |j - i| t / n: the cache
 keeps the 2n - 1 lag values of each table and hands out read-only Toeplitz
 views of them, O(n) doubles per grid.  The pass runs in blocks of about
-``_BLOCK_ELEMENTS`` cells (``_layout``): whole samples while two fit (n <=
-256), else one sample's range of rows at a time, so its state is O(n) plus
+``_BLOCK_ELEMENTS`` cells (``_layout``): consecutive whole samples while one
+fits, else one sample's range of rows at a time, so its state is O(n) plus
 one block, whatever n.
 
 The d = 1 band cells are int_I int_J p_{|u - v|}(dx) du dv, a second
@@ -250,14 +250,8 @@ def _grid_tables(key, d):
     return h, p0, neg_inv2tau
 
 
-# float64 cells per block of the off-band pass (1 MB, half of a 2 MB per-core
-# L2).  A block of whole samples holds at least _MIN_BLOCK_SAMPLES of them,
-# because under numpy 2.4.6 a 1-sample block changes einsum's per-sample
-# summation order (blocks of 2 or more do not), and the values must not
-# depend on the blocking; where that many samples do not fit, every block is
-# a range of one sample's rows, and the ranges depend on n alone
+# float64 cells per block of the off-band pass (1 MB, half of a 2 MB per-core L2)
 _BLOCK_ELEMENTS = 1 << 17
-_MIN_BLOCK_SAMPLES = 2
 
 
 def _positions(times, pos_a, pos_b):
@@ -276,24 +270,17 @@ def _positions(times, pos_a, pos_b):
 def _layout(B, n):
     """Blocks (start, stop, row_start, row_stop) of the off-band pass over B
     samples of n steps: block k covers rows row_start:row_stop of samples
-    start:stop, in one of two forms.
-
-    While _MIN_BLOCK_SAMPLES samples fit in _BLOCK_ELEMENTS cells (n <= 256),
-    each block holds whole samples: at least _MIN_BLOCK_SAMPLES (or the whole
-    batch, when it is smaller) and at most about _BLOCK_ELEMENTS cells, the
-    remainder spread one sample per block.  Otherwise each block is one
-    sample's range of rows, at most max(1, _BLOCK_ELEMENTS // n) of them,
-    and every sample is cut into the same even ranges, which depend on n
-    alone.
+    start:stop.  A block holds at most min(n, _BLOCK_ELEMENTS // n) rows (at
+    least one) of each of its samples, and as many consecutive samples as fit
+    in _BLOCK_ELEMENTS cells (at least one); every sample is cut into the
+    same even row ranges, which depend on n alone, and B = 0 gives no block.
     """
-    per_block = _BLOCK_ELEMENTS // (n * n)
-    if per_block >= _MIN_BLOCK_SAMPLES:
-        n_blocks = max(1, min(B // _MIN_BLOCK_SAMPLES, -(-B // per_block)))
-        bounds = [B * k // n_blocks for k in range(n_blocks + 1)]
-        return [(a, b, 0, n) for a, b in zip(bounds[:-1], bounds[1:])]
-    n_ranges = -(-n // max(1, _BLOCK_ELEMENTS // n))
-    rows = [n * k // n_ranges for k in range(n_ranges + 1)]
-    return [(s, s + 1, r0, r1) for s in range(B) for r0, r1 in zip(rows[:-1], rows[1:])]
+    rows = min(n, max(1, _BLOCK_ELEMENTS // n))
+    per_block = max(1, _BLOCK_ELEMENTS // (rows * n))
+    n_ranges = -(-n // rows)
+    cuts = [n * k // n_ranges for k in range(n_ranges + 1)]
+    return [(s, min(s + per_block, B), r0, r1)
+            for s in range(0, B, per_block) for r0, r1 in zip(cuts[:-1], cuts[1:])]
 
 
 def _offband_sum(pos_a, pos_b, p0, neg_inv2tau, blocks):
@@ -393,13 +380,15 @@ def cross_exponent_values(times, pos_a, pos_b, d):
 
     One pass on the calling thread: the off-band cells block by block
     (``_layout``) through one reused buffer of about ``_BLOCK_ELEMENTS``
-    doubles (1 MB), then the band cells.  Up to 256 steps each block holds
-    whole samples and gets the same exact differences, square, scale, exp
-    and einsum as one pass over the whole batch would, so the values are
-    bit-identical to that pass; past 256 steps a block is a range of one
-    sample's rows, cut by n alone, so each value is the same in any batch.
-    Its only state is the thread-safe cache of ``_grid_tables``, so threads
-    may run it side by side.
+    doubles (1 MB), then the band cells.  A block gets the same exact
+    differences, square, scale and exp as one pass over the whole batch
+    would, and a sample too long for one block is cut into row ranges by n
+    alone, summed in row order.  On a uniform grid, whose tables are lag
+    views, einsum sums a sample's block in one order whatever the block
+    holds, so each value is the same in any batch; on other grids a
+    one-sample block may move the last bits.  Its only state is the
+    thread-safe cache of ``_grid_tables``, so threads may run it side by
+    side.
     """
     times, pos_a, pos_b = _positions(times, pos_a, pos_b)
     if pos_a.shape[-1] != d:

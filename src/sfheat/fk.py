@@ -33,9 +33,11 @@ at once; beside its paths, a batch's pair quadrature holds one block of
 about a MB and, on a uniform grid, shared tables of O(n) doubles, at any
 number n of steps.  A batch's values do
 not depend on the thread that ran it, so they are the same for any core
-count.  At rounding level they depend on the batch: up to 256 steps einsum's
-summation order changes for a batch of one sample, and the mollified xi nodes
-follow its largest path separation; over 2^16 nodes is a BudgetError.
+count.  Unmollified values do not depend on the batch or its blocks either
+on a uniform grid, which is every grid this module builds; other grids move
+them at rounding level only.  Mollified values depend on the batch at
+rounding level: its xi nodes follow its largest path separation, and over
+2^16 nodes is a BudgetError.
 """
 
 from __future__ import annotations

@@ -288,9 +288,10 @@ class TestBlockedOffBand:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n", [128, 256])
     def test_blocks_match_one_pass(self, n, d):
+        # a one-sample batch, and full blocks ahead of a remainder
         grid = TimeGrid.uniform(1.0, n)
-        block = max(exponents._MIN_BLOCK_SAMPLES, exponents._BLOCK_ELEMENTS // n ** 2)
-        for B in (block - 1, block + 3, 2 * block + 5):
+        block = exponents._BLOCK_ELEMENTS // n ** 2
+        for B in (1, block + 1, 2 * block + 5):
             pos = sample_path_batch(2.0, d, grid, 0.0, RngStream(45, 10 * n + d), 2 * B)
             pa, pb = pos[:B], pos[B:]
             _, p0, neg_inv2tau = exponents._grid_tables(grid.times.tobytes(), d)
@@ -320,11 +321,11 @@ class TestBlockedOffBand:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n", [16, 64, 128, 256, 512])
     def test_block_floor_matches_one_pass(self, n, d):
-        # every block size from the floor up, in even and remainder-spread layouts
+        # every block size from one sample up, in even and uneven layouts
         grid = TimeGrid.uniform(1.0, n)
         pos = sample_path_batch(2.0, d, grid, 0.0, RngStream(52, 10 * n + d), 34)
         _, p0, neg_inv2tau = exponents._grid_tables(grid.times.tobytes(), d)
-        for size in range(exponents._MIN_BLOCK_SAMPLES, 9):
+        for size in range(1, 9):
             for B in (2 * size, 2 * size + 1):
                 pa, pb = pos[:B], pos[17:17 + B]
                 blocks = _whole_samples([B * k // 2 for k in range(3)], n)
@@ -422,33 +423,39 @@ class TestBlockedOffBand:
             tracemalloc.stop()
         assert peak < 2.5e6
 
-    def test_layout_bounds(self):
-        for B, n in itertools.product((0, 1, 2, 3, 5, 7, 8, 15, 16, 23, 61, 244, 1000),
-                                      (32, 128, 256)):
-            blocks = exponents._layout(B, n)
-            starts, stops, row_starts, row_stops = np.array(blocks).T
-            assert (starts[0], stops[-1]) == (0, B)
-            assert np.array_equal(starts[1:], stops[:-1])
-            assert set(row_starts) == {0} and set(row_stops) == {n}
-            sizes = stops - starts
-            if B >= exponents._MIN_BLOCK_SAMPLES:  # no 1-sample block
-                assert sizes.min() >= exponents._MIN_BLOCK_SAMPLES
-            # within one sample of the cap, or at the floor
-            cap = max(exponents._MIN_BLOCK_SAMPLES, exponents._BLOCK_ELEMENTS // n ** 2)
-            assert sizes.max() <= cap + 1
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_non_uniform_one_sample_blocks_round_only(self, d):
+        # dense tables: a one-sample block may sum in another order than a
+        # block of two, and moves the values at rounding level only
+        n = len(_NON_UNIFORM) - 1
+        pos = sample_path_batch(2.0, d, TimeGrid(_NON_UNIFORM), 0.0, RngStream(55, d), 16)
+        pa, pb = pos[:8], pos[8:]
+        _, p0, neg_inv2tau = exponents._grid_tables(_NON_UNIFORM.tobytes(), d)
+        ones = exponents._offband_sum(pa, pb, p0, neg_inv2tau, _whole_samples(range(9), n))
+        twos = exponents._offband_sum(pa, pb, p0, neg_inv2tau, _whole_samples(range(0, 9, 2), n))
+        np.testing.assert_allclose(ones, twos, rtol=1e-13, atol=0)
 
-    def test_layout_row_ranges(self):
-        # past 256 steps every block is a range of one sample's rows, cut the
-        # same way for every sample whatever the batch size
-        for n in (257, 300, 362, 512, 1000, 1024, 8192):
-            ranges = [(r0, r1) for _, _, r0, r1 in exponents._layout(1, n)]
-            rows = np.array(ranges)
+    def test_layout_bounds(self):
+        # the blocks tile every (sample, row) cell once, in order, each within
+        # _BLOCK_ELEMENTS cells, and cut every sample into the same even rows
+        for B, n in itertools.product((0, 1, 2, 3, 5, 7, 8, 15, 23, 61, 244, 1000),
+                                      (16, 128, 256, 257, 362, 363, 512, 1000, 8192)):
+            blocks = exponents._layout(B, n)
+            if B == 0:
+                assert blocks == []
+                continue
+            cuts = [(r0, r1) for _, _, r0, r1 in exponents._layout(1, n)]
+            rows = np.array(cuts)
             assert rows[0, 0] == 0 and rows[-1, 1] == n
             assert np.array_equal(rows[1:, 0], rows[:-1, 1])
-            assert np.all(np.diff(rows, axis=1) * n <= exponents._BLOCK_ELEMENTS)
-            for B in (0, 2, 7):
-                blocks = exponents._layout(B, n)
-                assert blocks == [(s, s + 1, r0, r1) for s in range(B) for r0, r1 in ranges]
+            assert np.ptp(rows[:, 1] - rows[:, 0]) <= 1
+            groups = list(dict.fromkeys((a, b) for a, b, _, _ in blocks))
+            starts, stops = np.array(groups).T
+            assert (starts[0], stops[-1]) == (0, B)
+            assert np.array_equal(starts[1:], stops[:-1]) and np.all(starts < stops)
+            assert blocks == [(a, b, r0, r1) for a, b in groups for r0, r1 in cuts]
+            assert max((b - a) * (r1 - r0) * n for a, b, r0, r1 in blocks) \
+                <= exponents._BLOCK_ELEMENTS
 
 
 def _peak_bytes(B, n):
@@ -464,42 +471,28 @@ def _peak_bytes(B, n):
         tracemalloc.stop()
 
 
-def _split_across_threads(n, d, sizes, workers, min_range):
-    """Check that contiguous ranges of B samples of n steps, each at least
-    ``min_range`` samples and each on its own thread, give the one-call
-    values bit for bit, for every B in ``sizes`` and split in ``workers``."""
-    grid = TimeGrid.uniform(1.0, n)
-
-    def values(pa, pb):
-        return cross_exponent_values(grid.times, pa, pb, d)
-
-    for B in sizes:
-        pos = sample_path_batch(2.0, d, grid, 0.0, RngStream(47, 10 * n + d), 2 * B)
-        expected = values(pos[:B], pos[B:])
-        for w in workers:
-            ranges = max(1, min(w, B // min_range))
-            bounds = [B * k // ranges for k in range(ranges + 1)]
-            with ThreadPoolExecutor(max_workers=ranges) as pool:
-                parts = list(pool.map(lambda a, b: values(pos[a:b], pos[B + a:B + b]),
-                                      bounds[:-1], bounds[1:]))
-            assert np.array_equal(np.concatenate(parts), expected), (B, w)
-
-
 class TestParallelRanges:
     # fk runs whole batches on several threads at once: contiguous ranges of
-    # one batch, each taken by its own thread at the same time, give the
-    # one-call values bit for bit
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("n", [128, 256])
+    # one batch, down to one sample each, taken by their own threads at the
+    # same time, give the one-call values bit for bit
+    @pytest.mark.parametrize("n, d", [(128, 1), (128, 2), (128, 3), (256, 1), (256, 2),
+                                      (256, 3), (512, 1), (512, 2), (1024, 1), (1024, 2)])
     def test_values_independent_of_workers(self, n, d):
-        _split_across_threads(n, d, (1, 7, 8, 9, 13, 21, 61), (2, 3, 8),
-                              exponents._MIN_BLOCK_SAMPLES)
+        grid = TimeGrid.uniform(1.0, n)
 
-    @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("n", [512, 1024])
-    def test_row_block_values_independent_of_workers(self, n, d):
-        # in row blocks a range may be a single sample
-        _split_across_threads(n, d, (1, 3, 5), (2, 3, 8), 1)
+        def values(pa, pb):
+            return cross_exponent_values(grid.times, pa, pb, d)
+
+        for B in (1, 3, 7, 8, 9, 13, 21, 61) if n <= 256 else (1, 3, 5):
+            pos = sample_path_batch(2.0, d, grid, 0.0, RngStream(47, 10 * n + d), 2 * B)
+            expected = values(pos[:B], pos[B:])
+            for w in (2, 3, 8):
+                ranges = min(w, B)
+                bounds = [B * k // ranges for k in range(ranges + 1)]
+                with ThreadPoolExecutor(max_workers=ranges) as pool:
+                    parts = list(pool.map(lambda a, b: values(pos[a:b], pos[B + a:B + b]),
+                                          bounds[:-1], bounds[1:]))
+                assert np.array_equal(np.concatenate(parts), expected), (B, w)
 
 
 class TestBatchShapes:

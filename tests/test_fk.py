@@ -367,18 +367,19 @@ class TestSkoMeanExact:
 # 271 samples of 256 steps are nine 30-sample batches and one of a single sample
 _BATCHED = dict(n_samples=271, grid_steps=256)
 _MOLL = MollifierParams(0.1, 1.0 / 64)
+_UNMOLLIFIED = {"sko-2.0": (sko_moment, ModelParams(2.0, t_horizon=0.7)),
+                "sko-1.5": (sko_moment, ModelParams(1.5, t_horizon=0.7)),
+                "sko-2.0-d3": (sko_moment, ModelParams(2.0, d=3, t_horizon=0.7)),
+                "strat-2.0": (strat_moment, ModelParams(2.0, t_horizon=0.7))}
 
 
 class TestParallelBatches:
     @pytest.mark.parametrize("moment, pm, kwargs", [
-        (sko_moment, ModelParams(2.0, t_horizon=0.7), _BATCHED),
-        (sko_moment, ModelParams(1.5, t_horizon=0.7), _BATCHED),
-        (sko_moment, ModelParams(2.0, d=3, t_horizon=0.7), _BATCHED),
-        (strat_moment, ModelParams(2.0, t_horizon=0.7), _BATCHED),
+        *((moment, pm, _BATCHED) for moment, pm in _UNMOLLIFIED.values()),
         # 15-sample batches at 128 steps: four batches
         (strat_moment, ModelParams(2.0, t_horizon=0.5),
          dict(n_samples=50, grid_steps=128, moll=_MOLL)),
-    ], ids=["sko-2.0", "sko-1.5", "sko-2.0-d3", "strat-2.0", "strat-mollified"])
+    ], ids=[*_UNMOLLIFIED, "strat-mollified"])
     def test_samples_independent_of_workers(self, moment, pm, kwargs, set_workers):
         p = 1 if "moll" in kwargs else 2
         samples = []
@@ -387,6 +388,21 @@ class TestParallelBatches:
             if cold:  # the threads meet an empty grid-table cache
                 exponents._grid_tables.cache_clear()
             samples.append(moment(p, pm, rng=48, keep_samples=True, **kwargs).samples)
+        assert all(np.array_equal(samples[0], s) for s in samples[1:])
+
+    @pytest.mark.parametrize("moment, pm", _UNMOLLIFIED.values(), ids=list(_UNMOLLIFIED))
+    def test_samples_independent_of_batch(self, moment, pm, monkeypatch):
+        # batches of 1, of 7 and of the default 30 samples; mollified moments
+        # are left out, as their xi nodes follow the batch's largest path
+        # separation
+        sample_values = fk._sample_values
+        samples = []
+        for batch in (1, 7, None):
+            def rebatched(n, default, rng, values, batch=batch):
+                return sample_values(n, batch or default, rng, values)
+
+            monkeypatch.setattr(fk, "_sample_values", rebatched)
+            samples.append(moment(2, pm, rng=48, keep_samples=True, **_BATCHED).samples)
         assert all(np.array_equal(samples[0], s) for s in samples[1:])
 
     def test_stress_more_workers_than_cores(self, set_workers, monkeypatch):

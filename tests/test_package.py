@@ -62,6 +62,25 @@ def test_readme_signatures_match_the_code():
         assert _parameter_names(_resolve(dotted), dotted) == written, dotted
 
 
+# a backticked dotted name such as `fk._WORKERS` or `sfheat.paths`
+_DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.\w+)+)`")
+
+
+def test_readme_module_names_resolve():
+    # `module.name` and `sfheat.module` must name what the module defines;
+    # class attributes such as `ModelParams.t_horizon` are not read here
+    modules = {m.name for m in pkgutil.iter_modules(sfheat.__path__)}
+    found = [name.removeprefix("sfheat.") for name in _DOTTED.findall(_README.read_text())
+             if name.split(".")[0] in modules | {"sfheat"}]
+    assert len(found) >= 20
+    for dotted in found:
+        head, *rest = dotted.split(".")
+        owner = importlib.import_module(f"sfheat.{head}")
+        for attr in rest:
+            assert hasattr(owner, attr), dotted
+            owner = getattr(owner, attr)
+
+
 def _is_infinity(node):
     if isinstance(node, ast.UnaryOp):
         node = node.operand
