@@ -457,6 +457,20 @@ class TestBlockedOffBand:
             assert max((b - a) * (r1 - r0) * n for a, b, r0, r1 in blocks) \
                 <= exponents._BLOCK_ELEMENTS
 
+    def test_layout_row_ranges(self):
+        # past 256 steps every block is a range of one sample's rows, cut the
+        # same way for every sample whatever the batch size
+        for n in (257, 300, 362, 512, 1000, 1024, 8192):
+            ranges = [(r0, r1) for _, _, r0, r1 in exponents._layout(1, n)]
+            rows = np.array(ranges)
+            assert rows[0, 0] == 0 and rows[-1, 1] == n
+            assert np.array_equal(rows[1:, 0], rows[:-1, 1])
+            assert np.all(np.diff(rows, axis=1) * n <= exponents._BLOCK_ELEMENTS)
+            for B in (0, 2, 7):
+                blocks = exponents._layout(B, n)
+                assert blocks == [(s, s + 1, r0, r1) for s in range(B) for r0, r1 in ranges]
+
+
 
 def _peak_bytes(B, n):
     """tracemalloc peak of one cross_exponent_values call on B pairs of n steps."""
