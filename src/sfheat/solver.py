@@ -37,6 +37,16 @@ and the half spectrum of the Hartley transform for one group of
 consecutive slabs, which the transform fills group by group.  They are
 freed when the call returns, and a thread's later blocks allocate no noise
 arrays.
+
+A realization's statistic is the mean of u(t, x_j)^p over the grid points
+x_j whose value has the law of u(t, 0).  The circulant noise covariance is
+invariant under grid shifts and ``evolve`` commutes with them, so with
+constant u0 the solution u(t, .) is stationary and every grid point
+qualifies: the mean over all n_space points estimates the same discretised
+moment as u(t, 0)^p, with the same grid bias and a smaller variance.  For
+any other u0 only x = 0 qualifies, and the statistic is u(t, 0)^p.  The
+standard error, ``ess`` and ``max_weight_share`` are taken over the
+realizations' statistics.
 d = 1 only: it is the single regime where that target exists.
 ``evolve`` and ``ensemble_moment`` (before it draws noise) reject a grid
 whose horizon is not ``params.t_horizon``, ``evolve`` a snapshot time
@@ -342,6 +352,12 @@ def ensemble_moment(grid: TorusGrid, params: ModelParams, epsilon, p,
                     n_realizations, rng=0) -> MomentEstimate:
     """Sample p-th moment of u(t_horizon, x = 0) over independent noise slabs.
 
+    Each realization contributes one statistic: with constant ``params.u0``
+    the mean of u(t_horizon, x_j)^p over all n_space grid points, which
+    share the law of x = 0; otherwise u(t_horizon, 0)^p alone.  The value is
+    the mean of these statistics, and the standard error, ``ess`` and
+    ``max_weight_share`` are taken over them, one per realization.
+
     Realization r draws its noise from ``rng.substream(r)``; realizations
     run in blocks of about _BLOCK_ELEMENTS noise values, each thread drawing
     into its own buffers for this call, and the estimate is the same for any
@@ -362,6 +378,8 @@ def ensemble_moment(grid: TorusGrid, params: ModelParams, epsilon, p,
     _require_horizon(grid, params)  # before any noise is drawn
     sampler = NoiseSlabSampler(grid, epsilon)
     center = grid.n_space // 2  # x = 0 lies on the grid by construction
+    # the columns with the law of x = 0: all of them when u(t, .) is stationary
+    columns = slice(None) if params.u0.tag == "constant" else slice(center, center + 1)
     block = max(1, _BLOCK_ELEMENTS // (grid.n_time * grid.n_space))
     held = threading.local()  # each thread's noise buffers, freed with this call
 
@@ -369,7 +387,7 @@ def ensemble_moment(grid: TorusGrid, params: ModelParams, epsilon, p,
         if not hasattr(held, "buffers"):
             held.buffers = sampler.buffers(min(block, n_realizations))
         state, _ = evolve(grid, params, sampler.sample(streams, held.buffers))
-        return state.values[:, center] ** p
+        return np.mean(state.values[:, columns] ** p, axis=1)
 
     vals = _sample_values(n_realizations, block, rng, values)
     return _finalize(vals, p, "direct", rng.master_seed, grid.n_time, keep_samples=False)

@@ -1,6 +1,8 @@
 import ast
 import importlib
+import importlib.util
 import inspect
+import json
 import pathlib
 import pkgutil
 import re
@@ -170,3 +172,25 @@ def test_perfbench_hooks_resolve(monkeypatch):
                 assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
     assert list(inspect.signature(sfheat.exponents.cross_exponent_values).parameters) == [
         "times", "pos_a", "pos_b", "d"]
+
+
+def test_xval_moll_benchmark_check_passes(tmp_path, monkeypatch):
+    # the benchmark's solver-vs-FK workload, run through the CLI for its first
+    # two iterations and judged by its own check; workloads.py is loaded from
+    # its file, and sys.modules holds it for this test only
+    from sfheat.cli import main
+
+    spec = importlib.util.spec_from_file_location("_workloads", _PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    workload = workloads.WORKLOADS["xval-moll"]
+    seeds = workloads.cli_seeds("xval-moll", 1)
+    for _ in range(2):
+        results = []
+        for call in workload.make_calls(next(seeds)):
+            out = tmp_path / f"{call.label}.json"
+            assert main(list(call.argv) + ["--out", str(out)]) == 0
+            results.append(json.loads(out.read_text())["results"])
+        ok, _, detail = workload.check(results)
+        assert ok, detail

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sfheat import solver
+from sfheat import fk, solver
 from sfheat.errors import RegimeError
 from sfheat.params import InitialCondition, ModelParams
 from sfheat.paths import RngStream
@@ -332,6 +332,20 @@ class TestMergedStrangLoop:
         for (_, got), (_, want) in zip(shots, ref_shots):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+    @pytest.mark.parametrize("batch", [None, 3], ids=["one", "block"])
+    @pytest.mark.parametrize("shift", [1, 5, 32])
+    def test_constant_data_solve_commutes_with_grid_shifts(self, batch, shift):
+        # with the circulant noise covariance, this makes every grid point of
+        # a constant-data solve share the law of x = 0, which
+        # ensemble_moment's spatial mean relies on
+        g = TorusGrid.default(0.5, n_space=64, n_time=32)
+        streams = RngStream(72) if batch is None else [RngStream(72, r) for r in range(batch)]
+        noise = NoiseSlabSampler(g, 0.1).sample(streams)
+        state, _ = evolve(g, PM_CONST, noise)
+        rolled, _ = evolve(g, PM_CONST, np.roll(noise, shift, axis=-1))
+        want = np.roll(state.values, shift, axis=-1)
+        assert np.abs(rolled.values - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_grid_horizon_must_be_the_model_horizon(self):
         g = TorusGrid.default(0.25, n_space=16, n_time=8)
         with pytest.raises(ValueError, match="horizon"):
@@ -421,6 +435,33 @@ class TestEnsembleMoment:
         got = ensemble_moment(g, PM_BUMP, 0.1, 2, 50, rng=58)
         assert sorted(calls) == ["evolve"] * 8 + ["sample"] * 8  # 50 realizations, 7 a block
         assert got.value == want.value and got.std_error == want.std_error
+
+    def test_nonconstant_data_reads_the_centre_column(self):
+        # the same estimate, bit for bit, as u(t, 0)^p of each realization
+        # drawn and evolved on its own stream
+        g = TorusGrid.default(0.5, n_space=16, n_time=16)
+        est = ensemble_moment(g, PM_BUMP, 0.1, 2, 50, rng=58)
+        sampler = NoiseSlabSampler(g, 0.1)
+        vals = np.array([evolve(g, PM_BUMP, sampler.sample(RngStream(58, r)))[0]
+                         .values[g.n_space // 2] ** 2 for r in range(50)])
+        assert est == fk._finalize(vals, 2, "direct", 58, g.n_time, keep_samples=False)
+
+    def test_constant_data_averages_every_grid_point(self):
+        # 1000 realizations of the benchmark's cross-check solve: the spatial
+        # mean agrees with the x = 0 estimate and halves its standard error
+        g = TorusGrid.default(0.5, n_space=64, n_time=32)
+        n = 1000
+        sampler = NoiseSlabSampler(g, 0.1)
+        final = np.concatenate([
+            evolve(g, PM_CONST, sampler.sample([RngStream(73, r)
+                                                for r in range(start, start + 125)]))[0].values
+            for start in range(0, n, 125)])
+        point, spatial = final[:, g.n_space // 2], final.mean(axis=1)
+        est = ensemble_moment(g, PM_CONST, 0.1, 1, n, rng=73)
+        assert est == fk._finalize(spatial, 1, "direct", 73, g.n_time, keep_samples=False)
+        diff = spatial - point
+        assert abs(diff.mean()) <= 3 * diff.std(ddof=1) / math.sqrt(n)
+        assert spatial.std(ddof=1) <= 0.6 * point.std(ddof=1)
 
     def test_peak_memory_at_two_workers(self, set_workers):
         # each thread keeps its normals (122, 32, 83) and the half spectrum
